@@ -3,7 +3,8 @@
 Systems travel as JSON documents with keys "period", "perm", "stats" and
 optional "labels" / "stat_names".  Rationals serialize as plain integers
 when integral and as "p/q" strings otherwise, so nothing ever rounds.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 internal error (an unexpected exception, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def document_to_system(doc: object) -> FiniteSystem:
     ):
         problems.append('"perm" must be an array of integers')
         perm = []
+    elif not perm:
+        problems.append('"perm" must not be empty: X needs at least one element')
     stats_raw = doc.get("stats")
     stats: list[list[Fraction]] = []
     if not isinstance(stats_raw, list) or not all(
@@ -190,7 +193,7 @@ def _spectrum_payload(system: FiniteSystem, method: str):
         sp_c = spectrum(system, "cyclotomic")
         if sp_g != sp_c:
             raise RuntimeError(
-                "internal error: spectrum methods disagree "
+                "spectrum methods disagree "
                 f"(galois {sp_g.mults}, cyclotomic {sp_c.mults})"
             )
         sp = sp_g
@@ -465,6 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CycNumber, ExactMatrix, divisors, euler_phi, mobius
+from .exact import CycNumber, ExactMatrix, _bareiss_int, divisors, euler_phi, mobius
 from .system import FiniteSystem, OrbitDecomposition, orbits, validate
 
 __all__ = [
@@ -59,7 +59,9 @@ class PresentingMatrix:
     """The |X| x (k*n) matrix of values of the shifted statistics.
 
     Column j*k + i holds the function x -> g_{i+1}(T^j x); block 0 is the
-    stats grid itself and block j+1 is block j composed with T.
+    stats grid itself and block j+1 is block j composed with T.  Inside this
+    module `_orbit_quotient` makes a copy with one row per T-orbit, which
+    zeta_matrix and invariant_matrix accept since they work row by row.
     """
 
     system: FiniteSystem
@@ -92,20 +94,28 @@ def dynamical_dimension(system: FiniteSystem) -> int:
     return presenting_matrix(system).matrix.rank()
 
 
+def _orbit_quotient(
+    pm: PresentingMatrix, cycles: tuple[tuple[int, ...], ...]
+) -> PresentingMatrix:
+    """The presenting matrix restricted to the first element of each T-orbit."""
+    entries = pm.matrix.entries
+    return PresentingMatrix(pm.system, ExactMatrix(tuple(entries[c[0]] for c in cycles)))
+
+
+def _power_block_sums(rows: list, k: int, d: int) -> list[list]:
+    """Rows of the T^d-invariant matrix, from rows of the presenting matrix.
+
+    Entry r*k + i of the row at x is the sum of g_{i+1}(T^(r + m*d) x) over
+    m = 0..n/d-1, that is of every (d*k)-th presenting entry from r*k + i.
+    d = 1 gives the invariant matrix; d = n gives the rows back.
+    """
+    width = d * k
+    return [[sum(row[c::width]) for c in range(width)] for row in rows]
+
+
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
     """Sum of the n column blocks; its column span is the invariant space."""
-    n, k = pm.n, pm.k
-    ent = pm.matrix.entries
-    rows = []
-    for r in range(pm.matrix.rows):
-        row = []
-        for i in range(k):
-            acc = Fraction(0)
-            for j in range(n):
-                acc += ent[r][j * k + i]
-            row.append(acc)
-        rows.append(row)
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix.from_rows(_power_block_sums(pm.matrix.entries, pm.k, 1))
 
 
 def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
@@ -192,26 +202,34 @@ class Spectrum:
         return self.mults[exponent % self.order]
 
 
-def _invariant_dim_of_power(system: FiniteSystem, d: int, tables: list[list[int]]) -> int:
-    """dim of the T^d-invariant subspace of V.
+def _integer_presenting_rows(system: FiniteSystem) -> list[list[int]]:
+    """The presenting matrix over Z, with g_i scaled by the lcm of its denominators.
 
-    Rank of the |X| x (d*k) matrix whose (r, i) column is the sum of
-    g_{i+1} o T^(r + m*d) over m; this is the invariant-matrix construction
-    for T^d with the shifted statistics as generators.
+    Scaling a statistic by a nonzero constant scales its column in every
+    block, so no rank of any block-sum matrix changes.
     """
-    n, k = system.period, system.num_stats
-    reps = n // d
-    rows = []
-    for x in range(system.size):
-        row = []
-        for r in range(d):
-            for i in range(k):
-                acc = Fraction(0)
-                for m in range(reps):
-                    acc += system.stats[tables[r + m * d][x]][i]
-                row.append(acc)
-        rows.append(row)
-    return ExactMatrix.from_rows(rows).rank()
+    k = system.num_stats
+    scales = [math.lcm(*(row[i].denominator for row in system.stats)) for i in range(k)]
+    stats = [
+        [v.numerator * (s // v.denominator) for v, s in zip(row, scales)]
+        for row in system.stats
+    ]
+    tables = _power_tables(system.perm, system.period)
+    return [[v for t in tables for v in stats[t[x]]] for x in range(system.size)]
+
+
+def _invariant_dim_of_power(
+    rows: list[list[int]], k: int, d: int, cycles: tuple[tuple[int, ...], ...]
+) -> int:
+    """dim of the T^d-invariant subspace of V, from integer presenting rows.
+
+    This is the rank of the T^d-invariant matrix (`_power_block_sums`), whose
+    rows are equal along T^d-orbits.  A T-orbit of length L splits into
+    gcd(L, d) T^d-orbits, and its first gcd(L, d) elements lie in distinct
+    ones, so only those rows are ranked, by integer Bareiss elimination.
+    """
+    reps = [rows[x] for cycle in cycles for x in cycle[: math.gcd(len(cycle), d)]]
+    return len(_bareiss_int(_power_block_sums(reps, k, d))[1])
 
 
 def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
@@ -223,12 +241,18 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks the weighted block sum
     for every exponent separately, in the corresponding cyclotomic field.
     The two methods agree on every system with rational statistics.
+
+    Both rank one row per orbit, which is exact: rows of the T^d-invariant
+    matrix are equal along T^d-orbits, and the row of a weighted block sum at
+    T(x) is zeta times the row at x, so the other rows add nothing to a rank.
     """
     _require_valid(system)
     n = system.period
+    cycles = orbits(system).orbits
     if method == "galois":
-        tables = _power_tables(system.perm, n)
-        f = {d: _invariant_dim_of_power(system, d, tables) for d in divisors(n)}
+        rows = _integer_presenting_rows(system)
+        k = system.num_stats
+        f = {d: _invariant_dim_of_power(rows, k, d, cycles) for d in divisors(n)}
         prim_mult: dict[int, int] = {}
         for e in divisors(n):
             total = sum(mobius(e // d) * f[d] for d in divisors(e))
@@ -241,17 +265,28 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
         mults = tuple(prim_mult[n // math.gcd(j, n)] for j in range(n))
         return Spectrum(n, mults)
     if method == "cyclotomic":
-        pm = presenting_matrix(system)
+        pm = _orbit_quotient(presenting_matrix(system), cycles)
         mults = tuple(zeta_matrix(pm, j).rank() for j in range(n))
         return Spectrum(n, mults)
     raise ValueError(f"unknown spectrum method: {method!r}")
 
 
 def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
-    """A basis of the invariant space, as value vectors on X."""
-    pm = presenting_matrix(system)
-    m1 = invariant_matrix(pm)
-    return [m1.column(c) for c in m1.column_basis()]
+    """A basis of the invariant space, as value vectors on X.
+
+    The columns are chosen on one row per T-orbit of the invariant matrix,
+    whose rows are constant along orbits, and then read back on all of X.
+    """
+    cycles = orbits(system).orbits
+    m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system), cycles))
+    orbit_of = [0] * system.size
+    for t, cycle in enumerate(cycles):
+        for x in cycle:
+            orbit_of[x] = t
+    return [
+        tuple(m1.entries[orbit_of[x]][c] for x in range(system.size))
+        for c in m1.column_basis()
+    ]
 
 
 def homomesy_value(
@@ -266,18 +301,19 @@ def homomesy_value(
     if len(coeffs) != pm.n * pm.k:
         raise ValueError(f"need {pm.n * pm.k} coefficients, got {len(coeffs)}")
     values = pm.matrix.apply([Fraction(c) for c in coeffs])
-    return _common_orbit_average(values, orbits(system))
+    return _common_orbit_average(values, orbits(system))[1]
 
 
 def _common_orbit_average(
     values: tuple[Fraction, ...], decomposition: OrbitDecomposition
-) -> Fraction | None:
-    averages = [
+) -> tuple[tuple[Fraction, ...], Fraction | None]:
+    """The average of `values` on each orbit, and their common value if any."""
+    averages = tuple(
         sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
         for orbit in decomposition.orbits
-    ]
+    )
     first = averages[0]
-    return first if all(a == first for a in averages) else None
+    return averages, first if all(a == first for a in averages) else None
 
 
 @dataclass(frozen=True)
@@ -313,12 +349,7 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
     for i in range(system.num_stats):
         values = tuple(row[i] for row in system.stats)
         invariant = all(values[perm[x]] == values[x] for x in range(system.size))
-        averages = tuple(
-            sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
-            for orbit in decomposition.orbits
-        )
-        first = averages[0]
-        homomesy = first if all(a == first for a in averages) else None
+        averages, homomesy = _common_orbit_average(values, decomposition)
         verdicts.append(
             StatisticVerdict(system.stat_name(i), invariant, homomesy, averages)
         )

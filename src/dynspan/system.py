@@ -69,12 +69,6 @@ class OrbitDecomposition:
     def sizes(self) -> Counter:
         return Counter(len(o) for o in self.orbits)
 
-    def orbit_of(self, x: int) -> tuple[int, ...]:
-        for orbit in self.orbits:
-            if x in orbit:
-                return orbit
-        raise KeyError(x)
-
 
 def validate(system: FiniteSystem) -> list[str]:
     """Return every contract violation (empty list means the system is valid)."""

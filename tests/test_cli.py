@@ -108,6 +108,27 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_empty_system_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"period": 1, "perm": [], "stats": []}))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at least one element" in err
+
+    def test_unexpected_exception_exit_3(self, capsys, tmp_path, monkeypatch):
+        path = write_builtin(capsys, tmp_path, "negation")
+
+        def broken(system, method):
+            raise RuntimeError("two\nlines")
+
+        monkeypatch.setattr("dynspan.cli.analysis_report", broken)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: two lines\n"
+
     def test_stdin_input(self, capsys, tmp_path, monkeypatch):
         path = write_builtin(capsys, tmp_path, "multiset", "--n", "2", "--k", "2")
         monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))

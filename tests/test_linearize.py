@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynspan.exact import CycNumber, ExactMatrix, divisors
@@ -472,6 +472,18 @@ def test_structural_identities_on_random_systems(system):
         assert sp_g.mults[j] == sp_g.mults[math.gcd(j, n) % n]
 
 
+def power_system(system: FiniteSystem, d: int) -> FiniteSystem:
+    """(X, T^d) with the statistics g_i o T^r, r < d, and period n/d."""
+    tables = [list(range(system.size))]
+    for _ in range(system.period):
+        tables.append([system.perm[x] for x in tables[-1]])
+    stats = tuple(
+        tuple(system.stats[tables[r][x]][i] for r in range(d) for i in range(system.num_stats))
+        for x in range(system.size)
+    )
+    return FiniteSystem(perm=tuple(tables[d]), period=system.period // d, stats=stats)
+
+
 @pytest.mark.parametrize(
     "system",
     [
@@ -487,17 +499,39 @@ def test_power_invariants_match_partial_spectrum_sums(system):
     # to the invariant dimension of the d-th power system
     sp = spectrum(system, "cyclotomic")
     n = system.period
-    tables = [list(range(system.size))]
-    for _ in range(n):
-        tables.append([system.perm[x] for x in tables[-1]])
     for d in divisors(n):
-        perm_d = tuple(tables[d])
-        stats = tuple(
-            tuple(system.stats[tables[r][x]][i] for r in range(d) for i in range(system.num_stats))
-            for x in range(system.size)
-        )
-        power_system = FiniteSystem(perm=perm_d, period=n // d, stats=stats)
-        assert validate(power_system) == []
-        inv_dim = invariant_matrix(presenting_matrix(power_system)).rank()
+        power = power_system(system, d)
+        assert validate(power) == []
+        inv_dim = invariant_matrix(presenting_matrix(power)).rank()
         killed = sum(sp.mults[j] for j in range(n) if (j * d) % n == 0)
         assert killed == inv_dim
+
+
+# |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
+@settings(max_examples=40)
+@given(random_systems())
+@example(FiniteSystem(perm=(0,), period=2, stats=((Fraction(3, 2),),)))
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(
+    FiniteSystem(
+        perm=(1, 0, 2, 3),
+        period=4,
+        stats=tuple((Fraction(v, 3), Fraction(1, 1 + v)) for v in (1, -2, 5, 0)),
+    )
+)
+def test_orbit_quotient_ranks_match_full_row_ranks(system):
+    # both spectrum routes and invariant_basis rank one row per orbit; the
+    # full-row matrices are the reference
+    pm = presenting_matrix(system)
+    n = system.period
+    sp_c = spectrum(system, "cyclotomic")
+    for j in range(n):
+        assert sp_c.mults[j] == zeta_matrix(pm, j).rank()
+    sp_g = spectrum(system, "galois")
+    for d in divisors(n):
+        # f(d) = sum of the galois multiplicities killed by d, and Moebius
+        # inversion is invertible, so this pins every quotient rank f(d)
+        f_d = sum(sp_g.mults[j] for j in range(n) if (j * d) % n == 0)
+        assert f_d == invariant_matrix(presenting_matrix(power_system(system, d))).rank()
+    full = invariant_matrix(pm)
+    assert invariant_basis(system) == [full.column(c) for c in full.column_basis()]
