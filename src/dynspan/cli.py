@@ -3,7 +3,8 @@
 Systems travel as JSON documents with keys "period", "perm", "stats" and
 optional "labels" / "stat_names".  Rationals serialize as plain integers
 when integral and as "p/q" strings otherwise, so nothing ever rounds.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS),
 3 internal error (an unexpected exception, reported in one line on stderr).
 """
 
@@ -44,9 +45,22 @@ __all__ = ["main", "run"]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
+# The most cells |X| * n * max(k, 1) of a presenting matrix a system may have.
+MAX_CELLS = 10**6
+
 
 class CliInputError(Exception):
     """Bad document or bad parameters; maps to exit code 2."""
+
+
+def _check_budget(size: int, period: int, num_stats: int) -> None:
+    """Reject a system before anything proportional to its size is built."""
+    cells = size * period * max(num_stats, 1)
+    if cells > MAX_CELLS:
+        raise CliInputError(
+            f"system too large: |X| * n * max(k, 1) is at least {cells}, "
+            f"over the budget of {MAX_CELLS}"
+        )
 
 
 def _rational_to_json(q: Fraction) -> int | str:
@@ -129,6 +143,7 @@ def document_to_system(doc: object) -> FiniteSystem:
         stat_names = None
     if problems:
         raise CliInputError("; ".join(problems))
+    _check_budget(len(perm), period, len(stats[0]) if stats else 0)
     system = FiniteSystem(
         perm=tuple(perm),
         period=period,
@@ -259,15 +274,22 @@ def _cmd_builtin(args: argparse.Namespace) -> int:
     if family == "negation":
         system = negation_system()
     else:
-        if args.n is None or args.k is None:
+        n, k = args.n, args.k
+        if n is None or k is None:
             raise CliInputError(f"family {family!r} needs --n and --k")
+        if n >= 1 and k >= 1:  # the builders reject other values
+            # every family built from valid (n, k) has at least n * k cells,
+            # so that bound is tested first and math.comb stays small
+            _check_budget(1, n, k)
+            size = math.comb(n, k) if family == "distinct" else math.comb(n + k - 1, k)
+            _check_budget(size, k + 1 if family == "chain" else n, k)
         builder = {
             "multiset": multiset_rotation,
             "chain": chain_rowmotion,
             "distinct": distinct_multiset_rotation,
         }[family]
         try:
-            system = builder(args.n, args.k)
+            system = builder(n, k)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
     print(json.dumps(system_to_document(system), indent=2))
@@ -350,7 +372,7 @@ def _cmd_lyness(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        results = run_checks(only=args.only, perturb_lyness=args.perturb_lyness)
+        results = run_checks(only=args.only)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     failed = [r for r in results if not r.passed]
@@ -448,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--only", default=None, help=f"one of: {', '.join(BLOCK_NAMES)}"
-    )
-    p_verify.add_argument(
-        "--perturb-lyness",
-        action="store_true",
-        help="debug: corrupt one matrix entry to demonstrate failure detection",
     )
     p_verify.add_argument("--output", choices=["json", "table"], default="table")
     p_verify.set_defaults(func=_cmd_verify)

@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals and over cyclotomic fields.
 
 Scalars are either `fractions.Fraction` or `CycNumber`, an element of the
-field Q(zeta_d) stored as a polynomial in zeta_d reduced modulo the d-th
-cyclotomic polynomial.  Matrices are dense and immutable, and carry a single
-scalar kind.  Rank, column-basis and nullspace computations use fraction-free
-(Bareiss) elimination with first-nonzero pivoting, so results are
-deterministic across runs and never touch floating point.
+field Q(zeta_d).  A `CycNumber` is an integer coefficient vector over a
+common positive denominator, in lowest terms: the vector is a polynomial in
+zeta_d reduced modulo the d-th cyclotomic polynomial.  Field arithmetic and
+the Z[zeta_d] Bareiss kernel share the same integer helpers, so cyclotomic
+matrix entries go into elimination without a detour through `Fraction`.
+Matrices are dense and immutable, and carry a single scalar kind.  Rank,
+column-basis and nullspace computations use fraction-free (Bareiss)
+elimination with first-nonzero pivoting, so results are deterministic across
+runs and never touch floating point.
 """
 
 from __future__ import annotations
@@ -115,88 +119,120 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational polynomials (for inversion in Q(zeta_d))
+# Z[zeta_d] on integer coefficient vectors
 
 
-def _pdeg(p: Sequence[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
+@lru_cache(maxsize=None)
+def _field(order: int) -> tuple[int, tuple[int, ...]]:
+    """(phi(order), coefficients of the order-th cyclotomic polynomial)."""
+    return euler_phi(order), cyclotomic_polynomial(order)
 
 
-def _pdivmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    dd = _pdeg(den)
-    if dd < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num)
-    dn = _pdeg(rem)
-    if dn < dd:
-        return [Fraction(0)], rem
-    quot = [Fraction(0)] * (dn - dd + 1)
-    lead = den[dd]
-    for i in range(dn, dd - 1, -1):
-        c = rem[i]
-        if c:
-            q = c / lead
-            quot[i - dd] = q
-            for t in range(dd + 1):
-                rem[i - dd + t] -= q * den[t]
-    return quot, rem
-
-
-def _reduce_mod_cyclotomic(coeffs: Sequence[Fraction], order: int) -> tuple[Fraction, ...]:
-    phi = euler_phi(order)
-    mod = cyclotomic_polynomial(order)
-    work = list(coeffs)
+def _cyc_reduce_int(work: list[int], phi: int, mod: tuple[int, ...]) -> None:
     for i in range(len(work) - 1, phi - 1, -1):
         c = work[i]
         if c:
+            base = i - phi
             for t in range(phi):
-                work[i - phi + t] -= c * mod[t]
-            work[i] = Fraction(0)
-    work = work[:phi]
-    while len(work) < phi:
-        work.append(Fraction(0))
-    return tuple(work)
+                work[base + t] -= c * mod[t]
+            work[i] = 0
 
 
-@dataclass(frozen=True, eq=False)
+def _cyc_mul_int(
+    a: Sequence[int], b: Sequence[int], phi: int, mod: tuple[int, ...]
+) -> list[int]:
+    prod = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    _cyc_reduce_int(prod, phi, mod)
+    return prod[:phi]
+
+
+def _cyc_conjugate_int(
+    a: Sequence[int], t: int, order: int, phi: int, mod: tuple[int, ...]
+) -> list[int]:
+    """Image of the coefficient vector under zeta -> zeta^t."""
+    raw = [0] * order
+    for i, ai in enumerate(a):
+        if ai:
+            raw[(i * t) % order] += ai
+    _cyc_reduce_int(raw, phi, mod)
+    return raw[:phi]
+
+
+def _cyc_adjoint_int(
+    a: Sequence[int], order: int, phi: int, mod: tuple[int, ...]
+) -> tuple[list[int], int]:
+    """(adj, norm) with a * adj = norm, norm a nonzero rational integer."""
+    adj = [1] + [0] * (phi - 1)
+    for t in range(2, order):
+        if math.gcd(t, order) == 1:
+            adj = _cyc_mul_int(adj, _cyc_conjugate_int(a, t, order, phi, mod), phi, mod)
+    norm_poly = _cyc_mul_int(adj, a, phi, mod)
+    if any(norm_poly[1:]) or norm_poly[0] == 0:
+        raise ArithmeticError("conjugate product is not a nonzero integer")
+    return adj, norm_poly[0]
+
+
+def _cyc(order: int, num: Sequence[int], den: int) -> "CycNumber":
+    """The element num/den of Q(zeta_order); den must be positive."""
+    obj = object.__new__(CycNumber)
+    obj._set(order, num, den)
+    return obj
+
+
 class CycNumber:
     """An element of the cyclotomic field Q(zeta_order).
 
-    Stored as a polynomial in zeta_order of degree < euler_phi(order),
-    reduced modulo the order-th cyclotomic polynomial.  All field operations
-    are exact; an element is zero iff every coefficient is zero.
+    Stored as num/den: `num` holds the euler_phi(order) integer coefficients
+    of a polynomial in zeta_order reduced modulo the order-th cyclotomic
+    polynomial, and `den` is a positive integer with gcd(den, *num) = 1.
+    Each element has exactly one such form, so equality and hashing compare
+    fields, and an element is zero iff every entry of `num` is.  Products
+    run on the same integer helpers as the Z[zeta] Bareiss kernel, and the
+    inverse is adj/N: adj is the product of the nontrivial conjugates and
+    N = a * adj a nonzero integer.  Instances are immutable.
     """
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("order", "num", "den")
 
-    def __post_init__(self) -> None:
-        phi = euler_phi(self.order)
-        coeffs = tuple(
-            c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs
-        )
+    order: int
+    num: tuple[int, ...]
+    den: int
+
+    def __init__(self, order: int, coeffs: Sequence[Fraction | int]) -> None:
+        phi = _field(order)[0]
         if len(coeffs) != phi:
             raise ValueError(
-                f"need exactly {phi} coefficients for order {self.order}, got {len(coeffs)}"
+                f"need exactly {phi} coefficients for order {order}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(q.denominator for q in fracs))
+        self._set(order, [q.numerator * (den // q.denominator) for q in fracs], den)
 
-    # internal fast constructor: assumes coeffs is already a valid tuple
-    @classmethod
-    def _raw(cls, order: int, coeffs: tuple[Fraction, ...]) -> "CycNumber":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "coeffs", coeffs)
-        return obj
+    def _set(self, order: int, num: Sequence[int], den: int) -> None:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("CycNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of the reduced polynomial in zeta, as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     @classmethod
     def zero(cls, order: int) -> "CycNumber":
-        return cls._raw(order, (Fraction(0),) * euler_phi(order))
+        return _cyc(order, (0,) * _field(order)[0], 1)
 
     @classmethod
     def one(cls, order: int) -> "CycNumber":
@@ -204,18 +240,22 @@ class CycNumber:
 
     @classmethod
     def from_rational(cls, value: Fraction | int, order: int) -> "CycNumber":
-        phi = euler_phi(order)
-        return cls._raw(order, (Fraction(value),) + (Fraction(0),) * (phi - 1))
+        q = Fraction(value)
+        zeros = (0,) * (_field(order)[0] - 1)
+        return _cyc(order, (q.numerator,) + zeros, q.denominator)
 
     @classmethod
     def root(cls, order: int, power: int = 1) -> "CycNumber":
         """zeta_order ** power, reduced into the standard representation."""
+        phi, mod = _field(order)
         power %= order
-        raw = [Fraction(0)] * power + [Fraction(1)]
-        return cls._raw(order, _reduce_mod_cyclotomic(raw, order))
+        raw = [0] * max(power + 1, phi)
+        raw[power] = 1
+        _cyc_reduce_int(raw, phi, mod)
+        return _cyc(order, raw[:phi], 1)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     @property
     def is_zero(self) -> bool:
@@ -236,8 +276,11 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber._raw(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+        da, db = self.den, o.den
+        if da == db:
+            return _cyc(self.order, [a + b for a, b in zip(self.num, o.num)], da)
+        return _cyc(
+            self.order, [a * db + b * da for a, b in zip(self.num, o.num)], da * db
         )
 
     __radd__ = __add__
@@ -246,8 +289,11 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber._raw(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
+        da, db = self.den, o.den
+        if da == db:
+            return _cyc(self.order, [a - b for a, b in zip(self.num, o.num)], da)
+        return _cyc(
+            self.order, [a * db - b * da for a, b in zip(self.num, o.num)], da * db
         )
 
     def __rsub__(self, other: object) -> "CycNumber":
@@ -257,60 +303,37 @@ class CycNumber:
         return o - self
 
     def __neg__(self) -> "CycNumber":
-        return CycNumber._raw(self.order, tuple(-c for c in self.coeffs))
+        return _cyc(self.order, [-v for v in self.num], self.den)
 
     def __mul__(self, other: object) -> "CycNumber":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycNumber._raw(self.order, tuple(c * q for c in self.coeffs))
+            return _cyc(
+                self.order,
+                [v * other.numerator for v in self.num],
+                self.den * other.denominator,
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return CycNumber._raw(self.order, _reduce_mod_cyclotomic(prod, self.order))
+        phi, mod = _field(self.order)
+        prod = _cyc_mul_int(self.num, o.num, phi, mod)
+        return _cyc(self.order, prod, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse; exact since Q(zeta_d) is a field."""
+        """Multiplicative inverse: den * adj / N, exact since a * adj = N."""
         if not self:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = list(self.coeffs), mod
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while _pdeg(r1) >= 0:
-            q, rem = _pdivmod(r0, r1)
-            r0, r1 = r1, rem
-            # s0, s1 = s1, s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        if sj:
-                            qs[i + j] += qi * sj
-            new_s = [Fraction(0)] * max(len(s0), len(qs))
-            for i, v in enumerate(s0):
-                new_s[i] += v
-            for i, v in enumerate(qs):
-                new_s[i] -= v
-            s0, s1 = s1, new_s
-        deg = _pdeg(r0)
-        if deg != 0:
-            raise ArithmeticError("gcd with the cyclotomic modulus is not constant")
-        c = r0[0]
-        inv = [v / c for v in s0]
-        return CycNumber._raw(self.order, _reduce_mod_cyclotomic(inv, self.order))
+        phi, mod = _field(self.order)
+        adj, norm = _cyc_adjoint_int(self.num, self.order, phi, mod)
+        if norm < 0:
+            adj, norm = [-v for v in adj], -norm
+        return _cyc(self.order, [v * self.den for v in adj], norm)
 
     def __truediv__(self, other: object) -> "CycNumber":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycNumber._raw(self.order, tuple(c / q for c in self.coeffs))
+            return self * (1 / Fraction(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -337,13 +360,21 @@ class CycNumber:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycNumber):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (
+                self.order == other.order
+                and self.den == other.den
+                and self.num == other.num
+            )
         if isinstance(other, (int, Fraction)):
-            return self == CycNumber.from_rational(other, self.order)
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and not any(self.num[1:])
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"Cyc{self.order}[{', '.join(str(c) for c in self.coeffs)}]"
@@ -423,71 +454,14 @@ def _bareiss_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 # conjugates followed by exact integer division by its norm.
 
 
-def _cyc_reduce_int(work: list[int], phi: int, mod: tuple[int, ...]) -> None:
-    for i in range(len(work) - 1, phi - 1, -1):
-        c = work[i]
-        if c:
-            base = i - phi
-            for t in range(phi):
-                work[base + t] -= c * mod[t]
-            work[i] = 0
-
-
-def _cyc_mul_int(
-    a: Sequence[int], b: Sequence[int], phi: int, mod: tuple[int, ...]
-) -> list[int]:
-    prod = [0] * (2 * phi - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    _cyc_reduce_int(prod, phi, mod)
-    return prod[:phi]
-
-
-def _cyc_conjugate_int(
-    a: Sequence[int], t: int, order: int, phi: int, mod: tuple[int, ...]
-) -> list[int]:
-    """Image of the coefficient vector under zeta -> zeta^t."""
-    raw = [0] * order
-    for i, ai in enumerate(a):
-        if ai:
-            raw[(i * t) % order] += ai
-    _cyc_reduce_int(raw, phi, mod)
-    return raw[:phi]
-
-
-def _cyc_adjoint_int(
-    a: Sequence[int], order: int, phi: int, mod: tuple[int, ...]
-) -> tuple[list[int], int]:
-    """(adj, norm) with a * adj = norm, norm a nonzero rational integer."""
-    adj = [1] + [0] * (phi - 1)
-    for t in range(2, order):
-        if math.gcd(t, order) == 1:
-            adj = _cyc_mul_int(adj, _cyc_conjugate_int(a, t, order, phi, mod), phi, mod)
-    norm_poly = _cyc_mul_int(adj, a, phi, mod)
-    if any(norm_poly[1:]) or norm_poly[0] == 0:
-        raise ArithmeticError("conjugate product is not a nonzero integer")
-    return adj, norm_poly[0]
-
-
 def _cyc_int_rows(
-    entries: Sequence[Sequence["CycNumber"]],
+    entries: Sequence[Sequence[CycNumber]],
 ) -> list[list[tuple[int, ...]]]:
-    """Row-scale a cyclotomic matrix so all coefficients are integers."""
+    """Scale each row by the lcm of its entries' denominators."""
     out = []
     for row in entries:
-        scale = 1
-        for v in row:
-            for c in v.coeffs:
-                scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        out.append(
-            [
-                tuple(c.numerator * (scale // c.denominator) for c in v.coeffs)
-                for v in row
-            ]
-        )
+        scale = math.lcm(*(v.den for v in row))
+        out.append([tuple(c * (scale // v.den) for c in v.num) for v in row])
     return out
 
 
@@ -495,8 +469,7 @@ def _bareiss_cyc_int(
     rows: list[list[tuple[int, ...]]], order: int
 ) -> tuple[list[list[tuple[int, ...]]], list[int]]:
     """Fraction-free elimination on integer coefficient vectors in Z[zeta]."""
-    phi = euler_phi(order)
-    mod = cyclotomic_polynomial(order)
+    phi, mod = _field(order)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     zero = (0,) * phi
@@ -714,7 +687,7 @@ class ExactMatrix:
             rows, pivots = _bareiss_cyc_int(_cyc_int_rows(self.entries), order)
 
             def lift(raw: tuple[int, ...]) -> Scalar:
-                return CycNumber._raw(order, tuple(Fraction(x) for x in raw))
+                return _cyc(order, raw, 1)
 
         else:
             rows, pivots = _bareiss_int(_int_rows(self.entries))

@@ -14,7 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CycNumber, ExactMatrix, _bareiss_int, divisors, euler_phi, mobius
+from .exact import (
+    CycNumber,
+    ExactMatrix,
+    _bareiss_int,
+    _cyc,
+    divisors,
+    euler_phi,
+    mobius,
+)
 from .system import FiniteSystem, OrbitDecomposition, orbits, validate
 
 __all__ = [
@@ -133,26 +141,26 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     phi = euler_phi(d)
     # powers of roots of unity reduce to integer coefficient vectors
     weights = [
-        [(t, int(c)) for t, c in enumerate(CycNumber.root(d, (-s * m) % d).coeffs) if c]
+        [(t, c) for t, c in enumerate(CycNumber.root(d, (-s * m) % d).num) if c]
         for m in range(n)
     ]
-    ent = pm.matrix.entries
-    integral = all(v.denominator == 1 for row in ent for v in row)
+    # accumulate integers scaled by the lcm of the denominators; each entry is
+    # then acc / scale in lowest terms, the exact value and not a multiple
+    scale = math.lcm(*(v.denominator for row in pm.matrix.entries for v in row))
     rows = []
-    for r in range(pm.matrix.rows):
+    for ent in pm.matrix.entries:
+        ints = [v.numerator * (scale // v.denominator) for v in ent]
         row = []
         for i in range(k):
-            acc = [0 if integral else Fraction(0)] * phi
+            acc = [0] * phi
             for j in range(n):
-                v = ent[r][j * k + i]
+                v = ints[j * k + i]
                 if v:
-                    if integral:
-                        v = v.numerator
                     for t, w in weights[j]:
                         acc[t] += w * v
-            row.append(CycNumber._raw(d, tuple(Fraction(x) for x in acc)))
-        rows.append(row)
-    return ExactMatrix(tuple(tuple(row) for row in rows))
+            row.append(_cyc(d, acc, scale))
+        rows.append(tuple(row))
+    return ExactMatrix(tuple(rows))
 
 
 def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:

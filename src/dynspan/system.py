@@ -83,12 +83,8 @@ def validate(system: FiniteSystem) -> list[str]:
     if not bijective:
         violations.append("perm is not a bijection on the index set")
 
-    if bijective and system.period >= 1:
-        current = list(range(n))
-        for _ in range(system.period):
-            current = [perm[x] for x in current]
-        if current != list(range(n)):
-            violations.append(f"T^{system.period} != identity")
+    if bijective and system.period >= 1 and system.period % minimal_period(system):
+        violations.append(f"T^{system.period} != identity")
 
     if len(system.stats) != n:
         violations.append(
@@ -111,8 +107,8 @@ def validate(system: FiniteSystem) -> list[str]:
     return violations
 
 
-def orbits(system: FiniteSystem) -> OrbitDecomposition:
-    """Cycle decomposition of the permutation, sorted by smallest member."""
+def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the permutation, each in forward T-order, by smallest member."""
     perm = system.perm
     n = system.size
     if sorted(perm) != list(range(n)):
@@ -130,9 +126,14 @@ def orbits(system: FiniteSystem) -> OrbitDecomposition:
             seen[x] = True
             x = perm[x]
         cycles.append(tuple(cycle))
-    return OrbitDecomposition(tuple(cycles))
+    return tuple(cycles)
+
+
+def orbits(system: FiniteSystem) -> OrbitDecomposition:
+    """Cycle decomposition of the permutation, sorted by smallest member."""
+    return OrbitDecomposition(_cycles(system))
 
 
 def minimal_period(system: FiniteSystem) -> int:
     """The least m >= 1 with T^m = identity (lcm of the orbit sizes)."""
-    return math.lcm(*(len(o) for o in orbits(system).orbits))
+    return math.lcm(*(len(c) for c in _cycles(system)))

@@ -270,13 +270,9 @@ def _block_nesw() -> list[CheckResult]:
     return out
 
 
-def _block_lyness(perturb: bool = False) -> list[CheckResult]:
+def _block_lyness() -> list[CheckResult]:
     out = []
     m = lyness_matrix()
-    if perturb:
-        rows = [list(r) for r in m.entries]
-        rows[0][0] += 1
-        m = ExactMatrix.from_rows(rows)
     identity = ExactMatrix.identity(5)
     out.append(_check("lyness", "matrix order 5", True, m**5 == identity))
     out.append(_check("lyness", "rank(M - I)", 4, (m - identity).rank()))
@@ -304,15 +300,14 @@ def _block_lyness(perturb: bool = False) -> list[CheckResult]:
             total.apply(log_stat),
         )
     )
-    if not perturb:
-        out.append(
-            _check(
-                "lyness",
-                "library check of (-2,0,1,0,0)",
-                True,
-                lyness_homomesy_check(log_stat),
-            )
+    out.append(
+        _check(
+            "lyness",
+            "library check of (-2,0,1,0,0)",
+            True,
+            lyness_homomesy_check(log_stat),
         )
+    )
 
     orbit = lyness_orbit(1, 1)
     want_orbit = [(1, 1), (1, 2), (2, 3), (3, 2), (2, 1)]
@@ -356,15 +351,14 @@ def _block_lyness(perturb: bool = False) -> list[CheckResult]:
         )
     )
     out.append(_check("lyness", "e1 orbit sum is invariant", tuple(w), m.apply(w)))
-    if not perturb:
-        out.append(
-            _check(
-                "lyness",
-                "orbit-sum operator matches matrix",
-                True,
-                lyness_orbit_sum_operator() == total,
-            )
+    out.append(
+        _check(
+            "lyness",
+            "orbit-sum operator matches matrix",
+            True,
+            lyness_orbit_sum_operator() == total,
         )
+    )
     return out
 
 
@@ -448,9 +442,7 @@ BLOCK_NAMES: dict[str, object] = {
 }
 
 
-def run_checks(
-    only: str | None = None, perturb_lyness: bool = False
-) -> list[CheckResult]:
+def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run all (or one named block of) the verification checks."""
     if only is not None and only not in BLOCK_NAMES:
         raise ValueError(
@@ -460,8 +452,5 @@ def run_checks(
     for name, func in BLOCK_NAMES.items():
         if only is not None and name != only:
             continue
-        if name == "lyness":
-            out.extend(func(perturb=perturb_lyness))
-        else:
-            out.extend(func())
+        out.extend(func())
     return out

@@ -1,8 +1,10 @@
 """Independent brute-force oracles: no shared code with the library paths.
 
 Determinants here expand over all permutations (the library uses cofactor
-recursion and Bareiss elimination), and rank is the size of the largest
-square submatrix with nonzero determinant.
+recursion and Bareiss elimination), rank is the size of the largest square
+submatrix with nonzero determinant, and products in Q(zeta_d) are schoolbook
+products of Fraction coefficient lists, reduced by polynomial long division
+(the library multiplies integer vectors over a common denominator).
 """
 
 from fractions import Fraction
@@ -43,3 +45,22 @@ def brute_rank(rows) -> int:
                 if perm_det(sub) != 0:
                     return r
     return 0
+
+
+def cyclotomic_product(a, b, modulus):
+    """a * b for polynomials in zeta, reduced modulo the monic `modulus`.
+
+    `a` and `b` hold ascending rational coefficients; `modulus` holds the
+    ascending integer coefficients of the minimal polynomial of zeta.  The
+    result has len(modulus) - 1 Fraction coefficients.
+    """
+    phi = len(modulus) - 1
+    prod = [Fraction(0)] * max(len(a) + len(b) - 1, phi)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += Fraction(x) * Fraction(y)
+    for top in range(len(prod) - 1, phi - 1, -1):
+        lead = prod[top]
+        for t, m in enumerate(modulus):
+            prod[top - phi + t] -= lead * m
+    return tuple(prod[:phi])

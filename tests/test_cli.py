@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from dynspan.cli import main
+from dynspan.cli import MAX_CELLS, CliInputError, document_to_system, main
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +39,27 @@ class TestBuiltin:
     def test_missing_parameters_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "builtin", "chain")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "family, n, k",
+        [("multiset", 60, 30), ("chain", 60, 30), ("distinct", 10**9, 2),
+         ("multiset", 10**12, 10**12)],
+    )
+    def test_oversized_family_exit_2_before_building(
+        self, capsys, monkeypatch, family, n, k
+    ):
+        def never(n, k):
+            raise AssertionError("an oversized family was built")
+
+        for name in (
+            "multiset_rotation", "chain_rowmotion", "distinct_multiset_rotation"
+        ):
+            monkeypatch.setattr(f"dynspan.cli.{name}", never)
+        argv = ["builtin", family, "--n", str(n), "--k", str(k)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: system too large") and err.count("\n") == 1
 
     def test_unknown_family_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -116,6 +137,28 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at least one element" in err
+
+    def test_oversized_document_exit_2_before_validate(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def never(system):
+            raise AssertionError("validate ran on an oversized system")
+
+        monkeypatch.setattr("dynspan.cli.validate", never)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"period": 10**9, "perm": [0], "stats": [[1]]}))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: system too large") and err.count("\n") == 1
+
+    def test_size_budget_boundary(self):
+        size, period = 1000, MAX_CELLS // 1000
+        doc = {"period": period, "perm": list(range(size)), "stats": [[1]] * size}
+        assert document_to_system(doc).period == period
+        doc["period"] += 1
+        with pytest.raises(CliInputError, match="too large"):
+            document_to_system(doc)
 
     def test_unexpected_exception_exit_3(self, capsys, tmp_path, monkeypatch):
         path = write_builtin(capsys, tmp_path, "negation")
@@ -240,10 +283,16 @@ class TestVerifyCommand:
         assert "pass" in out
         assert "FAIL" not in out
 
-    def test_perturbed_matrix_is_caught(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-paper", "--only", "lyness", "--perturb-lyness"
-        )
+    def test_perturbed_matrix_is_caught(self, capsys, monkeypatch):
+        from dynspan import verify
+        from dynspan.exact import ExactMatrix
+        from dynspan.lyness import lyness_matrix
+
+        rows = [list(r) for r in lyness_matrix().entries]
+        rows[0][0] += 1
+        corrupted = ExactMatrix.from_rows(rows)
+        monkeypatch.setattr(verify, "lyness_matrix", lambda: corrupted)
+        code, out, _ = run_cli(capsys, "verify-paper", "--only", "lyness")
         assert code == 1
         assert "FAIL" in out
         assert "matrix order 5" in out

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from dynspan.exact import (
     euler_phi,
     mobius,
 )
-from oracles import brute_rank, perm_det
+from oracles import brute_rank, cyclotomic_product, perm_det
 
 # the 4x6 value matrix of the three sorted-entry statistics and their shifts
 # for two-symbol rotation on 3-element multisets; rank is k+1 = 4
@@ -154,6 +155,20 @@ class TestCycNumber:
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
         assert a * b == b * a
+
+    @given(cyc_triples())
+    def test_integer_representation(self, triple):
+        a, b, c = triple
+        assert CycNumber(a.order, a.coeffs) == a
+        for value in (a, a * b, a - c, -b):
+            assert value.den > 0 and math.gcd(value.den, *value.num) == 1
+        # equal values built two ways compare and hash equal
+        for left, right in (((a + b) - b, a), ((a * b) * c, a * (b * c))):
+            assert left == right and hash(left) == hash(right)
+        if b:
+            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
+        product = cyclotomic_product(a.coeffs, b.coeffs, cyclotomic_polynomial(a.order))
+        assert (a * b).coeffs == product
 
     @given(cyc_numbers(nonzero=True))
     def test_inverse(self, a):

@@ -140,12 +140,33 @@ class TestZetaMatrix:
 
     @pytest.mark.parametrize(
         "system",
-        [multiset_rotation(3, 2), multiset_rotation(4, 2), chain_rowmotion(3, 3)],
-        ids=["rot32", "rot42", "chain33"],
+        [
+            multiset_rotation(3, 2),
+            multiset_rotation(4, 2),
+            chain_rowmotion(3, 3),
+            # a 3-cycle, a 2-cycle and a fixed point, with rational statistics
+            FiniteSystem(
+                perm=(1, 2, 0, 4, 3, 5),
+                period=6,
+                stats=tuple(
+                    tuple(Fraction(v) for v in row)
+                    for row in (
+                        ("1/2", "-2/3"), ("3/4", 0), ("-1/6", 5),
+                        ("2/5", "1/3"), (0, "-7/2"), ("1/9", "1/9"),
+                    )
+                ),
+            ),
+        ],
+        ids=["rot32", "rot42", "chain33", "rational"],
     )
     def test_columns_are_eigenfunctions(self, system):
         pm = presenting_matrix(system)
         n = system.period
+        # the exponent-0 matrix is the invariant matrix, entry for entry
+        assert zeta_matrix(pm, 0).entries == tuple(
+            tuple(CycNumber.from_rational(v, 1) for v in row)
+            for row in invariant_matrix(pm).entries
+        )
         for j in range(n):
             zm = zeta_matrix(pm, j)
             d = n // math.gcd(j, n)

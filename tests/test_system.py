@@ -32,6 +32,14 @@ def test_wrong_period_is_reported():
     assert any("identity" in p for p in problems)
 
 
+def test_huge_period_is_checked_without_iterating_it():
+    stats = ((Fraction(1),), (Fraction(2),), (Fraction(3),))
+    system = FiniteSystem(perm=(1, 0, 2), period=10**18, stats=stats)
+    assert validate(system) == []
+    bad = FiniteSystem(perm=(1, 0, 2), period=10**18 + 1, stats=stats)
+    assert validate(bad) == [f"T^{10**18 + 1} != identity"]
+
+
 def test_non_bijection_is_reported():
     bad = FiniteSystem(perm=(0, 0), period=1, stats=((Fraction(1),), (Fraction(2),)))
     assert any("bijection" in p for p in validate(bad))
