@@ -4,8 +4,11 @@ Systems travel as JSON documents with keys "period", "perm", "stats" and
 optional "labels" / "stat_names".  Rationals serialize as plain integers
 when integral and as "p/q" strings otherwise, so nothing ever rounds.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS),
-3 internal error (an unexpected exception, reported in one line on stderr).
+(including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS,
+and an integer literal longer than sys.get_int_max_str_digits() digits),
+3 internal error (an unexpected exception, reported in one line on stderr),
+141 stdout closed by its reader before the output was written (128 + SIGPIPE,
+what a shell reports for `yes | head -1`; nothing is printed on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -24,6 +28,7 @@ from .families import (
     negation_system,
 )
 from .linearize import (
+    _dimension,
     extend_products,
     flatness_report,
     invariant_basis,
@@ -55,11 +60,10 @@ class CliInputError(Exception):
 
 def _check_budget(size: int, period: int, num_stats: int) -> None:
     """Reject a system before anything proportional to its size is built."""
-    cells = size * period * max(num_stats, 1)
-    if cells > MAX_CELLS:
+    # the product is not printed: it may have more digits than str() allows
+    if size * period * max(num_stats, 1) > MAX_CELLS:
         raise CliInputError(
-            f"system too large: |X| * n * max(k, 1) is at least {cells}, "
-            f"over the budget of {MAX_CELLS}"
+            f"system too large: |X| * n * max(k, 1) is over the budget of {MAX_CELLS}"
         )
 
 
@@ -79,7 +83,10 @@ def _rational_from_json(value: object, where: str) -> Fraction:
             raise CliInputError(
                 f'{where}: {value!r} does not match the rational pattern "p/q"'
             )
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise CliInputError(f"{where}: {exc}") from exc
     raise CliInputError(f"{where}: expected an integer or a rational string")
 
 
@@ -170,6 +177,8 @@ def _read_document(path: str) -> FiniteSystem:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise CliInputError(f"integer literal too long: {exc}") from exc
     return document_to_system(doc)
 
 
@@ -257,7 +266,7 @@ def analysis_report(system: FiniteSystem, method: str) -> dict:
     sp, entries = _spectrum_payload(system, method)
     basis = invariant_basis(system)
     return {
-        "dim_V": pm.matrix.rank(),
+        "dim_V": _dimension(system),
         "spectrum": entries,
         "invariant_basis": [[_rational_to_json(v) for v in f] for f in basis],
         "zero_mesic_dimension": shifted_difference(pm).rank(),
@@ -481,7 +490,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush of what
+        # is still buffered, at interpreter exit, cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,12 @@ multiplicity of each n-th root of unity as an eigenvalue of U, extracts
 invariant and 0-mesic data, detects homomesies, and produces coboundary
 witnesses.  Functions on V are represented extensionally, as length-|X|
 value vectors.
+
+Each exact object is built once per system and kept in the system's private
+memo (see `FiniteSystem`): the presenting matrix, and the galois table f(d),
+the dimension of the T^d-invariant subspace of V for each d | n.  Repeated
+public calls still validate the system, but share that work.  dim V is
+f(n), the rank of the presenting matrix that the galois route computes.
 """
 
 from __future__ import annotations
@@ -84,17 +90,31 @@ class PresentingMatrix:
         return self.system.num_stats
 
 
+def _presenting_exact(system: FiniteSystem) -> ExactMatrix:
+    """The memoised matrix of `presenting_matrix`; the system must be valid.
+
+    Row x is the concatenation of the stats rows of x, T(x), ..., T^(n-1)(x),
+    whose entries are already Fractions, so no conversion is needed.
+    """
+    matrix = system._memo.get("presenting")
+    if matrix is None:
+        if not system.size:
+            raise ValueError("matrix needs at least one row")
+        stats = system.stats
+        tables = _power_tables(system.perm, system.period)
+        matrix = ExactMatrix(
+            tuple(
+                tuple(v for t in tables for v in stats[t[x]])
+                for x in range(system.size)
+            )
+        )
+        system._memo["presenting"] = matrix
+    return matrix
+
+
 def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
     _require_valid(system)
-    n = system.period
-    tables = _power_tables(system.perm, n)
-    rows = []
-    for x in range(system.size):
-        row: list[Fraction] = []
-        for j in range(n):
-            row.extend(system.stats[tables[j][x]])
-        rows.append(row)
-    return PresentingMatrix(system, ExactMatrix.from_rows(rows))
+    return PresentingMatrix(system, _presenting_exact(system))
 
 
 def dynamical_dimension(system: FiniteSystem) -> int:
@@ -164,18 +184,26 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
 
 
 def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
-    """M - M' where M' has the column blocks rotated one block rightward."""
-    n, k = pm.n, pm.k
-    ent = pm.matrix.entries
-    rows = []
-    for r in range(pm.matrix.rows):
-        row = []
-        for j in range(n):
-            src = ((j - 1) % n) * k
-            for i in range(k):
-                row.append(ent[r][j * k + i] - ent[r][src + i])
-        rows.append(row)
-    return ExactMatrix.from_rows(rows)
+    """M - M' where M' has the column blocks rotated one block rightward.
+
+    Entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), the difference
+    g_i(T y) - g_i(y) at y = T^(j-1) x (T^-1 = T^(n-1)).  Those |X|*k
+    differences are computed once, from `pm.system`, and each row x of X is
+    assembled by indexing them.
+    """
+    system = pm.system
+    stats, perm = system.stats, system.perm
+    diffs = [
+        tuple(a - b for a, b in zip(stats[perm[y]], stats[y]))
+        for y in range(system.size)
+    ]
+    tables = _power_tables(perm, system.period)
+    shifted = tables[-1:] + tables[:-1]
+    return ExactMatrix(
+        tuple(
+            tuple(v for t in shifted for v in diffs[t[x]]) for x in range(system.size)
+        )
+    )
 
 
 def zero_mesic_dimension(system: FiniteSystem) -> int:
@@ -240,6 +268,29 @@ def _invariant_dim_of_power(
     return len(_bareiss_int(_power_block_sums(reps, k, d))[1])
 
 
+def _galois_table(system: FiniteSystem) -> dict[int, int]:
+    """The memoised f(d) = dim of the T^d-invariant subspace of V, for d | n.
+
+    The system must be valid.  f(n) is the rank of the presenting matrix.
+    """
+    table = system._memo.get("galois")
+    if table is None:
+        rows = _integer_presenting_rows(system)
+        cycles = orbits(system).orbits
+        k = system.num_stats
+        table = {
+            d: _invariant_dim_of_power(rows, k, d, cycles)
+            for d in divisors(system.period)
+        }
+        system._memo["galois"] = table
+    return table
+
+
+def _dimension(system: FiniteSystem) -> int:
+    """dim V = f(n) from the galois table; the caller has validated the system."""
+    return _galois_table(system)[system.period]
+
+
 def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     """Spectral multiplicity function of U, by one of two independent routes.
 
@@ -256,11 +307,8 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     """
     _require_valid(system)
     n = system.period
-    cycles = orbits(system).orbits
     if method == "galois":
-        rows = _integer_presenting_rows(system)
-        k = system.num_stats
-        f = {d: _invariant_dim_of_power(rows, k, d, cycles) for d in divisors(n)}
+        f = _galois_table(system)
         prim_mult: dict[int, int] = {}
         for e in divisors(n):
             total = sum(mobius(e // d) * f[d] for d in divisors(e))
@@ -273,7 +321,7 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
         mults = tuple(prim_mult[n // math.gcd(j, n)] for j in range(n))
         return Spectrum(n, mults)
     if method == "cyclotomic":
-        pm = _orbit_quotient(presenting_matrix(system), cycles)
+        pm = _orbit_quotient(presenting_matrix(system), orbits(system).orbits)
         mults = tuple(zeta_matrix(pm, j).rank() for j in range(n))
         return Spectrum(n, mults)
     raise ValueError(f"unknown spectrum method: {method!r}")

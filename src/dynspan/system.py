@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["FiniteSystem", "OrbitDecomposition", "validate", "orbits", "minimal_period"]
@@ -18,6 +18,13 @@ class FiniteSystem:
     it only has to satisfy T^period = identity.  `stats` holds one row per
     element, one column per statistic; all values are exact rationals.
     Instances are immutable and freely shareable.
+
+    `_memo` holds what `linearize` derives from the system alone and would
+    otherwise rebuild on every public call: the presenting matrix and the
+    galois table f(d) = dim of the T^d-invariant subspace of V, for d | n.
+    Each is built on first use and lives exactly as long as the instance.
+    It takes no part in equality, hashing or repr, and
+    `dataclasses.replace` starts a new instance with an empty memo.
     """
 
     perm: tuple[int, ...]
@@ -25,6 +32,7 @@ class FiniteSystem:
     stats: tuple[tuple[Fraction, ...], ...]
     labels: tuple[str, ...] | None = None
     stat_names: tuple[str, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))

@@ -4,7 +4,9 @@ Determinants here expand over all permutations (the library uses cofactor
 recursion and Bareiss elimination), rank is the size of the largest square
 submatrix with nonzero determinant, and products in Q(zeta_d) are schoolbook
 products of Fraction coefficient lists, reduced by polynomial long division
-(the library multiplies integer vectors over a common denominator).
+(the library multiplies integer vectors over a common denominator), and
+M - M' subtracts whole column blocks of the presenting matrix (the library
+computes each difference g_i(T x) - g_i(x) once and indexes into them).
 """
 
 from fractions import Fraction
@@ -64,3 +66,14 @@ def cyclotomic_product(a, b, modulus):
         for t, m in enumerate(modulus):
             prod[top - phi + t] -= lead * m
     return tuple(prod[:phi])
+
+
+def shifted_difference(rows, n, k):
+    """Rows of M - M' for presenting rows with n blocks of k columns.
+
+    Block j of each row minus block j - 1, with block -1 = block n - 1.
+    """
+    return [
+        [row[j * k + i] - row[((j - 1) % n) * k + i] for j in range(n) for i in range(k)]
+        for row in rows
+    ]

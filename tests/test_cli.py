@@ -1,9 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dynspan.cli import MAX_CELLS, CliInputError, document_to_system, main
+from dynspan.system import FiniteSystem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +169,21 @@ class TestAnalyze:
         with pytest.raises(CliInputError, match="too large"):
             document_to_system(doc)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+    )
+    @pytest.mark.parametrize("quoted", [False, True], ids=["number", "p/q string"])
+    def test_oversized_integer_literal_exit_2(self, capsys, tmp_path, quoted):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        value = f'"1/{digits}"' if quoted else digits
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"period": 1, "perm": [0], "stats": [[{value}]]}}')
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit" in err
+
     def test_unexpected_exception_exit_3(self, capsys, tmp_path, monkeypatch):
         path = write_builtin(capsys, tmp_path, "negation")
 
@@ -309,3 +333,80 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert all(item["passed"] for item in payload)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 141 and an empty stderr."""
+
+    def start(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        # about 150 KB of JSON, more than a pipe buffers
+        argv = ["builtin", "multiset", "--n", "8", "--k", "6"]
+        return subprocess.Popen(
+            [sys.executable, "-m", "dynspan.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+
+    def finish(self, proc):
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
+
+    def test_reader_stops_after_one_line(self):
+        proc = self.start()
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        self.finish(proc)
+
+    def test_reader_closed_at_once(self):
+        proc = self.start()
+        proc.stdout.close()
+        self.finish(proc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+VALID = {
+    "period": 2,
+    "perm": [1, 0, 2],
+    "stats": [[1, "1/2"], [0, "-3/4"], [2, 5]],
+    "labels": ["a", "b", "c"],
+    "stat_names": ["g", "h"],
+}
+
+
+def assert_accepted_or_rejected(doc):
+    try:
+        system = document_to_system(doc)
+    except CliInputError:
+        return
+    assert isinstance(system, FiniteSystem)
+
+
+@settings(max_examples=150)
+@given(json_values)
+def test_document_to_system_fuzz_whole_documents(doc):
+    assert_accepted_or_rejected(doc)
+
+
+LONG = "1" * 4301  # one digit past the default sys.get_int_max_str_digits()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(VALID)), json_values)
+@example("stats", [[LONG]])
+@example("stats", [[f"1/{LONG}"], ["0"], ["1"]])
+@example("stats", [[10**4300], [0], [1]])
+@example("period", 10**4300)
+def test_document_to_system_fuzz_per_key(key, value):
+    assert_accepted_or_rejected(dict(VALID, **{key: value}))

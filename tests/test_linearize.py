@@ -1,11 +1,15 @@
+import dataclasses
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynspan.cli import analysis_report
 from dynspan.exact import CycNumber, ExactMatrix, divisors
 from dynspan.families import (
     chain_rowmotion,
@@ -30,6 +34,7 @@ from dynspan.linearize import (
     zeta_matrix,
 )
 from dynspan.system import FiniteSystem, orbits, validate
+from oracles import shifted_difference as oracle_shifted_difference
 
 
 def as_ints(matrix: ExactMatrix) -> list[list[int]]:
@@ -556,3 +561,75 @@ def test_orbit_quotient_ranks_match_full_row_ranks(system):
         assert f_d == invariant_matrix(presenting_matrix(power_system(system, d))).rank()
     full = invariant_matrix(pm)
     assert invariant_basis(system) == [full.column(c) for c in full.column_basis()]
+
+
+# |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
+@settings(max_examples=40)
+@given(random_systems())
+@example(FiniteSystem(perm=(0,), period=2, stats=((Fraction(3, 2),),)))
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(
+    FiniteSystem(
+        perm=(1, 0, 2, 3),
+        period=4,
+        stats=tuple((Fraction(v, 3), Fraction(1, 1 + v)) for v in (1, -2, 5, 0)),
+    )
+)
+def test_memoised_objects_match_direct_computation(system):
+    # the presenting rows are rebuilt here from the stats, not read from the memo
+    n, k = system.period, system.num_stats
+    rows = []
+    for x in range(system.size):
+        row, y = [], x
+        for _ in range(n):
+            row.extend(system.stats[y])
+            y = system.perm[y]
+        rows.append(row)
+    diff = shifted_difference(presenting_matrix(system))
+    assert [list(r) for r in diff.entries] == oracle_shifted_difference(rows, n, k)
+    assert all(type(v) is Fraction for r in diff.entries for v in r)
+    rank = ExactMatrix.from_rows(rows).rank()
+    for method in ("galois", "cyclotomic", "both"):
+        # a fresh copy, so each method fills its own memo
+        assert analysis_report(dataclasses.replace(system), method)["dim_V"] == rank
+
+
+class TestMemo:
+    def test_repeat_calls_share_the_presenting_matrix(self):
+        system = multiset_rotation(3, 2)
+        assert presenting_matrix(system).matrix is presenting_matrix(system).matrix
+
+    def test_equal_systems_do_not_share_a_memo(self):
+        first, second = multiset_rotation(3, 2), multiset_rotation(3, 2)
+        assert first == second and first is not second
+        matrix = presenting_matrix(first).matrix
+        spectrum(first)
+        assert second._memo == {}
+        assert presenting_matrix(second).matrix is not matrix
+        assert presenting_matrix(second).matrix == matrix
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        analysed, fresh = multiset_rotation(3, 2), multiset_rotation(3, 2)
+        analysis_report(analysed, "both")
+        assert analysed._memo and not fresh._memo
+        assert analysed == fresh
+        assert hash(analysed) == hash(fresh)
+        assert repr(analysed) == repr(fresh)
+        assert "_memo" not in repr(analysed)
+
+    def test_replace_starts_with_an_empty_memo(self):
+        system = multiset_rotation(3, 2)
+        analysis_report(system, "both")
+        assert dataclasses.replace(system)._memo == {}
+        assert dataclasses.replace(system, period=6)._memo == {}
+
+    def test_analysed_system_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            system = multiset_rotation(3, 2)
+            analysis_report(system, "both")
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
