@@ -5,7 +5,8 @@ optional "labels" / "stat_names".  Rationals serialize as plain integers
 when integral and as "p/q" strings otherwise, so nothing ever rounds.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS,
-and an integer literal longer than sys.get_int_max_str_digits() digits),
+an integer literal longer than sys.get_int_max_str_digits() digits, and a
+result with an integer that long, which could not be printed),
 3 internal error (an unexpected exception, reported in one line on stderr),
 141 stdout closed by its reader before the output was written (128 + SIGPIPE,
 what a shell reports for `yes | head -1`; nothing is printed on stderr).
@@ -29,11 +30,11 @@ from .families import (
 )
 from .linearize import (
     _dimension,
+    _zero_mesic_rank,
     extend_products,
     flatness_report,
     invariant_basis,
     presenting_matrix,
-    shifted_difference,
     spectrum,
     statistic_report,
 )
@@ -68,9 +69,14 @@ def _check_budget(size: int, period: int, num_stats: int) -> None:
 
 
 def _rational_to_json(q: Fraction) -> int | str:
-    if q.denominator == 1:
-        return int(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        text = str(q)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise CliInputError(
+            "a result has an integer with more than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    return q.numerator if q.denominator == 1 else text
 
 
 def _rational_from_json(value: object, where: str) -> Fraction:
@@ -269,7 +275,7 @@ def analysis_report(system: FiniteSystem, method: str) -> dict:
         "dim_V": _dimension(system),
         "spectrum": entries,
         "invariant_basis": [[_rational_to_json(v) for v in f] for f in basis],
-        "zero_mesic_dimension": shifted_difference(pm).rank(),
+        "zero_mesic_dimension": _zero_mesic_rank(pm),
         "homomesies": _homomesy_payload(system),
         "flatness": _flatness_payload(system),
     }

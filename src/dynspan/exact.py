@@ -15,6 +15,7 @@ runs and never touch floating point.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -445,6 +446,46 @@ def _bareiss_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         prev = piv
         r += 1
     return rows, pivot_cols
+
+
+def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
+    """dim of the smallest rotation-invariant subspace containing `rows`.
+
+    The rotation takes a row r to r[shift:] + r[:shift].  The rows are
+    queued; each is reduced against a fraction-free echelon basis, in pivot
+    order, and when it raises the rank it joins the basis divided by its
+    content and its rotation is queued.  The final span contains the given
+    rows and the rotation of each row that spans it, so it is that smallest
+    invariant subspace.  A matrix whose row at T(x) is its row at x rotated
+    has that span for its row space, so one row per T-orbit gives its rank.
+    """
+    # basis[c] is the tail, from column c, of the basis row with pivot c
+    basis: dict[int, list[int]] = {}
+    queue = deque(rows)
+    while queue:
+        row = queue.popleft()
+        width = len(row)
+        c = 0
+        while c < width and not row[c]:
+            c += 1
+        tail = row[c:]
+        while c < width:
+            pivot_row = basis.get(c)
+            if pivot_row is None:
+                g = math.gcd(*tail)
+                basis[c] = [v // g for v in tail] if g > 1 else tail
+                queue.append(row[shift:] + row[:shift])
+                break
+            a, p = tail[0], pivot_row[0]
+            g = math.gcd(a, p)
+            a, p = a // g, p // g
+            tail = [p * v - a * w for v, w in zip(tail, pivot_row)]
+            skip = 1
+            while skip < len(tail) and not tail[skip]:
+                skip += 1
+            tail = tail[skip:]
+            c += skip
+    return len(basis)
 
 
 # Cyclotomic entries are eliminated on integer coefficient vectors: each row

@@ -8,10 +8,20 @@ witnesses.  Functions on V are represented extensionally, as length-|X|
 value vectors.
 
 Each exact object is built once per system and kept in the system's private
-memo (see `FiniteSystem`): the presenting matrix, and the galois table f(d),
-the dimension of the T^d-invariant subspace of V for each d | n.  Repeated
+memo (see `FiniteSystem`): the T-orbits, the presenting matrix, and the
+galois table f(d), the dimension of the T^d-invariant subspace of V for each
+d | n.  Repeated
 public calls still validate the system, but share that work.  dim V is
 f(n), the rank of the presenting matrix that the galois route computes.
+
+No rank here reads a row for every element of X.  V is closed under
+composition with T, so the row of the presenting matrix at T(x) is its row at
+x with the column blocks rotated by one; so are the rows of each
+T^d-invariant matrix and of M - M'.  The row space of such a matrix is the
+smallest rotation-invariant subspace that contains one row per T-orbit, and
+`_rotation_closure_rank` finds its dimension from those rows alone, in
+integers.  The weighted block sums of the cyclotomic route need no closure:
+their row at T(x) is a root of unity times their row at x.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ from fractions import Fraction
 from .exact import (
     CycNumber,
     ExactMatrix,
-    _bareiss_int,
     _cyc,
+    _int_rows,
+    _rotation_closure_rank,
     divisors,
     euler_phi,
     mobius,
@@ -58,6 +69,14 @@ def _require_valid(system: FiniteSystem) -> None:
     problems = validate(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
+
+
+def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
+    """The memoised T-orbits of `orbits(system)`."""
+    cycles = system._memo.get("orbits")
+    if cycles is None:
+        cycles = system._memo["orbits"] = orbits(system).orbits
+    return cycles
 
 
 def _power_tables(perm: tuple[int, ...], count: int) -> list[list[int]]:
@@ -118,8 +137,9 @@ def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
 
 
 def dynamical_dimension(system: FiniteSystem) -> int:
-    """dim V: the rank of the presenting matrix."""
-    return presenting_matrix(system).matrix.rank()
+    """dim V: the rank of the presenting matrix, f(n) of the galois table."""
+    presenting_matrix(system)
+    return _dimension(system)
 
 
 def _orbit_quotient(
@@ -206,9 +226,20 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
     )
 
 
+def _zero_mesic_rank(pm: PresentingMatrix) -> int:
+    """rank(M - M'), from one row of `shifted_difference(pm)` per T-orbit.
+
+    The row of M - M' at T(x) is its row at x rotated by k entries, so the
+    rotation closure of those rows is its row space.
+    """
+    entries = shifted_difference(pm).entries
+    reps = [entries[cycle[0]] for cycle in _cycles(pm.system)]
+    return _rotation_closure_rank(_int_rows(reps), pm.k)
+
+
 def zero_mesic_dimension(system: FiniteSystem) -> int:
     """Number of independent 0-mesic functions in V (rank of M - M')."""
-    return shifted_difference(presenting_matrix(system)).rank()
+    return _zero_mesic_rank(presenting_matrix(system))
 
 
 @dataclass(frozen=True)
@@ -238,48 +269,46 @@ class Spectrum:
         return self.mults[exponent % self.order]
 
 
-def _integer_presenting_rows(system: FiniteSystem) -> list[list[int]]:
-    """The presenting matrix over Z, with g_i scaled by the lcm of its denominators.
+def _integer_presenting_rows(
+    system: FiniteSystem, elements: list[int]
+) -> list[list[int]]:
+    """Rows of the presenting matrix over Z at `elements`.
 
-    Scaling a statistic by a nonzero constant scales its column in every
-    block, so no rank of any block-sum matrix changes.
+    Each g_i is scaled by the lcm of its denominators.  Scaling a statistic
+    by a nonzero constant scales its column in every block, so no rank of
+    any block-sum matrix changes.
     """
-    k = system.num_stats
+    k, n, perm = system.num_stats, system.period, system.perm
     scales = [math.lcm(*(row[i].denominator for row in system.stats)) for i in range(k)]
     stats = [
         [v.numerator * (s // v.denominator) for v, s in zip(row, scales)]
         for row in system.stats
     ]
-    tables = _power_tables(system.perm, system.period)
-    return [[v for t in tables for v in stats[t[x]]] for x in range(system.size)]
-
-
-def _invariant_dim_of_power(
-    rows: list[list[int]], k: int, d: int, cycles: tuple[tuple[int, ...], ...]
-) -> int:
-    """dim of the T^d-invariant subspace of V, from integer presenting rows.
-
-    This is the rank of the T^d-invariant matrix (`_power_block_sums`), whose
-    rows are equal along T^d-orbits.  A T-orbit of length L splits into
-    gcd(L, d) T^d-orbits, and its first gcd(L, d) elements lie in distinct
-    ones, so only those rows are ranked, by integer Bareiss elimination.
-    """
-    reps = [rows[x] for cycle in cycles for x in cycle[: math.gcd(len(cycle), d)]]
-    return len(_bareiss_int(_power_block_sums(reps, k, d))[1])
+    rows = []
+    for x in elements:
+        row, y = [], x
+        for _ in range(n):
+            row.extend(stats[y])
+            y = perm[y]
+        rows.append(row)
+    return rows
 
 
 def _galois_table(system: FiniteSystem) -> dict[int, int]:
     """The memoised f(d) = dim of the T^d-invariant subspace of V, for d | n.
 
-    The system must be valid.  f(n) is the rank of the presenting matrix.
+    The system must be valid.  f(d) is the rank of the T^d-invariant matrix
+    (`_power_block_sums`, width d*k), whose row at T(x) is its row at x
+    rotated by k entries.  So its row space is the rotation closure of one
+    row per T-orbit, and `_rotation_closure_rank` computes it from those
+    rows alone.  f(n) is the rank of the presenting matrix, dim V.
     """
     table = system._memo.get("galois")
     if table is None:
-        rows = _integer_presenting_rows(system)
-        cycles = orbits(system).orbits
+        reps = _integer_presenting_rows(system, [c[0] for c in _cycles(system)])
         k = system.num_stats
         table = {
-            d: _invariant_dim_of_power(rows, k, d, cycles)
+            d: _rotation_closure_rank(_power_block_sums(reps, k, d), k)
             for d in divisors(system.period)
         }
         system._memo["galois"] = table
@@ -301,9 +330,11 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     for every exponent separately, in the corresponding cyclotomic field.
     The two methods agree on every system with rational statistics.
 
-    Both rank one row per orbit, which is exact: rows of the T^d-invariant
-    matrix are equal along T^d-orbits, and the row of a weighted block sum at
-    T(x) is zeta times the row at x, so the other rows add nothing to a rank.
+    Both start from one row per T-orbit, which is exact.  The row of the
+    T^d-invariant matrix at T(x) is its row at x rotated by k entries, so the
+    galois route ranks the rotation closure of those rows; the row of a
+    weighted block sum at T(x) is zeta times the row at x, so the other rows
+    add nothing to a cyclotomic rank.
     """
     _require_valid(system)
     n = system.period
@@ -321,7 +352,7 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
         mults = tuple(prim_mult[n // math.gcd(j, n)] for j in range(n))
         return Spectrum(n, mults)
     if method == "cyclotomic":
-        pm = _orbit_quotient(presenting_matrix(system), orbits(system).orbits)
+        pm = _orbit_quotient(presenting_matrix(system), _cycles(system))
         mults = tuple(zeta_matrix(pm, j).rank() for j in range(n))
         return Spectrum(n, mults)
     raise ValueError(f"unknown spectrum method: {method!r}")
@@ -333,7 +364,7 @@ def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     The columns are chosen on one row per T-orbit of the invariant matrix,
     whose rows are constant along orbits, and then read back on all of X.
     """
-    cycles = orbits(system).orbits
+    cycles = _cycles(system)
     m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system), cycles))
     orbit_of = [0] * system.size
     for t, cycle in enumerate(cycles):

@@ -20,8 +20,9 @@ class FiniteSystem:
     Instances are immutable and freely shareable.
 
     `_memo` holds what `linearize` derives from the system alone and would
-    otherwise rebuild on every public call: the presenting matrix and the
-    galois table f(d) = dim of the T^d-invariant subspace of V, for d | n.
+    otherwise rebuild on every public call: the T-orbits, the presenting
+    matrix and the galois table f(d) = dim of the T^d-invariant subspace of
+    V, for d | n.
     Each is built on first use and lives exactly as long as the instance.
     It takes no part in equality, hashing or repr, and
     `dataclasses.replace` starts a new instance with an empty memo.

@@ -184,6 +184,25 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit" in err
 
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            # each input is under the digit limit; the orbit average is over it
+            [["1/" + str(10**3999 + 1)], ["1/" + str(10**3999 + 3)]],
+            # the invariant basis holds g(x) + g(T x), one digit longer than g
+            [[10 ** sys.get_int_max_str_digits() - 1]] * 2,
+        ],
+        ids=["rational", "integer"],
+    )
+    def test_report_value_too_long_to_print_exit_2(self, capsys, tmp_path, stats):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"period": 2, "perm": [1, 0], "stats": stats}))
+        code, out, err = run_cli(capsys, "analyze", str(path), "--output", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sys.get_int_max_str_digits()" in err
+
     def test_unexpected_exception_exit_3(self, capsys, tmp_path, monkeypatch):
         path = write_builtin(capsys, tmp_path, "negation")
 

@@ -18,6 +18,8 @@ from dynspan.families import (
     negation_system,
 )
 from dynspan.linearize import (
+    _galois_table,
+    _power_block_sums,
     coboundary_witness,
     dynamical_dimension,
     extend_products,
@@ -563,6 +565,18 @@ def test_orbit_quotient_ranks_match_full_row_ranks(system):
     assert invariant_basis(system) == [full.column(c) for c in full.column_basis()]
 
 
+def presenting_rows(system: FiniteSystem) -> list[list[Fraction]]:
+    """Every row of the presenting matrix, rebuilt from the stats, not the memo."""
+    rows = []
+    for x in range(system.size):
+        row, y = [], x
+        for _ in range(system.period):
+            row.extend(system.stats[y])
+            y = system.perm[y]
+        rows.append(row)
+    return rows
+
+
 # |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
 @settings(max_examples=40)
 @given(random_systems())
@@ -576,15 +590,8 @@ def test_orbit_quotient_ranks_match_full_row_ranks(system):
     )
 )
 def test_memoised_objects_match_direct_computation(system):
-    # the presenting rows are rebuilt here from the stats, not read from the memo
     n, k = system.period, system.num_stats
-    rows = []
-    for x in range(system.size):
-        row, y = [], x
-        for _ in range(n):
-            row.extend(system.stats[y])
-            y = system.perm[y]
-        rows.append(row)
+    rows = presenting_rows(system)
     diff = shifted_difference(presenting_matrix(system))
     assert [list(r) for r in diff.entries] == oracle_shifted_difference(rows, n, k)
     assert all(type(v) is Fraction for r in diff.entries for v in r)
@@ -592,6 +599,37 @@ def test_memoised_objects_match_direct_computation(system):
     for method in ("galois", "cyclotomic", "both"):
         # a fresh copy, so each method fills its own memo
         assert analysis_report(dataclasses.replace(system), method)["dim_V"] == rank
+
+
+# |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics;
+# two ladder systems whose ranks need many rotations of each orbit's row
+@settings(max_examples=40)
+@given(random_systems())
+@example(FiniteSystem(perm=(0,), period=2, stats=((Fraction(3, 2),),)))
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(
+    FiniteSystem(
+        perm=(1, 0, 2, 3),
+        period=4,
+        stats=tuple((Fraction(v, 3), Fraction(1, 1 + v)) for v in (1, -2, 5, 0)),
+    )
+)
+@example(multiset_rotation(4, 3))
+@example(chain_rowmotion(4, 3))
+def test_rotation_closure_ranks_match_full_row_ranks(system):
+    # f(d), dim V and rank(M - M') come from one row per T-orbit; the
+    # references rank every row of X
+    n, k = system.period, system.num_stats
+    rows = presenting_rows(system)
+    table = _galois_table(dataclasses.replace(system))
+    assert sorted(table) == divisors(n)
+    for d in divisors(n):
+        assert table[d] == ExactMatrix.from_rows(_power_block_sums(rows, k, d)).rank()
+    assert dynamical_dimension(system) == table[n]
+    zero_mesic = ExactMatrix.from_rows(oracle_shifted_difference(rows, n, k)).rank()
+    assert zero_mesic_dimension(system) == zero_mesic
+    report = analysis_report(dataclasses.replace(system), "galois")
+    assert report["zero_mesic_dimension"] == zero_mesic
 
 
 class TestMemo:
