@@ -352,6 +352,10 @@ def _parse_exponents(raw: str) -> tuple[int, ...]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"exponent vector is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise CliInputError(
+            f"exponent vector: integer literal too long: {exc}"
+        ) from exc
     if (
         not isinstance(data, list)
         or len(data) != 5

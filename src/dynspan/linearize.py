@@ -22,6 +22,10 @@ smallest rotation-invariant subspace that contains one row per T-orbit, and
 `_rotation_closure_rank` finds its dimension from those rows alone, in
 integers.  The weighted block sums of the cyclotomic route need no closure:
 their row at T(x) is a root of unity times their row at x.
+
+Neither route ranks once per exponent.  The statistics are rational, so the
+multiplicity of zeta^j depends only on gcd(j, n) (see `Spectrum`), and each
+route computes one number per divisor d of n.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ def _require_valid(system: FiniteSystem) -> None:
         raise ValueError("invalid system: " + "; ".join(problems))
 
 
-def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
+def _memo_orbits(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
     """The memoised T-orbits of `orbits(system)`."""
     cycles = system._memo.get("orbits")
     if cycles is None:
@@ -233,7 +237,7 @@ def _zero_mesic_rank(pm: PresentingMatrix) -> int:
     rotation closure of those rows is its row space.
     """
     entries = shifted_difference(pm).entries
-    reps = [entries[cycle[0]] for cycle in _cycles(pm.system)]
+    reps = [entries[cycle[0]] for cycle in _memo_orbits(pm.system)]
     return _rotation_closure_rank(_int_rows(reps), pm.k)
 
 
@@ -246,8 +250,12 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
 class Spectrum:
     """Multiplicity of each n-th root of unity as an eigenvalue of U on V.
 
-    mults[j] is the multiplicity of e^(2*pi*i*j/n); for rational statistics
-    the value depends only on gcd(j, n).
+    mults[j] is the multiplicity of e^(2*pi*i*j/n).  For rational statistics
+    it depends only on gcd(j, n): the automorphism zeta_n -> zeta_n^a of
+    Q(zeta_n), gcd(a, n) = 1, fixes the statistics and maps the weighted block
+    sum of exponent j entry by entry onto that of exponent a*j, and a field
+    automorphism preserves rank.  Every j with gcd(j, n) = g is a*g mod n for
+    some such a.  by_divisor lists one value per class.
     """
 
     order: int
@@ -305,7 +313,7 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     """
     table = system._memo.get("galois")
     if table is None:
-        reps = _integer_presenting_rows(system, [c[0] for c in _cycles(system)])
+        reps = _integer_presenting_rows(system, [c[0] for c in _memo_orbits(system)])
         k = system.num_stats
         table = {
             d: _rotation_closure_rank(_power_block_sums(reps, k, d), k)
@@ -326,9 +334,12 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     "galois" works entirely over Q: for each divisor d of n it computes the
     dimension f(d) of the T^d-invariant subspace of V and recovers the common
     multiplicity m_e of the primitive e-th roots by Moebius inversion of
-    sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks the weighted block sum
-    for every exponent separately, in the corresponding cyclotomic field.
-    The two methods agree on every system with rational statistics.
+    sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for each d | n, the
+    weighted block sum of exponent n/d over Q(zeta_d) with its own Z[zeta]
+    elimination, and gives that rank to every exponent j with
+    n/gcd(j, n) = d; Galois conjugation makes this exact (see `Spectrum`).  It
+    never reads f(d) or a Moebius sum, so the two methods stay independent;
+    they agree on every system with rational statistics.
 
     Both start from one row per T-orbit, which is exact.  The row of the
     T^d-invariant matrix at T(x) is its row at x rotated by k entries, so the
@@ -352,9 +363,10 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
         mults = tuple(prim_mult[n // math.gcd(j, n)] for j in range(n))
         return Spectrum(n, mults)
     if method == "cyclotomic":
-        pm = _orbit_quotient(presenting_matrix(system), _cycles(system))
-        mults = tuple(zeta_matrix(pm, j).rank() for j in range(n))
-        return Spectrum(n, mults)
+        pm = _orbit_quotient(presenting_matrix(system), _memo_orbits(system))
+        # exponent n/d stands for every j with gcd(j, n) = n/d
+        rank = {d: zeta_matrix(pm, (n // d) % n).rank() for d in divisors(n)}
+        return Spectrum(n, tuple(rank[n // math.gcd(j, n)] for j in range(n)))
     raise ValueError(f"unknown spectrum method: {method!r}")
 
 
@@ -364,7 +376,7 @@ def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     The columns are chosen on one row per T-orbit of the invariant matrix,
     whose rows are constant along orbits, and then read back on all of X.
     """
-    cycles = _cycles(system)
+    cycles = _memo_orbits(system)
     m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system), cycles))
     orbit_of = [0] * system.size
     for t, cycle in enumerate(cycles):

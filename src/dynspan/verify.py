@@ -26,12 +26,14 @@ from .families import (
     nesw_recurrence_check,
 )
 from .linearize import (
+    PresentingMatrix,
     extend_products,
     homomesy_value,
     invariant_matrix,
     presenting_matrix,
     shifted_difference,
     spectrum,
+    zeta_matrix,
 )
 from .lyness import (
     lyness_homomesy_check,
@@ -183,9 +185,14 @@ def _block_structural() -> list[CheckResult]:
                 (sp_c.mults, sum(sp_g.mults)),
             )
         )
-        n = system.period
+        # the cyclotomic route ranks one exponent per gcd class; rank every
+        # exponent here, on one row per T-orbit, to test the gcd claim itself
+        quotient = PresentingMatrix(
+            system,
+            ExactMatrix(tuple(pm.matrix.entries[c[0]] for c in orbits(system).orbits)),
+        )
         classes_ok = all(
-            sp_g.mults[j] == sp_g.mults[math.gcd(j, n) % n] for j in range(n)
+            zeta_matrix(quotient, j).rank() == m for j, m in enumerate(sp_c.mults)
         )
         out.append(_check("structural", f"{name} gcd classes", True, classes_ok))
     return out

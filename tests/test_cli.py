@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -313,6 +314,19 @@ class TestLynessCommand:
         code, _, err = run_cli(capsys, "lyness", "[1,2]")
         assert code == 2
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+    )
+    def test_oversized_exponent_exit_2(self, capsys):
+        digits = "1" + "0" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "lyness", f"[{digits},0,0,0,0]", "--output", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit" in err
+
     def test_seed_outside_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "lyness", "[1,0,0,0,0]", "--seed", "0,1")
         assert code == 2
@@ -339,6 +353,33 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "matrix order 5" in out
+
+    def test_gcd_class_claim_is_tested(self, capsys, monkeypatch):
+        # the cyclotomic spectrum ranks exponents 0, 1 and 2 of multiset(4,2)
+        # and copies exponent 1's rank to 3; a different rank at 3 must fail
+        from dynspan import verify
+        from dynspan.families import multiset_rotation
+
+        system = multiset_rotation(4, 2)
+        monkeypatch.setattr(
+            verify, "_structural_systems", lambda: [("multiset(4,2)", system)]
+        )
+        code, out, _ = run_cli(capsys, "verify-paper", "--only", "structural")
+        assert code == 0, out
+
+        real = verify.zeta_matrix
+
+        def skewed(pm, exponent):
+            matrix = real(pm, exponent)
+            if exponent != 3:
+                return matrix
+            return SimpleNamespace(rank=lambda: matrix.rank() + 1)
+
+        monkeypatch.setattr(verify, "zeta_matrix", skewed)
+        code, out, _ = run_cli(capsys, "verify-paper", "--only", "structural")
+        assert code == 1
+        failed = [line for line in out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and "multiset(4,2) gcd classes" in failed[0]
 
     def test_unknown_block_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify-paper", "--only", "bogus")

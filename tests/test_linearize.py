@@ -632,6 +632,31 @@ def test_rotation_closure_ranks_match_full_row_ranks(system):
     assert report["zero_mesic_dimension"] == zero_mesic
 
 
+# |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics;
+# multiset(4,3), whose gcd classes have different multiplicities, and chain(4,3)
+@settings(max_examples=40)
+@given(random_systems())
+@example(FiniteSystem(perm=(0,), period=2, stats=((Fraction(3, 2),),)))
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(
+    FiniteSystem(
+        perm=(1, 0, 2, 3),
+        period=4,
+        stats=tuple((Fraction(v, 3), Fraction(1, 1 + v)) for v in (1, -2, 5, 0)),
+    )
+)
+@example(multiset_rotation(4, 3))
+@example(chain_rowmotion(4, 3))
+def test_cyclotomic_multiplicity_matches_every_exponent_rank(system):
+    # the cyclotomic route ranks one exponent per divisor of n; the reference
+    # ranks every exponent, on every row of X
+    pm = presenting_matrix(system)
+    sp_c = spectrum(dataclasses.replace(system), "cyclotomic")
+    assert [zeta_matrix(pm, j).rank() for j in range(system.period)] == list(
+        sp_c.mults
+    )
+
+
 class TestMemo:
     def test_repeat_calls_share_the_presenting_matrix(self):
         system = multiset_rotation(3, 2)
