@@ -9,81 +9,21 @@ invariant and 0-mesic subspaces, homomesy classifications, coboundary
 witnesses, and the degree-2 product extension, together with built-in
 combinatorial families, the transfer-operator lifts for the 2 x 2 order
 polytope, and the monomial action of the period-5 recurrence map.
+
+The package root re-exports only the few names the scripts use; everything
+else is imported from its module (`dynspan.system`, `dynspan.linearize`,
+`dynspan.exact`, `dynspan.families`, `dynspan.lyness`, `dynspan.polytope`).
 """
 
-from .exact import (
-    CycNumber,
-    ExactMatrix,
-    cyclotomic_polynomial,
-    divisors,
-    euler_phi,
-    mobius,
-)
-from .families import (
-    NeswEntries,
-    chain_reflection,
-    chain_rowmotion,
-    distinct_multiset_rotation,
-    multiset_elements,
-    multiset_rotation,
-    negation_system,
-    nesw_det_closed_form,
-    nesw_entries,
-    nesw_matrix,
-    nesw_recurrence_check,
-)
-from .linearize import (
-    FlatnessReport,
-    HomomesyReport,
-    PresentingMatrix,
-    Spectrum,
-    StatisticVerdict,
-    coboundary_witness,
-    dynamical_dimension,
-    extend_products,
-    flatness_report,
-    homomesy_value,
-    invariant_basis,
-    invariant_matrix,
-    presenting_matrix,
-    shifted_difference,
-    spectrum,
-    statistic_report,
-    zero_mesic_dimension,
-    zero_mesic_original_combos,
-    zeta_matrix,
-)
-from .lyness import (
-    lyness_homomesy_check,
-    lyness_map,
-    lyness_matrix,
-    lyness_numeric_orbit_sum,
-    lyness_orbit,
-    lyness_orbit_sum_operator,
-    lyness_pullback,
-    monomial_value,
-)
-from .polytope import (
-    delta_inv,
-    extend_point,
-    in_order_polytope,
-    lift_consistency_check,
-    lifted_delta_inv,
-    lifted_nabla,
-    lifted_theta,
-    nabla,
-    pl_rowmotion,
-    polytope_vertices,
-    random_polytope_point,
-    rowmotion_lift,
-    theta,
-)
-from .system import (
-    FiniteSystem,
-    OrbitDecomposition,
-    minimal_period,
-    orbits,
-    validate,
-)
+from .families import chain_rowmotion, distinct_multiset_rotation, multiset_rotation
+from .linearize import flatness_report, spectrum
+
+__all__ = [
+    "chain_rowmotion",
+    "distinct_multiset_rotation",
+    "flatness_report",
+    "multiset_rotation",
+    "spectrum",
+]
 
 __version__ = "0.1.0"

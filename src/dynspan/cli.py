@@ -5,8 +5,9 @@ optional "labels" / "stat_names".  Rationals serialize as plain integers
 when integral and as "p/q" strings otherwise, so nothing ever rounds.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS,
-an integer literal longer than sys.get_int_max_str_digits() digits, and a
-result with an integer that long, which could not be printed),
+an integer literal longer than sys.get_int_max_str_digits() digits, JSON
+nested deeper than the recursion limit, a document file that is not UTF-8,
+and a result with an integer that long, which could not be printed),
 3 internal error (an unexpected exception, reported in one line on stderr),
 141 stdout closed by its reader before the output was written (128 + SIGPIPE,
 what a shell reports for `yes | head -1`; nothing is printed on stderr).
@@ -29,14 +30,12 @@ from .families import (
     negation_system,
 )
 from .linearize import (
-    _dimension,
-    _zero_mesic_rank,
     extend_products,
     flatness_report,
     invariant_basis,
-    presenting_matrix,
     spectrum,
     statistic_report,
+    zero_mesic_dimension,
 )
 from .lyness import (
     lyness_homomesy_check,
@@ -170,6 +169,17 @@ def document_to_system(doc: object) -> FiniteSystem:
     return system
 
 
+def _load_json(text: str, what: str) -> object:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise CliInputError(f"{what}: integer literal too long: {exc}") from exc
+    except RecursionError as exc:
+        raise CliInputError(f"{what} is nested too deeply to read") from exc
+
+
 def _read_document(path: str) -> FiniteSystem:
     try:
         if path == "-":
@@ -177,15 +187,9 @@ def _read_document(path: str) -> FiniteSystem:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"invalid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-        raise CliInputError(f"integer literal too long: {exc}") from exc
-    return document_to_system(doc)
+    return document_to_system(_load_json(raw, "document"))
 
 
 def _emit(payload: dict | list, output: str) -> None:
@@ -268,14 +272,13 @@ def _flatness_payload(system: FiniteSystem) -> dict | None:
 
 
 def analysis_report(system: FiniteSystem, method: str) -> dict:
-    pm = presenting_matrix(system)
     sp, entries = _spectrum_payload(system, method)
     basis = invariant_basis(system)
     return {
-        "dim_V": _dimension(system),
+        "dim_V": sp.dimension,
         "spectrum": entries,
         "invariant_basis": [[_rational_to_json(v) for v in f] for f in basis],
-        "zero_mesic_dimension": _zero_mesic_rank(pm),
+        "zero_mesic_dimension": zero_mesic_dimension(system),
         "homomesies": _homomesy_payload(system),
         "flatness": _flatness_payload(system),
     }
@@ -348,14 +351,7 @@ def _cmd_extend_products(args: argparse.Namespace) -> int:
 
 
 def _parse_exponents(raw: str) -> tuple[int, ...]:
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"exponent vector is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
-        raise CliInputError(
-            f"exponent vector: integer literal too long: {exc}"
-        ) from exc
+    data = _load_json(raw, "exponent vector")
     if (
         not isinstance(data, list)
         or len(data) != 5

@@ -258,10 +258,6 @@ class CycNumber:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self
-
     def _coerce(self, other: object) -> "CycNumber | None":
         if isinstance(other, CycNumber):
             if other.order != self.order:
@@ -393,9 +389,7 @@ def _int_rows(entries: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """
     out: list[list[int]] = []
     for row in entries:
-        scale = 1
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        scale = math.lcm(*(v.denominator for v in row))
         out.append([v.numerator * (scale // v.denominator) for v in row])
     return out
 
@@ -628,9 +622,6 @@ class ExactMatrix:
         if self.is_cyclotomic:
             return CycNumber.one(self.entries[0][0].order)
         return Fraction(1)
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.entries)

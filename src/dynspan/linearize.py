@@ -8,11 +8,11 @@ witnesses.  Functions on V are represented extensionally, as length-|X|
 value vectors.
 
 Each exact object is built once per system and kept in the system's private
-memo (see `FiniteSystem`): the T-orbits, the presenting matrix, and the
-galois table f(d), the dimension of the T^d-invariant subspace of V for each
-d | n.  Repeated
-public calls still validate the system, but share that work.  dim V is
-f(n), the rank of the presenting matrix that the galois route computes.
+memo (see `FiniteSystem`).  `system.orbits` fills "orbits"; this module fills
+"presenting" (`presenting_matrix`) and "galois" (the table f(d), the dimension
+of the T^d-invariant subspace of V for each d | n).  Repeated public calls
+still validate the system, but share that work.  dim V is f(n), the rank of
+the presenting matrix that the galois route computes.
 
 No rank here reads a row for every element of X.  V is closed under
 composition with T, so the row of the presenting matrix at T(x) is its row at
@@ -44,7 +44,7 @@ from .exact import (
     euler_phi,
     mobius,
 )
-from .system import FiniteSystem, OrbitDecomposition, orbits, validate
+from .system import FiniteSystem, orbits, validate
 
 __all__ = [
     "FlatnessReport",
@@ -73,14 +73,6 @@ def _require_valid(system: FiniteSystem) -> None:
     problems = validate(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
-
-
-def _memo_orbits(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
-    """The memoised T-orbits of `orbits(system)`."""
-    cycles = system._memo.get("orbits")
-    if cycles is None:
-        cycles = system._memo["orbits"] = orbits(system).orbits
-    return cycles
 
 
 def _power_tables(perm: tuple[int, ...], count: int) -> list[list[int]]:
@@ -143,7 +135,7 @@ def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
 def dynamical_dimension(system: FiniteSystem) -> int:
     """dim V: the rank of the presenting matrix, f(n) of the galois table."""
     presenting_matrix(system)
-    return _dimension(system)
+    return _galois_table(system)[system.period]
 
 
 def _orbit_quotient(
@@ -230,20 +222,16 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
     )
 
 
-def _zero_mesic_rank(pm: PresentingMatrix) -> int:
-    """rank(M - M'), from one row of `shifted_difference(pm)` per T-orbit.
-
-    The row of M - M' at T(x) is its row at x rotated by k entries, so the
-    rotation closure of those rows is its row space.
-    """
-    entries = shifted_difference(pm).entries
-    reps = [entries[cycle[0]] for cycle in _memo_orbits(pm.system)]
-    return _rotation_closure_rank(_int_rows(reps), pm.k)
-
-
 def zero_mesic_dimension(system: FiniteSystem) -> int:
-    """Number of independent 0-mesic functions in V (rank of M - M')."""
-    return _zero_mesic_rank(presenting_matrix(system))
+    """Number of independent 0-mesic functions in V (rank of M - M').
+
+    The row of M - M' at T(x) is its row at x rotated by k entries, so its
+    row space is the rotation closure of one row per T-orbit.
+    """
+    pm = presenting_matrix(system)
+    entries = shifted_difference(pm).entries
+    reps = [entries[cycle[0]] for cycle in orbits(system)]
+    return _rotation_closure_rank(_int_rows(reps), pm.k)
 
 
 @dataclass(frozen=True)
@@ -272,9 +260,6 @@ class Spectrum:
             d: self.mults[(self.order // d) % self.order]
             for d in divisors(self.order)
         }
-
-    def multiplicity(self, exponent: int) -> int:
-        return self.mults[exponent % self.order]
 
 
 def _integer_presenting_rows(
@@ -313,7 +298,7 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     """
     table = system._memo.get("galois")
     if table is None:
-        reps = _integer_presenting_rows(system, [c[0] for c in _memo_orbits(system)])
+        reps = _integer_presenting_rows(system, [c[0] for c in orbits(system)])
         k = system.num_stats
         table = {
             d: _rotation_closure_rank(_power_block_sums(reps, k, d), k)
@@ -321,11 +306,6 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
         }
         system._memo["galois"] = table
     return table
-
-
-def _dimension(system: FiniteSystem) -> int:
-    """dim V = f(n) from the galois table; the caller has validated the system."""
-    return _galois_table(system)[system.period]
 
 
 def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
@@ -363,7 +343,7 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
         mults = tuple(prim_mult[n // math.gcd(j, n)] for j in range(n))
         return Spectrum(n, mults)
     if method == "cyclotomic":
-        pm = _orbit_quotient(presenting_matrix(system), _memo_orbits(system))
+        pm = _orbit_quotient(presenting_matrix(system), orbits(system))
         # exponent n/d stands for every j with gcd(j, n) = n/d
         rank = {d: zeta_matrix(pm, (n // d) % n).rank() for d in divisors(n)}
         return Spectrum(n, tuple(rank[n // math.gcd(j, n)] for j in range(n)))
@@ -376,7 +356,7 @@ def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     The columns are chosen on one row per T-orbit of the invariant matrix,
     whose rows are constant along orbits, and then read back on all of X.
     """
-    cycles = _memo_orbits(system)
+    cycles = orbits(system)
     m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system), cycles))
     orbit_of = [0] * system.size
     for t, cycle in enumerate(cycles):
@@ -404,12 +384,12 @@ def homomesy_value(
 
 
 def _common_orbit_average(
-    values: tuple[Fraction, ...], decomposition: OrbitDecomposition
+    values: tuple[Fraction, ...], cycles: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[Fraction, ...], Fraction | None]:
     """The average of `values` on each orbit, and their common value if any."""
     averages = tuple(
         sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
-        for orbit in decomposition.orbits
+        for orbit in cycles
     )
     first = averages[0]
     return averages, first if all(a == first for a in averages) else None
@@ -442,19 +422,17 @@ class HomomesyReport:
 def statistic_report(system: FiniteSystem) -> HomomesyReport:
     """Classify each original statistic and record its exact orbit averages."""
     _require_valid(system)
-    decomposition = orbits(system)
+    cycles = orbits(system)
     perm = system.perm
     verdicts = []
     for i in range(system.num_stats):
         values = tuple(row[i] for row in system.stats)
         invariant = all(values[perm[x]] == values[x] for x in range(system.size))
-        averages, homomesy = _common_orbit_average(values, decomposition)
+        averages, homomesy = _common_orbit_average(values, cycles)
         verdicts.append(
             StatisticVerdict(system.stat_name(i), invariant, homomesy, averages)
         )
-    return HomomesyReport(
-        tuple(verdicts), tuple(len(o) for o in decomposition.orbits)
-    )
+    return HomomesyReport(tuple(verdicts), tuple(len(o) for o in cycles))
 
 
 def zero_mesic_original_combos(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
@@ -463,9 +441,8 @@ def zero_mesic_original_combos(system: FiniteSystem) -> list[tuple[Fraction, ...
     Computed as the nullspace of the (orbit count x k) matrix of orbit sums.
     """
     _require_valid(system)
-    decomposition = orbits(system)
     rows = []
-    for orbit in decomposition.orbits:
+    for orbit in orbits(system):
         rows.append(
             [
                 sum((system.stats[x][i] for x in orbit), Fraction(0))
@@ -487,7 +464,7 @@ def coboundary_witness(
     f = [Fraction(v) for v in values]
     if len(f) != system.size:
         raise ValueError(f"value vector must have length {system.size}")
-    for orbit in orbits(system).orbits:
+    for orbit in orbits(system):
         total = sum((f[x] for x in orbit), Fraction(0))
         if total:
             raise ValueError(

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-__all__ = ["FiniteSystem", "OrbitDecomposition", "validate", "orbits", "minimal_period"]
+__all__ = ["FiniteSystem", "validate", "orbits", "minimal_period"]
 
 
 @dataclass(frozen=True)
@@ -19,10 +18,11 @@ class FiniteSystem:
     element, one column per statistic; all values are exact rationals.
     Instances are immutable and freely shareable.
 
-    `_memo` holds what `linearize` derives from the system alone and would
-    otherwise rebuild on every public call: the T-orbits, the presenting
-    matrix and the galois table f(d) = dim of the T^d-invariant subspace of
-    V, for d | n.
+    `_memo` holds what is derived from the system alone and would otherwise
+    be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
+    `orbits`, and so by `validate` too); `linearize` fills "presenting" (the
+    presenting matrix) and "galois" (f(d) = dim of the T^d-invariant subspace
+    of V, for d | n).
     Each is built on first use and lives exactly as long as the instance.
     It takes no part in equality, hashing or repr, and
     `dataclasses.replace` starts a new instance with an empty memo.
@@ -68,17 +68,6 @@ class FiniteSystem:
         return str(x)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Cycle partition of the index set, each cycle in forward T-order."""
-
-    orbits: tuple[tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> Counter:
-        return Counter(len(o) for o in self.orbits)
-
-
 def validate(system: FiniteSystem) -> list[str]:
     """Return every contract violation (empty list means the system is valid)."""
     violations: list[str] = []
@@ -117,13 +106,20 @@ def validate(system: FiniteSystem) -> list[str]:
 
 
 def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the permutation, each in forward T-order, by smallest member."""
+    """Cycles of the permutation, each in forward T-order, by smallest member.
+
+    Memoised as `system._memo["orbits"]`, which is set only once the
+    permutation is known to be a bijection.
+    """
+    cycles = system._memo.get("orbits")
+    if cycles is not None:
+        return cycles
     perm = system.perm
     n = system.size
     if sorted(perm) != list(range(n)):
         raise ValueError("cannot decompose orbits: perm is not a bijection")
     seen = [False] * n
-    cycles: list[tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
     for start in range(n):
         if seen[start]:
             continue
@@ -134,13 +130,14 @@ def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
             cycle.append(x)
             seen[x] = True
             x = perm[x]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+        found.append(tuple(cycle))
+    cycles = system._memo["orbits"] = tuple(found)
+    return cycles
 
 
-def orbits(system: FiniteSystem) -> OrbitDecomposition:
-    """Cycle decomposition of the permutation, sorted by smallest member."""
-    return OrbitDecomposition(_cycles(system))
+def orbits(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
+    """The T-orbits, each in forward T-order, sorted by smallest member."""
+    return _cycles(system)
 
 
 def minimal_period(system: FiniteSystem) -> int:

@@ -189,7 +189,7 @@ def _block_structural() -> list[CheckResult]:
         # exponent here, on one row per T-orbit, to test the gcd claim itself
         quotient = PresentingMatrix(
             system,
-            ExactMatrix(tuple(pm.matrix.entries[c[0]] for c in orbits(system).orbits)),
+            ExactMatrix(tuple(pm.matrix.entries[c[0]] for c in orbits(system))),
         )
         classes_ok = all(
             zeta_matrix(quotient, j).rank() == m for j, m in enumerate(sp_c.mults)
@@ -216,7 +216,7 @@ def _block_coboundary() -> list[CheckResult]:
 
     for name, system in cases:
         pm = presenting_matrix(system)
-        decomposition = orbits(system)
+        cycles = orbits(system)
         perm = system.perm
         good = 0
         for _ in range(100):
@@ -224,7 +224,7 @@ def _block_coboundary() -> list[CheckResult]:
                 _random_fraction(rng) for _ in range(system.period * system.num_stats)
             ]
             values = list(pm.matrix.apply(coeffs))
-            for orbit in decomposition.orbits:
+            for orbit in cycles:
                 mean = sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
                 for x in orbit:
                     values[x] -= mean
@@ -417,7 +417,7 @@ def _block_products() -> list[CheckResult]:
         target = [ones[x] * ones[system.perm[x]] for x in range(system.size)]
         constant_on_orbits = all(
             len({target[x] for x in orbit}) == 1
-            for orbit in orbits(system).orbits
+            for orbit in orbits(system)
         )
         m1 = invariant_matrix(presenting_matrix(extended))
         augmented = ExactMatrix.from_rows(

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from dynspan.cli import MAX_CELLS, CliInputError, document_to_system, main
 from dynspan.system import FiniteSystem
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +140,27 @@ class TestAnalyze:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
+
+    def test_deeply_nested_document_exit_2(self, capsys, tmp_path, monkeypatch):
+        nested = "[" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text(nested)
+        for argv in (("analyze", str(path)), ("spectrum", "-")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "internal error" not in err
+
+    def test_document_not_utf8_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert "internal error" not in err
 
     def test_empty_system_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -327,6 +350,13 @@ class TestLynessCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit" in err
 
+    def test_deeply_nested_vector_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "lyness", "[" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "internal error" not in err
+
     def test_seed_outside_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "lyness", "[1,0,0,0,0]", "--seed", "0,1")
         assert code == 2
@@ -470,3 +500,24 @@ LONG = "1" * 4301  # one digit past the default sys.get_int_max_str_digits()
 @example("period", 10**4300)
 def test_document_to_system_fuzz_per_key(key, value):
     assert_accepted_or_rejected(dict(VALID, **{key: value}))
+
+
+@pytest.mark.parametrize(
+    "script, args, row",
+    [
+        (
+            "spectrum_table.py",
+            ["--n", "2..4", "--k", "2..3"],
+            "  4   3     20  dim 11   {1: 2, 2: 3, 4: 3}",
+        ),
+        (
+            "flatness_scan.py",
+            ["--max-n", "4", "--max-k", "3"],
+            "distinct     4   2      6    2    1    2      2",
+        ),
+    ],
+)
+def test_script_runs_from_the_package_root(capsys, monkeypatch, script, args, row):
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert row in capsys.readouterr().out.splitlines()

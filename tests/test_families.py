@@ -292,4 +292,4 @@ def test_distinct_orbit_structure_consistency():
             assert validate(system) == []
             assert system.size == len(list(combinations(range(n), k)))
             assert n % minimal_period(system) == 0
-            assert all(n % len(o) == 0 for o in orbits(system).orbits)
+            assert all(n % len(o) == 0 for o in orbits(system))

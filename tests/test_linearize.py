@@ -309,7 +309,7 @@ class TestStatisticReport:
         for i, verdict in enumerate(report.verdicts):
             assert verdict.homomesy is not None
             values = [row[i] - verdict.homomesy for row in system.stats]
-            for orbit in orbits(system).orbits:
+            for orbit in orbits(system):
                 assert sum(values[x] for x in orbit) == 0
 
 
@@ -359,14 +359,14 @@ class TestCoboundaryWitness:
     def test_roundtrip_on_random_projections(self, system):
         rng = random.Random(99)
         pm = presenting_matrix(system)
-        decomposition = orbits(system)
+        cycles = orbits(system)
         for _ in range(25):
             coeffs = [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 for _ in range(system.period * system.num_stats)
             ]
             values = list(pm.matrix.apply(coeffs))
-            for orbit in decomposition.orbits:
+            for orbit in cycles:
                 mean = sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
                 for x in orbit:
                     values[x] -= mean
@@ -409,7 +409,7 @@ class TestExtendProducts:
         system = multiset_rotation(2, 3)
         total = [sum(row, Fraction(0)) for row in system.stats]
         values = [total[x] * total[system.perm[x]] for x in range(system.size)]
-        for orbit in orbits(system).orbits:
+        for orbit in orbits(system):
             assert len({values[x] for x in orbit}) == 1
 
     def test_extension_preserves_map_and_dedupes(self):
@@ -661,6 +661,10 @@ class TestMemo:
     def test_repeat_calls_share_the_presenting_matrix(self):
         system = multiset_rotation(3, 2)
         assert presenting_matrix(system).matrix is presenting_matrix(system).matrix
+
+    def test_repeat_calls_share_the_orbits(self):
+        system = multiset_rotation(3, 2)
+        assert orbits(system) is orbits(system)
 
     def test_equal_systems_do_not_share_a_memo(self):
         first, second = multiset_rotation(3, 2), multiset_rotation(3, 2)
