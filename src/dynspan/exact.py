@@ -582,7 +582,7 @@ class ExactMatrix:
         out: list[tuple[Scalar, ...]] = []
         for r in rows:
             if order is None:
-                out.append(tuple(Fraction(v) for v in r))
+                out.append(tuple(v if type(v) is Fraction else Fraction(v) for v in r))
             else:
                 conv = []
                 for v in r:

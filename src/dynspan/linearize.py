@@ -9,10 +9,17 @@ value vectors.
 
 Each exact object is built once per system and kept in the system's private
 memo (see `FiniteSystem`).  `system.orbits` fills "orbits"; this module fills
-"presenting" (`presenting_matrix`) and "galois" (the table f(d), the dimension
-of the T^d-invariant subspace of V for each d | n).  Repeated public calls
-still validate the system, but share that work.  dim V is f(n), the rank of
-the presenting matrix that the galois route computes.
+"integer" (each statistic scaled once to integers by the lcm of its
+denominators), "presenting" (`presenting_matrix`) and "galois" (the table
+f(d), the dimension of the T^d-invariant subspace of V for each d | n).
+Repeated public calls still validate the system, but share that work.  dim V
+is f(n), the rank of the presenting matrix that the galois route computes.
+
+The stages of a report sum integers, not Fractions: orbit averages, the
+invariance test and the differences g_i(T x) - g_i(x) read the integer
+statistics, and the block sums of `invariant_matrix` run on each row scaled
+to integers.  A Fraction is built only for a value that is returned, from an
+integer sum and its scale.
 
 No rank here reads a row for every element of X.  V is closed under
 composition with T, so the row of the presenting matrix at T(x) is its row at
@@ -30,7 +37,9 @@ route computes one number per divisor d of n.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,8 +167,17 @@ def _power_block_sums(rows: list, k: int, d: int) -> list[list]:
 
 
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
-    """Sum of the n column blocks; its column span is the invariant space."""
-    return ExactMatrix.from_rows(_power_block_sums(pm.matrix.entries, pm.k, 1))
+    """Sum of the n column blocks; its column span is the invariant space.
+
+    Each row is summed on its integers (the row scaled by the lcm of its
+    denominators) and each sum divided by that scale once.
+    """
+    entries = pm.matrix.entries
+    scales = [math.lcm(*(v.denominator for v in row)) for row in entries]
+    sums = _power_block_sums(_int_rows(entries), pm.k, 1)
+    return ExactMatrix.from_rows(
+        [[Fraction(v, scale) for v in row] for row, scale in zip(sums, scales)]
+    )
 
 
 def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
@@ -204,13 +222,16 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
 
     Entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), the difference
     g_i(T y) - g_i(y) at y = T^(j-1) x (T^-1 = T^(n-1)).  Those |X|*k
-    differences are computed once, from `pm.system`, and each row x of X is
-    assembled by indexing them.
+    differences are computed once, on the integer statistics of `pm.system`,
+    and each row x of X is assembled by indexing them.
     """
     system = pm.system
-    stats, perm = system.stats, system.perm
+    scales, ints = _integer_stats(system)
+    perm = system.perm
+    # equal differences share one immutable Fraction, built once
+    fraction = functools.cache(Fraction)
     diffs = [
-        tuple(a - b for a, b in zip(stats[perm[y]], stats[y]))
+        tuple(fraction(a - b, s) for a, b, s in zip(ints[perm[y]], ints[y], scales))
         for y in range(system.size)
     ]
     tables = _power_tables(perm, system.period)
@@ -262,6 +283,30 @@ class Spectrum:
         }
 
 
+def _integer_stats(
+    system: FiniteSystem,
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The memoised `(scales, rows)`: each g_i scaled to integers.
+
+    scales[i] is the lcm of the denominators of g_i and rows[x][i] is
+    g_i(x) * scales[i].
+    """
+    grid = system._memo.get("integer")
+    if grid is None:
+        stats = system.stats
+        scales = [
+            math.lcm(*(row[i].denominator for row in stats))
+            for i in range(system.num_stats)
+        ]
+        # tuple of a list, not of a generator, so each row is allocated exactly
+        rows = [
+            tuple([v.numerator * (s // v.denominator) for v, s in zip(row, scales)])
+            for row in stats
+        ]
+        grid = system._memo["integer"] = (scales, rows)
+    return grid
+
+
 def _integer_presenting_rows(
     system: FiniteSystem, elements: list[int]
 ) -> list[list[int]]:
@@ -271,12 +316,8 @@ def _integer_presenting_rows(
     by a nonzero constant scales its column in every block, so no rank of
     any block-sum matrix changes.
     """
-    k, n, perm = system.num_stats, system.period, system.perm
-    scales = [math.lcm(*(row[i].denominator for row in system.stats)) for i in range(k)]
-    stats = [
-        [v.numerator * (s // v.denominator) for v, s in zip(row, scales)]
-        for row in system.stats
-    ]
+    n, perm = system.period, system.perm
+    stats = _integer_stats(system)[1]
     rows = []
     for x in elements:
         row, y = [], x
@@ -384,11 +425,16 @@ def homomesy_value(
 
 
 def _common_orbit_average(
-    values: tuple[Fraction, ...], cycles: tuple[tuple[int, ...], ...]
+    values: Sequence[Fraction | int],
+    cycles: tuple[tuple[int, ...], ...],
+    scale: int = 1,
 ) -> tuple[tuple[Fraction, ...], Fraction | None]:
-    """The average of `values` on each orbit, and their common value if any."""
+    """The average of `values` / `scale` on each orbit, and their common value.
+
+    The common value is None when the averages differ.
+    """
     averages = tuple(
-        sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
+        Fraction(sum(values[x] for x in orbit), len(orbit) * scale)
         for orbit in cycles
     )
     first = averages[0]
@@ -424,11 +470,12 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
     _require_valid(system)
     cycles = orbits(system)
     perm = system.perm
+    scales, ints = _integer_stats(system)
     verdicts = []
-    for i in range(system.num_stats):
-        values = tuple(row[i] for row in system.stats)
+    for i, scale in enumerate(scales):
+        values = [row[i] for row in ints]
         invariant = all(values[perm[x]] == values[x] for x in range(system.size))
-        averages, homomesy = _common_orbit_average(values, cycles)
+        averages, homomesy = _common_orbit_average(values, cycles, scale)
         verdicts.append(
             StatisticVerdict(system.stat_name(i), invariant, homomesy, averages)
         )

@@ -20,9 +20,12 @@ class FiniteSystem:
 
     `_memo` holds what is derived from the system alone and would otherwise
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
-    `orbits`, and so by `validate` too); `linearize` fills "presenting" (the
-    presenting matrix) and "galois" (f(d) = dim of the T^d-invariant subspace
-    of V, for d | n).
+    `orbits`, and so by `validate` too); `linearize` fills "integer" (the
+    statistics scaled to integers, `(scales, rows)`: `scales[i]` is the lcm
+    of the denominators of g_i and `rows[x][i]` is g_i(x) * scales[i]; read
+    by `statistic_report`, `shifted_difference` and the galois ranks),
+    "presenting" (the presenting matrix) and "galois" (f(d) = dim of the
+    T^d-invariant subspace of V, for d | n).
     Each is built on first use and lives exactly as long as the instance.
     It takes no part in equality, hashing or repr, and
     `dataclasses.replace` starts a new instance with an empty memo.
@@ -40,7 +43,10 @@ class FiniteSystem:
         object.__setattr__(
             self,
             "stats",
-            tuple(tuple(Fraction(v) for v in row) for row in self.stats),
+            tuple(
+                tuple(v if type(v) is Fraction else Fraction(v) for v in row)
+                for row in self.stats
+            ),
         )
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))

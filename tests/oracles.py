@@ -7,6 +7,8 @@ products of Fraction coefficient lists, reduced by polynomial long division
 (the library multiplies integer vectors over a common denominator), and
 M - M' subtracts whole column blocks of the presenting matrix (the library
 computes each difference g_i(T x) - g_i(x) once and indexes into them).
+The block sums and orbit averages add Fractions one by one, as the library
+did before its report stages moved to integer statistics.
 """
 
 from fractions import Fraction
@@ -77,3 +79,38 @@ def shifted_difference(rows, n, k):
         [row[j * k + i] - row[((j - 1) % n) * k + i] for j in range(n) for i in range(k)]
         for row in rows
     ]
+
+
+def invariant_matrix(rows, n, k):
+    """Rows of the sum of the n column blocks, added as Fractions."""
+    return [
+        [sum((row[j * k + i] for j in range(n)), Fraction(0)) for i in range(k)]
+        for row in rows
+    ]
+
+
+def statistic_report(perm, stats):
+    """(invariant, homomesy, orbit averages) of each statistic, over Q.
+
+    Orbits are listed by smallest member, each from that member forward.
+    """
+    cycles, seen = [], set()
+    for start in range(len(perm)):
+        if start not in seen:
+            cycle, x = [], start
+            while x not in seen:
+                seen.add(x)
+                cycle.append(x)
+                x = perm[x]
+            cycles.append(cycle)
+    out = []
+    for i in range(len(stats[0]) if stats else 0):
+        values = [row[i] for row in stats]
+        invariant = all(values[perm[x]] == values[x] for x in range(len(perm)))
+        averages = tuple(
+            sum((values[x] for x in cycle), Fraction(0)) / len(cycle)
+            for cycle in cycles
+        )
+        homomesy = averages[0] if len(set(averages)) == 1 else None
+        out.append((invariant, homomesy, averages))
+    return out

@@ -19,6 +19,7 @@ from dynspan.families import (
 )
 from dynspan.linearize import (
     _galois_table,
+    _orbit_quotient,
     _power_block_sums,
     coboundary_witness,
     dynamical_dimension,
@@ -36,7 +37,9 @@ from dynspan.linearize import (
     zeta_matrix,
 )
 from dynspan.system import FiniteSystem, orbits, validate
+from oracles import invariant_matrix as oracle_invariant_matrix
 from oracles import shifted_difference as oracle_shifted_difference
+from oracles import statistic_report as oracle_statistic_report
 
 
 def as_ints(matrix: ExactMatrix) -> list[list[int]]:
@@ -657,6 +660,62 @@ def test_cyclotomic_multiplicity_matches_every_exponent_rank(system):
     )
 
 
+def all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+# |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
+# whose columns have different denominators, so each column its own scale
+@settings(max_examples=60)
+@given(random_systems())
+@example(FiniteSystem(perm=(0,), period=2, stats=((Fraction(3, 2),),)))
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(FiniteSystem(perm=(0, 1), period=4, stats=(("1/3", "-5/4"), ("2/3", "1/4"))))
+@example(
+    FiniteSystem(
+        perm=(1, 2, 0, 3),
+        period=6,
+        stats=(
+            ("1/3", "5/6", 2),
+            ("5/6", "1/10", 1),
+            ("-1/2", "3/5", 7),
+            ("1/3", "1/2", 0),
+        ),
+    )
+)
+@example(
+    FiniteSystem(
+        perm=(1, 0, 2, 3),
+        period=4,
+        stats=tuple((Fraction(v, 3), Fraction(1, 1 + v)) for v in (1, -2, 5, 0)),
+    )
+)
+def test_integer_report_stages_match_fraction_oracles(system):
+    # statistic_report, invariant_matrix and shifted_difference sum integer
+    # statistics and divide once; the oracles add the Fractions themselves
+    n, k = system.period, system.num_stats
+    rows = presenting_rows(system)
+    report = statistic_report(system)
+    expected = oracle_statistic_report(system.perm, system.stats)
+    assert len(report.verdicts) == len(expected)
+    for verdict, (invariant, homomesy, averages) in zip(report.verdicts, expected):
+        assert (verdict.invariant, verdict.homomesy) == (invariant, homomesy)
+        assert verdict.orbit_averages == averages
+        assert all_fractions(verdict.orbit_averages)
+        assert homomesy is None or type(verdict.homomesy) is Fraction
+    pm = presenting_matrix(system)
+    quotient = _orbit_quotient(pm, orbits(system))
+    for matrix in (pm, quotient):
+        block_sums = invariant_matrix(matrix)
+        assert [list(r) for r in block_sums.entries] == oracle_invariant_matrix(
+            [list(r) for r in matrix.matrix.entries], n, k
+        )
+        assert all(all_fractions(r) for r in block_sums.entries)
+    diff = shifted_difference(pm)
+    assert [list(r) for r in diff.entries] == oracle_shifted_difference(rows, n, k)
+    assert all(all_fractions(r) for r in diff.entries)
+
+
 class TestMemo:
     def test_repeat_calls_share_the_presenting_matrix(self):
         system = multiset_rotation(3, 2)
@@ -687,14 +746,33 @@ class TestMemo:
     def test_replace_starts_with_an_empty_memo(self):
         system = multiset_rotation(3, 2)
         analysis_report(system, "both")
+        assert "integer" in system._memo
         assert dataclasses.replace(system)._memo == {}
         assert dataclasses.replace(system, period=6)._memo == {}
+        assert "integer" not in dataclasses.replace(system)._memo
+
+    def test_repeat_calls_share_the_integer_statistics(self):
+        stats = [[1, "1/2"], [3, "1/3"], [0, 0]]
+        system = FiniteSystem(perm=(1, 0, 2), period=2, stats=stats)
+        report = statistic_report(system)
+        scales, rows = grid = system._memo["integer"]
+        assert scales == [1, 6] and rows == [(1, 3), (3, 2), (0, 0)]
+        assert statistic_report(system) == report
+        shifted_difference(presenting_matrix(system))
+        spectrum(system)
+        assert system._memo["integer"] is grid
+
+    def test_mixed_stats_are_stored_as_fractions(self):
+        system = FiniteSystem(perm=(0,), period=1, stats=[[1, "1/2"]])
+        assert system.stats == ((Fraction(1), Fraction(1, 2)),)
+        assert all(type(v) is Fraction for v in system.stats[0])
 
     def test_analysed_system_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
             system = multiset_rotation(3, 2)
             analysis_report(system, "both")
+            assert "integer" in system._memo
             ref = weakref.ref(system)
             del system
             assert ref() is None
