@@ -78,21 +78,20 @@ def _rational_to_json(q: Fraction) -> int | str:
     return q.numerator if q.denominator == 1 else text
 
 
-def _rational_from_json(value: object, where: str) -> Fraction:
+def _rational_from_json(value: object) -> Fraction:
+    """The rational a JSON value stands for; errors name no location."""
     if isinstance(value, bool):
-        raise CliInputError(f"{where}: booleans are not rationals")
+        raise CliInputError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
-            raise CliInputError(
-                f'{where}: {value!r} does not match the rational pattern "p/q"'
-            )
+            raise CliInputError(f'{value!r} does not match the rational pattern "p/q"')
         try:
             return Fraction(value)
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise CliInputError(f"{where}: {exc}") from exc
-    raise CliInputError(f"{where}: expected an integer or a rational string")
+            raise CliInputError(str(exc)) from exc
+    raise CliInputError("expected an integer or a rational string")
 
 
 def system_to_document(system: FiniteSystem) -> dict:
@@ -131,14 +130,20 @@ def document_to_system(doc: object) -> FiniteSystem:
     ):
         problems.append('"stats" must be an array of arrays')
     else:
+        # equal values share one Fraction, keyed by type too so that True is
+        # not a cached 1; values of other types are rejected, never cached
+        seen: dict[tuple[type, object] | None, Fraction] = {}
         for x, row in enumerate(stats_raw):
             parsed = []
             for i, v in enumerate(row):
-                try:
-                    parsed.append(_rational_from_json(v, f"stats[{x}][{i}]"))
-                except CliInputError as exc:
-                    problems.append(str(exc))
-                    parsed.append(Fraction(0))
+                key = (type(v), v) if isinstance(v, (int, str)) else None
+                if key not in seen:
+                    try:
+                        seen[key] = _rational_from_json(v)
+                    except CliInputError as exc:
+                        problems.append(f"stats[{x}][{i}]: {exc}")
+                        continue
+                parsed.append(seen[key])
             stats.append(parsed)
     labels = doc.get("labels")
     if labels is not None and (

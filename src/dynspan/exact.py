@@ -4,12 +4,13 @@ Scalars are either `fractions.Fraction` or `CycNumber`, an element of the
 field Q(zeta_d).  A `CycNumber` is an integer coefficient vector over a
 common positive denominator, in lowest terms: the vector is a polynomial in
 zeta_d reduced modulo the d-th cyclotomic polynomial.  Field arithmetic and
-the Z[zeta_d] Bareiss kernel share the same integer helpers, so cyclotomic
+the Z[zeta_d] echelon kernel share the same integer helpers, so cyclotomic
 matrix entries go into elimination without a detour through `Fraction`.
 Matrices are dense and immutable, and carry a single scalar kind.  Rank,
-column-basis and nullspace computations use fraction-free (Bareiss)
-elimination with first-nonzero pivoting, so results are deterministic across
-runs and never touch floating point.
+column-basis and nullspace computations are fraction-free: Bareiss
+elimination over Z, and a streaming echelon over Z[zeta_d] that stops once
+every column has a pivot.  Results are deterministic across runs and never
+touch floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "CycNumber",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 Scalar = Union[Fraction, "CycNumber"]
+_Terms = tuple[tuple[int, int], ...]  # the nonzero (t, c_t) of sum c_t x^t
 
 
 def divisors(n: int) -> list[int]:
@@ -124,23 +126,25 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _field(order: int) -> tuple[int, tuple[int, ...]]:
-    """(phi(order), coefficients of the order-th cyclotomic polynomial)."""
-    return euler_phi(order), cyclotomic_polynomial(order)
+def _field(order: int) -> tuple[int, _Terms]:
+    """(phi(order), the terms below degree phi of the sparse, monic Phi_order)."""
+    poly = cyclotomic_polynomial(order)
+    return len(poly) - 1, tuple((t, c) for t, c in enumerate(poly[:-1]) if c)
 
 
-def _cyc_reduce_int(work: list[int], phi: int, mod: tuple[int, ...]) -> None:
+def _cyc_reduce_int(work: list[int], phi: int, mod: _Terms) -> None:
+    """Reduce `work` modulo Phi in place; entries from `phi` on become 0."""
     for i in range(len(work) - 1, phi - 1, -1):
         c = work[i]
         if c:
             base = i - phi
-            for t in range(phi):
-                work[base + t] -= c * mod[t]
+            for t, m in mod:
+                work[base + t] -= c * m
             work[i] = 0
 
 
 def _cyc_mul_int(
-    a: Sequence[int], b: Sequence[int], phi: int, mod: tuple[int, ...]
+    a: Sequence[int], b: Sequence[int], phi: int, mod: _Terms
 ) -> list[int]:
     prod = [0] * (2 * phi - 1)
     for i, ai in enumerate(a):
@@ -153,7 +157,7 @@ def _cyc_mul_int(
 
 
 def _cyc_conjugate_int(
-    a: Sequence[int], t: int, order: int, phi: int, mod: tuple[int, ...]
+    a: Sequence[int], t: int, order: int, phi: int, mod: _Terms
 ) -> list[int]:
     """Image of the coefficient vector under zeta -> zeta^t."""
     raw = [0] * order
@@ -165,7 +169,7 @@ def _cyc_conjugate_int(
 
 
 def _cyc_adjoint_int(
-    a: Sequence[int], order: int, phi: int, mod: tuple[int, ...]
+    a: Sequence[int], order: int, phi: int, mod: _Terms
 ) -> tuple[list[int], int]:
     """(adj, norm) with a * adj = norm, norm a nonzero rational integer."""
     adj = [1] + [0] * (phi - 1)
@@ -193,7 +197,7 @@ class CycNumber:
     polynomial, and `den` is a positive integer with gcd(den, *num) = 1.
     Each element has exactly one such form, so equality and hashing compare
     fields, and an element is zero iff every entry of `num` is.  Products
-    run on the same integer helpers as the Z[zeta] Bareiss kernel, and the
+    run on the same integer helpers as the Z[zeta] echelon kernel, and the
     inverse is adj/N: adj is the product of the nontrivial conjugates and
     N = a * adj a nonzero integer.  Instances are immutable.
     """
@@ -482,79 +486,64 @@ def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
     return len(basis)
 
 
-# Cyclotomic entries are eliminated on integer coefficient vectors: each row
-# is scaled so every coefficient is an integer, and the Bareiss division by
-# the previous pivot (exact in Z[zeta_d], since working entries are minors)
-# is carried out as multiplication by the product of the pivot's nontrivial
-# conjugates followed by exact integer division by its norm.
-
-
 def _cyc_int_rows(
     entries: Sequence[Sequence[CycNumber]],
-) -> list[list[tuple[int, ...]]]:
-    """Scale each row by the lcm of its entries' denominators."""
-    out = []
+) -> Iterator[list[list[int]]]:
+    """Each row scaled by the lcm of its entries' denominators, as it is read."""
     for row in entries:
         scale = math.lcm(*(v.den for v in row))
-        out.append([tuple(c * (scale // v.den) for c in v.num) for v in row])
-    return out
+        yield [[c * (scale // v.den) for c in v.num] for v in row]
 
 
-def _bareiss_cyc_int(
-    rows: list[list[tuple[int, ...]]], order: int
-) -> tuple[list[list[tuple[int, ...]]], list[int]]:
-    """Fraction-free elimination on integer coefficient vectors in Z[zeta]."""
+def _cyc_echelon(
+    rows: Iterable[list[list[int]]], ncols: int, order: int
+) -> tuple[list[list[list[int]]], list[int]]:
+    """Streaming fraction-free echelon form over Z[zeta_order].
+
+    Like `_rotation_closure_rank`: each row is reduced against the basis in
+    pivot order, divided by its content before every step, and joins it at
+    the first column without a pivot where it is nonzero.  A basis row is
+    used times the adjugate of its pivot, made when a row first reduces
+    against it, so its pivot is a rational integer N and clearing an entry a
+    costs one product in Z[zeta] per entry: N'*row - a'*basis_row, with N',
+    a' divided by gcd(N, a).  No row is read once every column has a pivot.
+    Returns the basis rows, sorted by pivot and zero-padded, and the pivots.
+    """
     phi, mod = _field(order)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    zero = (0,) * phi
-    pivot_cols: list[int] = []
-    r = 0
-    prev_adj: list[int] | None = None  # None means the previous pivot is 1
-    prev_norm = 1
-
-    def divide(vec: list[int]) -> tuple[int, ...]:
-        if prev_adj is not None:
-            vec = _cyc_mul_int(vec, prev_adj, phi, mod)
-            out = []
-            for v in vec:
-                q, rem = divmod(v, prev_norm)
-                if rem:
-                    raise ArithmeticError("inexact division in Bareiss step")
-                out.append(q)
-            return tuple(out)
-        return tuple(vec)
-
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if any(rows[i][c]):
-                pr = i
+    # basis[c] is the tail, from column c, of the basis row with pivot c, and
+    # scaled[c] is (N, that tail times the adjugate of its pivot)
+    basis: dict[int, list[list[int]]] = {}
+    scaled: dict[int, tuple[int, list[list[int]]]] = {}
+    for tail in rows:
+        c = 0
+        while any(map(any, tail)):
+            g = math.gcd(*(v for e in tail for v in e))
+            skip = next(j for j, e in enumerate(tail) if any(e))
+            tail, c = [[v // g for v in e] for e in tail[skip:]], c + skip
+            if c not in basis:
+                basis[c] = tail
                 break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        rr = rows[r]
-        piv = rr[c]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            aic = ri[c]
-            if any(aic):
-                for j in range(c + 1, ncols):
-                    left = _cyc_mul_int(ri[j], piv, phi, mod)
-                    right = _cyc_mul_int(aic, rr[j], phi, mod)
-                    ri[j] = divide([x - y for x, y in zip(left, right)])
-                ri[c] = zero
-            else:
-                for j in range(c + 1, ncols):
-                    ri[j] = divide(_cyc_mul_int(ri[j], piv, phi, mod))
-        pivot_cols.append(c)
-        prev_adj, prev_norm = _cyc_adjoint_int(piv, order, phi, mod)
-        r += 1
-    return rows, pivot_cols
+            if c not in scaled:
+                pivot_row = basis[c]
+                if any(pivot_row[0][1:]):
+                    adj = _cyc_adjoint_int(pivot_row[0], order, phi, mod)[0]
+                    pivot_row = [_cyc_mul_int(e, adj, phi, mod) for e in pivot_row]
+                    g = math.gcd(*(v for e in pivot_row for v in e))
+                    pivot_row = [[v // g for v in e] for e in pivot_row]
+                scaled[c] = pivot_row[0][0], pivot_row
+            norm, pivot_row = scaled[c]
+            g = math.gcd(norm, *tail[0])
+            n, a = norm // g, [v // g for v in tail[0]]
+            cyclic = any(a[1:])
+            step = []
+            for v, w in zip(tail[1:], pivot_row[1:]):
+                aw = _cyc_mul_int(a, w, phi, mod) if cyclic else [a[0] * y for y in w]
+                step.append([n * x - y for x, y in zip(v, aw)])
+            tail, c = step, c + 1
+        if len(basis) == ncols:
+            break
+    pivots = sorted(basis)
+    return [[[0] * phi] * c + basis[c] for c in pivots], pivots
 
 
 @dataclass(frozen=True)
@@ -713,12 +702,15 @@ class ExactMatrix:
     # -- elimination-backed queries ------------------------------------
 
     def _echelon(self):
-        """Echelon rows, pivot columns, and a lift of raw entries to the field."""
+        """Echelon rows, pivot columns, and a lift of raw entries to the field.
+
+        Bareiss over Z, or `_cyc_echelon` over Z[zeta]: pivots and the nullspace
+        basis normalised at free columns depend only on the row space."""
         if self.is_cyclotomic:
             order = self.entries[0][0].order
-            rows, pivots = _bareiss_cyc_int(_cyc_int_rows(self.entries), order)
+            rows, pivots = _cyc_echelon(_cyc_int_rows(self.entries), self.cols, order)
 
-            def lift(raw: tuple[int, ...]) -> Scalar:
+            def lift(raw: Sequence[int]) -> Scalar:
                 return _cyc(order, raw, 1)
 
         else:

@@ -44,9 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    CycNumber,
     ExactMatrix,
     _cyc,
+    _cyc_reduce_int,
+    _field,
     _int_rows,
     _rotation_closure_rank,
     divisors,
@@ -104,6 +105,16 @@ class PresentingMatrix:
 
     system: FiniteSystem
     matrix: ExactMatrix
+
+    @functools.cached_property
+    def _integer_rows(self) -> tuple[int, list[list[int]]]:
+        """(scale, rows): the entries times the lcm of their denominators, made
+        once per object, so one cyclotomic `spectrum` converts its rows once."""
+        entries = self.matrix.entries
+        scale = math.lcm(*(v.denominator for row in entries for v in row))
+        return scale, [
+            [v.numerator * (scale // v.denominator) for v in row] for row in entries
+        ]
 
     @property
     def n(self) -> int:
@@ -184,7 +195,9 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     """Block sum with weights conj(zeta)^m for zeta = e^(2*pi*i*exponent/n).
 
     Entries live in Q(zeta_d) with d = n/gcd(exponent, n); the column span is
-    the zeta-eigenspace of U, so the rank is the multiplicity of zeta.
+    the zeta-eigenspace of U, so the rank is the multiplicity of zeta.  For
+    zeta = zeta_d^s, each entry sums the integer rows of `pm` into d slots of
+    Z[x]/(x^d - 1), block m at slot (-s*m) mod d, and is reduced mod Phi_d.
     """
     n, k = pm.n, pm.k
     if not 0 <= exponent < n:
@@ -192,28 +205,23 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     g = math.gcd(exponent, n)
     d = n // g
     s = exponent // g
-    phi = euler_phi(d)
-    # powers of roots of unity reduce to integer coefficient vectors
-    weights = [
-        [(t, c) for t, c in enumerate(CycNumber.root(d, (-s * m) % d).num) if c]
-        for m in range(n)
-    ]
-    # accumulate integers scaled by the lcm of the denominators; each entry is
-    # then acc / scale in lowest terms, the exact value and not a multiple
-    scale = math.lcm(*(v.denominator for row in pm.matrix.entries for v in row))
+    phi, mod = _field(d)
+    width = d * k
+    # slot t holds the sum of the blocks m = r (mod d) with -s*r = t (mod d)
+    offsets = [0] * d
+    for r in range(d):
+        offsets[(-s * r) % d] = r * k
+    # each entry is acc / scale in lowest terms, the exact value
+    scale, ints = pm._integer_rows
     rows = []
-    for ent in pm.matrix.entries:
-        ints = [v.numerator * (scale // v.denominator) for v in ent]
-        row = []
+    for row in ints:
+        sums = [sum(row[c::width]) for c in range(width)] if d < n else row
+        out = []
         for i in range(k):
-            acc = [0] * phi
-            for j in range(n):
-                v = ints[j * k + i]
-                if v:
-                    for t, w in weights[j]:
-                        acc[t] += w * v
-            row.append(_cyc(d, acc, scale))
-        rows.append(tuple(row))
+            acc = [sums[o + i] for o in offsets]
+            _cyc_reduce_int(acc, phi, mod)
+            out.append(_cyc(d, acc[:phi], scale))
+        rows.append(tuple(out))
     return ExactMatrix(tuple(rows))
 
 

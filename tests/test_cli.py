@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,6 +135,24 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert "pattern" in err
+
+    def test_repeated_values_share_a_fraction_but_not_a_verdict(self):
+        # a boolean after an equal integer, and a bad value seen twice, are
+        # each rejected at their own location
+        stats = [[1, "x"], [True, "x"], [1.0, 1]]
+        doc = {"period": 1, "perm": [0, 1, 2], "stats": stats}
+        with pytest.raises(CliInputError) as info:
+            document_to_system(doc)
+        assert str(info.value) == (
+            "stats[0][1]: 'x' does not match the rational pattern \"p/q\"; "
+            "stats[1][0]: booleans are not rationals; "
+            "stats[1][1]: 'x' does not match the rational pattern \"p/q\"; "
+            "stats[2][0]: expected an integer or a rational string"
+        )
+        doc = {"period": 1, "perm": [0, 1], "stats": [[1, "1/2"], ["1/2", "1"]]}
+        stats = document_to_system(doc).stats
+        assert stats[0][1] is stats[1][0] == Fraction(1, 2)
+        assert stats[0][0] == stats[1][1] == 1
 
     def test_invalid_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,13 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynspan.exact import (
     CycNumber,
     ExactMatrix,
+    _cyc_echelon,
+    _cyc_int_rows,
+    _cyc_reduce_int,
+    _field,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -106,6 +111,21 @@ class TestCyclotomicPolynomial:
     @pytest.mark.parametrize("d", range(1, 25))
     def test_degree_is_phi(self, d):
         assert len(cyclotomic_polynomial(d)) == euler_phi(d) + 1
+
+
+def test_sparse_reduction_matches_long_division():
+    # longer than a product of two reduced elements or a sum of d slots,
+    # reduced modulo Phi_d by the sparse terms of `_field` and by the
+    # oracle's dense long division (a product with 1)
+    rng = random.Random(120)
+    for d in range(1, 121):
+        phi, terms = _field(d)
+        assert phi == euler_phi(d)
+        length = max(d, 2 * phi - 1) + 1
+        work = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(length)]
+        expected = cyclotomic_product(work, (1,), cyclotomic_polynomial(d))
+        _cyc_reduce_int(work, phi, terms)
+        assert tuple(work[:phi]) == expected and not any(work[phi:])
 
 
 def test_number_theory_helpers():
@@ -318,3 +338,119 @@ class TestMatrixAlgebra:
             ExactMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(ValueError):
             ExactMatrix.from_rows([])
+
+
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12)
+
+
+@st.composite
+def cyc_matrices(draw):
+    """(order, rows) of CycNumber entries: random or built from a few base rows.
+
+    Some rows and columns are then zeroed.  Tall random matrices usually
+    have full column rank, where the Z[zeta] kernel stops reading rows early.
+    """
+    order = draw(st.sampled_from(KERNEL_ORDERS))
+    phi = euler_phi(order)
+    zero = CycNumber.zero(order)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    coeffs = st.one_of(st.just(Fraction(0)), small_fractions)
+    entry = st.lists(coeffs, min_size=phi, max_size=phi).map(
+        lambda c: CycNumber(order, c)
+    )
+    if draw(st.booleans()):
+        rows = draw(
+            st.lists(
+                st.lists(entry, min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+    else:
+        base = draw(
+            st.lists(
+                st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=3
+            )
+        )
+        rows = []
+        for _ in range(nrows):
+            weights = draw(st.lists(entry, min_size=len(base), max_size=len(base)))
+            rows.append(
+                [
+                    sum((w * b[c] for w, b in zip(weights, base)), zero)
+                    for c in range(ncols)
+                ]
+            )
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[r] = [zero] * ncols
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = zero
+    return order, rows
+
+
+def _realified(rows, order, ncols):
+    """Each entry a replaced by the phi x phi matrix of x -> a*x over Q.
+
+    Column j of that block holds the coefficients of a * zeta^j, an oracle
+    product.  Its rank over Q is phi times the rank over Q(zeta).
+    """
+    modulus = cyclotomic_polynomial(order)
+    phi = len(modulus) - 1
+    units = [[Fraction(int(i == j)) for i in range(phi)] for j in range(phi)]
+    out = []
+    for row in rows:
+        blocks = [
+            [cyclotomic_product(row[c].coeffs, u, modulus) for u in units]
+            for c in range(ncols)
+        ]
+        for i in range(phi):
+            out.append([blocks[c][j][i] for c in range(ncols) for j in range(phi)])
+    return out
+
+
+@settings(max_examples=60)
+@given(cyc_matrices())
+@example((12, [[CycNumber.root(12)], [CycNumber.one(12)]]))
+@example((8, [[CycNumber.root(8), 1], [CycNumber.root(8, 2), CycNumber.root(8)]]))
+@example((8, [[CycNumber.root(8), 1], [1, CycNumber.root(8)]]))
+def test_cyclotomic_kernel_matches_realified_rank(case):
+    order, rows = case
+    m = ExactMatrix.from_rows(rows)
+    phi, ncols = euler_phi(order), m.cols
+    real = _realified(m.entries, order, ncols)
+    rank_q = ExactMatrix.from_rows(real).rank()
+    assert rank_q % phi == 0 and m.rank() == rank_q // phi
+    prefix = [0] + [
+        ExactMatrix.from_rows([r[: (c + 1) * phi] for r in real]).rank()
+        for c in range(ncols)
+    ]
+    expected = [c for c in range(ncols) if prefix[c + 1] > prefix[c]]
+    assert m.column_basis() == expected
+    basis = m.nullspace_basis()
+    assert len(basis) == ncols - m.rank()
+    modulus = cyclotomic_polynomial(order)
+    free = [c for c in range(ncols) if c not in expected]
+    for t, v in enumerate(basis):
+        # normalised at the free columns, so the vectors are independent
+        assert [v[c] for c in free] == [int(c == free[t]) for c in free]
+        for row in m.entries:
+            total = [Fraction(0)] * phi
+            for a, x in zip(row, v):
+                for i, y in enumerate(cyclotomic_product(a.coeffs, x.coeffs, modulus)):
+                    total[i] += y
+            assert not any(total)
+
+
+def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
+    z = CycNumber.root(8)
+    m = ExactMatrix.from_rows([[z, 1], [1, z], [z, z], [1, 1]])
+    read = []
+
+    def rows():
+        for row in _cyc_int_rows(m.entries):
+            read.append(row)
+            yield row
+
+    assert _cyc_echelon(rows(), m.cols, 8)[1] == [0, 1]
+    assert len(read) == 2
