@@ -5,9 +5,10 @@ optional "labels" / "stat_names".  Rationals serialize as plain integers
 when integral and as "p/q" strings otherwise, so nothing ever rounds.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS,
-an integer literal longer than sys.get_int_max_str_digits() digits, JSON
-nested deeper than the recursion limit, a document file that is not UTF-8,
-and a result with an integer that long, which could not be printed),
+for `extend-products` a system whose extension would be past it, an integer
+literal longer than sys.get_int_max_str_digits() digits, JSON nested deeper
+than the recursion limit, a document file that is not UTF-8, and a result
+with an integer that long, which could not be printed),
 3 internal error (an unexpected exception, reported in one line on stderr),
 141 stdout closed by its reader before the output was written (128 + SIGPIPE,
 what a shell reports for `yes | head -1`; nothing is printed on stderr).
@@ -351,6 +352,11 @@ def _cmd_homomesies(args: argparse.Namespace) -> int:
 
 def _cmd_extend_products(args: argparse.Namespace) -> int:
     system = _read_document(args.input)
+    # the output has at most m(m+3)/2 statistics, m = k*n: the shifted
+    # statistics and their pairwise products, before deduplication; it must
+    # fit the budget `analyze` applies to it
+    m = system.num_stats * system.period
+    _check_budget(system.size, system.period, m * (m + 3) // 2)
     print(json.dumps(system_to_document(extend_products(system)), indent=2))
     return 0
 

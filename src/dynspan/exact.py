@@ -11,6 +11,17 @@ column-basis and nullspace computations are fraction-free: Bareiss
 elimination over Z, and a streaming echelon over Z[zeta_d] that stops once
 every column has a pivot.  Results are deterministic across runs and never
 touch floating point.
+
+The rank of a rotation closure, the smallest subspace that contains some
+integer rows and is closed under rotating their entries by a fixed shift, has
+two exact kernels, chosen by the shape of the input.  With at least as many
+rows as columns, a fraction-free Gauss-Jordan basis tests each row with one
+dot product per column that has no pivot: every entry of the basis is a minor
+of the rows that joined it, so the sizes stay under the Hadamard bound, and
+every division in an update is exact by Sylvester's identity.  With fewer
+rows, most rows come from rotations and join the basis, and a streaming
+echelon reduces each against it.  Both stop reading rows once every column
+has a pivot.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
@@ -450,19 +462,29 @@ def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
     """dim of the smallest rotation-invariant subspace containing `rows`.
 
     The rotation takes a row r to r[shift:] + r[:shift].  The rows are
-    queued; each is reduced against a fraction-free echelon basis, in pivot
-    order, and when it raises the rank it joins the basis divided by its
-    content and its rotation is queued.  The final span contains the given
-    rows and the rotation of each row that spans it, so it is that smallest
-    invariant subspace.  A matrix whose row at T(x) is its row at x rotated
-    has that span for its row space, so one row per T-orbit gives its rank.
+    queued, and each one that raises the rank of the basis joins it and
+    queues its rotation.  The final span contains the given rows and the
+    rotation of each row that spans it, so it is that smallest invariant
+    subspace.  A matrix whose row at T(x) is its row at x rotated has that
+    span for its row space, so one row per T-orbit gives its rank.
+
+    Two exact eliminations keep the basis, chosen by the shape of the input.
+    With at least as many rows as columns, most rows lie in the span, and
+    `_gauss_jordan_closure_rank` tests each with one dot product per free
+    column; its entries are minors of the rows that joined, and each of its
+    divisions is exact.  With fewer rows, most rows come from rotations and
+    raise the rank: each is reduced against a fraction-free echelon basis, in
+    pivot order, and joins it divided by its content.  Either way no row is
+    read once every column has a pivot.
     """
+    width = len(rows[0]) if rows else 0
+    if len(rows) >= width:
+        return _gauss_jordan_closure_rank(rows, shift, width)
     # basis[c] is the tail, from column c, of the basis row with pivot c
     basis: dict[int, list[int]] = {}
     queue = deque(rows)
-    while queue:
+    while queue and len(basis) < width:
         row = queue.popleft()
-        width = len(row)
         c = 0
         while c < width and not row[c]:
             c += 1
@@ -484,6 +506,47 @@ def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
             tail = tail[skip:]
             c += skip
     return len(basis)
+
+
+def _gauss_jordan_closure_rank(rows: list[list[int]], shift: int, width: int) -> int:
+    """`_rotation_closure_rank` by fraction-free Gauss-Jordan elimination.
+
+    The basis is kept in fraction-free reduced echelon form (Bareiss, in its
+    Gauss-Jordan form): at its pivot columns p_i the basis rows B_i are D
+    times the identity, where D is the determinant of the pivot block of the
+    rows that joined.  Every entry is then a minor of those rows (Cramer's
+    rule), so none grows past the Hadamard bound.  A row v lies in the span
+    exactly when its residual D*v[f] - sum_i v[p_i]*B_i[f] is 0 at every
+    free column f.  A nonzero residual r, 0 at the pivots, is the basis row
+    of the next pivot f0, and D' = r[f0]; each old row b becomes
+    (D'*b - b[f0]*r) / D, which is exact by Sylvester's identity, as its
+    entries are again minors.
+    """
+    pivots: list[int] = []
+    det = 1
+    # columns[j] is column free[j] of the basis; free lists the non-pivots
+    free = list(range(width))
+    columns: list[list[int]] = [[] for _ in free]
+    queue = deque(rows)
+    while queue and free:
+        row = queue.popleft()
+        head = [row[p] for p in pivots]
+        residual = [
+            det * row[f] - sum(map(mul, head, column))
+            for f, column in zip(free, columns)
+        ]
+        if not any(residual):
+            continue
+        j = next(j for j, r in enumerate(residual) if r)
+        new_det = residual.pop(j)
+        pivots.append(free.pop(j))
+        lead = columns.pop(j)
+        for column, r in zip(columns, residual):
+            column[:] = [(new_det * b - a * r) // det for b, a in zip(column, lead)]
+            column.append(r)
+        det = new_det
+        queue.append(row[shift:] + row[:shift])
+    return len(pivots)
 
 
 def _cyc_int_rows(

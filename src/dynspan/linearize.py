@@ -27,8 +27,12 @@ x with the column blocks rotated by one; so are the rows of each
 T^d-invariant matrix and of M - M'.  The row space of such a matrix is the
 smallest rotation-invariant subspace that contains one row per T-orbit, and
 `_rotation_closure_rank` finds its dimension from those rows alone, in
-integers.  The weighted block sums of the cyclotomic route need no closure:
-their row at T(x) is a root of unity times their row at x.
+integers.  When there are at least as many orbits as columns, most rows lie
+in the span, and each is tested against a fraction-free Gauss-Jordan basis
+with one dot product per column without a pivot; otherwise the rows, most of
+them rotations, are reduced in a streaming echelon.  The weighted block sums
+of the cyclotomic route need no closure: their row at T(x) is a root of unity
+times their row at x.
 
 Neither route ranks once per exponent.  The statistics are rational, so the
 multiplicity of zeta^j depends only on gcd(j, n) (see `Spectrum`), and each

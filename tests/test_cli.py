@@ -331,6 +331,27 @@ class TestSubReports:
         report = run_json(capsys, "analyze", str(ext_path), "--output", "json")
         assert report["dim_V"] == sum(e["multiplicity"] for e in report["spectrum"])
 
+    def test_extend_products_rejects_an_extension_past_the_budget(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 14,400 cells in; the extension would have 120 * 120 * 7380 cells
+        def never(system):
+            raise AssertionError("extend_products ran past the size budget")
+
+        monkeypatch.setattr("dynspan.cli.extend_products", never)
+        size = 120
+        doc = {
+            "period": size,
+            "perm": [(x + 1) % size for x in range(size)],
+            "stats": [[x % 7] for x in range(size)],
+        }
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "extend-products", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: system too large") and err.count("\n") == 1
+
 
 class TestLynessCommand:
     def test_pullback_of_x(self, capsys):

@@ -13,6 +13,7 @@ from dynspan.exact import (
     _cyc_int_rows,
     _cyc_reduce_int,
     _field,
+    _rotation_closure_rank,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -454,3 +455,51 @@ def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
 
     assert _cyc_echelon(rows(), m.cols, 8)[1] == [0, 1]
     assert len(read) == 2
+
+
+closure_entries = st.one_of(
+    st.integers(-50, 50), st.integers(2**64, 2**66), st.integers(-(2**66), -(2**64))
+)
+
+
+@st.composite
+def closure_inputs(draw):
+    """(rows, shift) of width d*shift, d in 1..6, with 1..width+3 rows.
+
+    The row count falls on either side of the width, so both eliminations
+    of the kernel run.  Each row repeats a block of e*shift entries for a
+    divisor e of d, so its rotations stay in the e*shift-dimensional space
+    of such rows and the closure may have any rank up to the width.  Some
+    rows are then repeated.
+    """
+    shift = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    e = draw(st.sampled_from(divisors(d)))
+    width = d * shift
+    block = st.lists(closure_entries, min_size=e * shift, max_size=e * shift)
+    rows = [b * (d // e) for b in draw(st.lists(block, min_size=1, max_size=width + 3))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return rows, shift
+
+
+@settings(max_examples=80)
+@given(closure_inputs())
+@example(([[], [], []], 0))  # width 0, as for k = 0
+@example(([[0, 0, 0, 0]] * 5, 2))  # rank 0
+@example(([[1, -2, 0, 5]] * 5, 2))  # duplicate rows, rows >= width
+@example(([[1, 0, 2, 0, 3, 0]] * 2, 2))  # duplicate rows, rows < width
+@example(([[1, 0], [0, 1], [3, 4], [5, 6], [2**64, 1]], 1))  # full rank early
+@example(([[1, 0, 0, 0]], 1))  # full rank from the rotations of one row
+@example(([[2, 4], [1, 2], [3, 5]], 2))  # shift = width
+@example(([[2, 4, 6, 1], [1, 2, 0, 0]], 4))  # shift = width, rows < width
+def test_rotation_closure_rank_matches_rank_of_every_rotation(case):
+    rows, shift = case
+    width = len(rows[0])
+    if width:
+        rotations = [
+            r[j * shift :] + r[: j * shift] for r in rows for j in range(width // shift)
+        ]
+        expected = ExactMatrix.from_rows(rotations).rank()
+    else:
+        expected = 0
+    assert _rotation_closure_rank([list(r) for r in rows], shift) == expected
