@@ -8,18 +8,16 @@ witnesses.  Functions on V are represented extensionally, as length-|X|
 value vectors.
 
 Each exact object is built once per system and kept in the system's private
-memo (see `FiniteSystem`).  `system.orbits` fills "orbits"; this module fills
-"integer" (each statistic scaled once to integers by the lcm of its
-denominators), "presenting" (`presenting_matrix`) and "galois" (the table
-f(d), the dimension of the T^d-invariant subspace of V for each d | n).
-Repeated public calls still validate the system, but share that work.  dim V
-is f(n), the rank of the presenting matrix that the galois route computes.
+memo (`FiniteSystem` lists which module fills which key).  Repeated public
+calls still validate the system, but share that work.  dim V is f(n), the
+rank of the presenting matrix that the galois route computes.
 
-The stages of a report sum integers, not Fractions: orbit averages, the
-invariance test and the differences g_i(T x) - g_i(x) read the integer
-statistics, and the block sums of `invariant_matrix` run on each row scaled
-to integers.  A Fraction is built only for a value that is returned, from an
-integer sum and its scale.
+A `PresentingMatrix` is a selection of rows: all of X, or one row per T-orbit
+(`_orbit_quotient`).  The stages of a report read its integer rows and sum
+integers, not Fractions: orbit averages, the invariance test, the block sums
+of `invariant_matrix` and `zeta_matrix` and the differences of M - M'.  A
+Fraction is built only for a value that is returned, from an integer sum and
+the scale of its statistic.
 
 No rank here reads a row for every element of X.  V is closed under
 composition with T, so the row of the presenting matrix at T(x) is its row at
@@ -99,26 +97,19 @@ def _power_tables(perm: tuple[int, ...], count: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class PresentingMatrix:
-    """The |X| x (k*n) matrix of values of the shifted statistics.
+    """A selection of rows of the |X| x (k*n) matrix of the shifted statistics.
 
     Column j*k + i holds the function x -> g_{i+1}(T^j x); block 0 is the
-    stats grid itself and block j+1 is block j composed with T.  Inside this
-    module `_orbit_quotient` makes a copy with one row per T-orbit, which
-    zeta_matrix and invariant_matrix accept since they work row by row.
+    stats grid itself and block j+1 is block j composed with T.  `elements`
+    is all of X (`presenting_matrix`) or the first element of each T-orbit
+    (`_orbit_quotient`), both increasing, so the length tells them apart
+    (they coincide when every orbit is a point).  The quotient's integer
+    `rows` and the Fraction `matrix` of all of X are built once per system,
+    in its memo, which never holds this object and so makes no cycle.
     """
 
     system: FiniteSystem
-    matrix: ExactMatrix
-
-    @functools.cached_property
-    def _integer_rows(self) -> tuple[int, list[list[int]]]:
-        """(scale, rows): the entries times the lcm of their denominators, made
-        once per object, so one cyclotomic `spectrum` converts its rows once."""
-        entries = self.matrix.entries
-        scale = math.lcm(*(v.denominator for row in entries for v in row))
-        return scale, [
-            [v.numerator * (scale // v.denominator) for v in row] for row in entries
-        ]
+    elements: Sequence[int]
 
     @property
     def n(self) -> int:
@@ -128,32 +119,59 @@ class PresentingMatrix:
     def k(self) -> int:
         return self.system.num_stats
 
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The selected rows over Z: entry j*k + i is g_i(T^j x) * scales[i]."""
+        system = self.system
+        memoised = len(self.elements) == len(orbits(system))
+        rows = system._memo.get("quotient") if memoised else None
+        if rows is None:
+            rows = _presenting_rows(system, _integer_stats(system)[1], self.elements)
+            if memoised:
+                system._memo["quotient"] = rows
+        return rows
 
-def _presenting_exact(system: FiniteSystem) -> ExactMatrix:
-    """The memoised matrix of `presenting_matrix`; the system must be valid.
-
-    Row x is the concatenation of the stats rows of x, T(x), ..., T^(n-1)(x),
-    whose entries are already Fractions, so no conversion is needed.
-    """
-    matrix = system._memo.get("presenting")
-    if matrix is None:
-        if not system.size:
-            raise ValueError("matrix needs at least one row")
-        stats = system.stats
-        tables = _power_tables(system.perm, system.period)
-        matrix = ExactMatrix(
-            tuple(
-                tuple(v for t in tables for v in stats[t[x]])
-                for x in range(system.size)
+    @property
+    def matrix(self) -> ExactMatrix:
+        """The selected rows over Q."""
+        system = self.system
+        memoised = len(self.elements) == system.size
+        matrix = system._memo.get("presenting") if memoised else None
+        if matrix is None:
+            matrix = ExactMatrix(
+                tuple(_presenting_rows(system, system.stats, self.elements))
             )
-        )
-        system._memo["presenting"] = matrix
-    return matrix
+            if memoised:
+                system._memo["presenting"] = matrix
+        return matrix
+
+
+def _presenting_rows(
+    system: FiniteSystem, grid: Sequence[Sequence], elements: Sequence[int]
+) -> list[tuple]:
+    """Rows of the presenting matrix at `elements`, with values from `grid`.
+
+    `grid` is `system.stats` or its integer form; the row at x concatenates
+    the grid rows of x, T(x), ..., T^(n-1)(x).  Scaling a statistic by a
+    nonzero constant scales its column in every block, so no rank of any
+    block-sum matrix changes.
+    """
+    n, perm = system.period, system.perm
+    rows = []
+    for x in elements:
+        row: list = []
+        for _ in range(n):
+            row += grid[x]
+            x = perm[x]
+        rows.append(tuple(row))
+    return rows
 
 
 def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
     _require_valid(system)
-    return PresentingMatrix(system, _presenting_exact(system))
+    if not system.size:
+        raise ValueError("matrix needs at least one row")
+    return PresentingMatrix(system, range(system.size))
 
 
 def dynamical_dimension(system: FiniteSystem) -> int:
@@ -166,11 +184,10 @@ def _orbit_quotient(
     pm: PresentingMatrix, cycles: tuple[tuple[int, ...], ...]
 ) -> PresentingMatrix:
     """The presenting matrix restricted to the first element of each T-orbit."""
-    entries = pm.matrix.entries
-    return PresentingMatrix(pm.system, ExactMatrix(tuple(entries[c[0]] for c in cycles)))
+    return PresentingMatrix(pm.system, tuple(c[0] for c in cycles))
 
 
-def _power_block_sums(rows: list, k: int, d: int) -> list[list]:
+def _power_block_sums(rows: Sequence[Sequence], k: int, d: int) -> list[list]:
     """Rows of the T^d-invariant matrix, from rows of the presenting matrix.
 
     Entry r*k + i of the row at x is the sum of g_{i+1}(T^(r + m*d) x) over
@@ -184,14 +201,13 @@ def _power_block_sums(rows: list, k: int, d: int) -> list[list]:
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
     """Sum of the n column blocks; its column span is the invariant space.
 
-    Each row is summed on its integers (the row scaled by the lcm of its
-    denominators) and each sum divided by that scale once.
+    The blocks are summed on the integer rows, and column i divided by the
+    scale of g_i once.
     """
-    entries = pm.matrix.entries
-    scales = [math.lcm(*(v.denominator for v in row)) for row in entries]
-    sums = _power_block_sums(_int_rows(entries), pm.k, 1)
+    scales = _integer_stats(pm.system)[0]
+    sums = _power_block_sums(pm.rows, pm.k, 1)
     return ExactMatrix.from_rows(
-        [[Fraction(v, scale) for v in row] for row, scale in zip(sums, scales)]
+        [[Fraction(v, s) for v, s in zip(row, scales)] for row in sums]
     )
 
 
@@ -215,13 +231,13 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     offsets = [0] * d
     for r in range(d):
         offsets[(-s * r) % d] = r * k
-    # each entry is acc / scale in lowest terms, the exact value
-    scale, ints = pm._integer_rows
+    # entry i is acc / scales[i] in lowest terms, the exact value
+    scales = _integer_stats(pm.system)[0]
     rows = []
-    for row in ints:
+    for row in pm.rows:
         sums = [sum(row[c::width]) for c in range(width)] if d < n else row
         out = []
-        for i in range(k):
+        for i, scale in enumerate(scales):
             acc = [sums[o + i] for o in offsets]
             _cyc_reduce_int(acc, phi, mod)
             out.append(_cyc(d, acc[:phi], scale))
@@ -232,25 +248,22 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
 def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
     """M - M' where M' has the column blocks rotated one block rightward.
 
-    Entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), the difference
-    g_i(T y) - g_i(y) at y = T^(j-1) x (T^-1 = T^(n-1)).  Those |X|*k
-    differences are computed once, on the integer statistics of `pm.system`,
-    and each row x of X is assembled by indexing them.
+    Each row is its presenting row minus that row rotated by k entries:
+    entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), with T^-1 = T^(n-1).
+    The differences are taken on the integer rows and divided by the scale
+    of g_i.
     """
-    system = pm.system
-    scales, ints = _integer_stats(system)
-    perm = system.perm
+    scales = _integer_stats(pm.system)[0] * pm.n
     # equal differences share one immutable Fraction, built once
     fraction = functools.cache(Fraction)
-    diffs = [
-        tuple(fraction(a - b, s) for a, b, s in zip(ints[perm[y]], ints[y], scales))
-        for y in range(system.size)
-    ]
-    tables = _power_tables(perm, system.period)
-    shifted = tables[-1:] + tables[:-1]
+    k = pm.k
     return ExactMatrix(
         tuple(
-            tuple(v for t in shifted for v in diffs[t[x]]) for x in range(system.size)
+            tuple(
+                fraction(a - b, s)
+                for a, b, s in zip(row, row[-k:] + row[:-k], scales)
+            )
+            for row in pm.rows
         )
     )
 
@@ -261,10 +274,9 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
     The row of M - M' at T(x) is its row at x rotated by k entries, so its
     row space is the rotation closure of one row per T-orbit.
     """
-    pm = presenting_matrix(system)
-    entries = shifted_difference(pm).entries
-    reps = [entries[cycle[0]] for cycle in orbits(system)]
-    return _rotation_closure_rank(_int_rows(reps), pm.k)
+    quotient = _orbit_quotient(presenting_matrix(system), orbits(system))
+    rows = shifted_difference(quotient).entries
+    return _rotation_closure_rank(_int_rows(rows), quotient.k)
 
 
 @dataclass(frozen=True)
@@ -319,27 +331,6 @@ def _integer_stats(
     return grid
 
 
-def _integer_presenting_rows(
-    system: FiniteSystem, elements: list[int]
-) -> list[list[int]]:
-    """Rows of the presenting matrix over Z at `elements`.
-
-    Each g_i is scaled by the lcm of its denominators.  Scaling a statistic
-    by a nonzero constant scales its column in every block, so no rank of
-    any block-sum matrix changes.
-    """
-    n, perm = system.period, system.perm
-    stats = _integer_stats(system)[1]
-    rows = []
-    for x in elements:
-        row, y = [], x
-        for _ in range(n):
-            row.extend(stats[y])
-            y = perm[y]
-        rows.append(row)
-    return rows
-
-
 def _galois_table(system: FiniteSystem) -> dict[int, int]:
     """The memoised f(d) = dim of the T^d-invariant subspace of V, for d | n.
 
@@ -351,7 +342,7 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     """
     table = system._memo.get("galois")
     if table is None:
-        reps = _integer_presenting_rows(system, [c[0] for c in orbits(system)])
+        reps = PresentingMatrix(system, tuple(c[0] for c in orbits(system))).rows
         k = system.num_stats
         table = {
             d: _rotation_closure_rank(_power_block_sums(reps, k, d), k)

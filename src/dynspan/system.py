@@ -20,12 +20,15 @@ class FiniteSystem:
 
     `_memo` holds what is derived from the system alone and would otherwise
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
-    `orbits`, and so by `validate` too); `linearize` fills "integer" (the
+    `orbits`, and so by `validate` too).  `linearize` fills "integer" (the
     statistics scaled to integers, `(scales, rows)`: `scales[i]` is the lcm
     of the denominators of g_i and `rows[x][i]` is g_i(x) * scales[i]; read
-    by `statistic_report`, `shifted_difference` and the galois ranks),
-    "presenting" (the presenting matrix) and "galois" (f(d) = dim of the
-    T^d-invariant subspace of V, for d | n).
+    by every stage of a report), "quotient" (the integer presenting rows at
+    the first element of each T-orbit, read by both spectrum routes, the
+    invariant basis and the 0-mesic rank), "galois" (f(d) = dim of the
+    T^d-invariant subspace of V, for d | n) and "presenting" (the Fraction
+    presenting matrix of all of X, filled only when
+    `presenting_matrix(system).matrix` is read).
     Each is built on first use and lives exactly as long as the instance.
     It takes no part in equality, hashing or repr, and
     `dataclasses.replace` starts a new instance with an empty memo.

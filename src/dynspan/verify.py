@@ -26,7 +26,7 @@ from .families import (
     nesw_recurrence_check,
 )
 from .linearize import (
-    PresentingMatrix,
+    _orbit_quotient,
     extend_products,
     homomesy_value,
     invariant_matrix,
@@ -187,10 +187,7 @@ def _block_structural() -> list[CheckResult]:
         )
         # the cyclotomic route ranks one exponent per gcd class; rank every
         # exponent here, on one row per T-orbit, to test the gcd claim itself
-        quotient = PresentingMatrix(
-            system,
-            ExactMatrix(tuple(pm.matrix.entries[c[0]] for c in orbits(system))),
-        )
+        quotient = _orbit_quotient(pm, orbits(system))
         classes_ok = all(
             zeta_matrix(quotient, j).rank() == m for j, m in enumerate(sp_c.mults)
         )

@@ -5,14 +5,21 @@ recursion and Bareiss elimination), rank is the size of the largest square
 submatrix with nonzero determinant, and products in Q(zeta_d) are schoolbook
 products of Fraction coefficient lists, reduced by polynomial long division
 (the library multiplies integer vectors over a common denominator), and
-M - M' subtracts whole column blocks of the presenting matrix (the library
-computes each difference g_i(T x) - g_i(x) once and indexes into them).
-The block sums and orbit averages add Fractions one by one, as the library
-did before its report stages moved to integer statistics.
+M - M' subtracts whole column blocks of Fraction presenting rows (the
+library subtracts the rotated integer rows and divides by each statistic's
+scale).  The block sums and orbit averages add Fractions one by one, as the
+library did before its report stages moved to integer statistics.
+
+`planted_spectra` draws systems whose spectrum is known by construction,
+from cyclotomic polynomials built here by exact division of x^e - 1.
 """
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from hypothesis import strategies as st
 
 
 def perm_sign(perm) -> int:
@@ -114,3 +121,115 @@ def statistic_report(perm, stats):
         homomesy = averages[0] if len(set(averages)) == 1 else None
         out.append((invariant, homomesy, averages))
     return out
+
+
+def _divide_exactly(num, den):
+    """num / den for ascending integer polynomials, den monic, no remainder."""
+    num = list(num)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for top in range(len(quotient) - 1, -1, -1):
+        lead = quotient[top] = num[top + len(den) - 1]
+        for t, c in enumerate(den):
+            num[top + t] -= lead * c
+    assert not any(num), "not an exact division"
+    return quotient
+
+
+def cyclotomic_polynomial(e):
+    """Ascending coefficients of Phi_e: x^e - 1 over Phi_d for each d | e, d < e."""
+    poly = [-1] + [0] * (e - 1) + [1]
+    for d in range(1, e):
+        if e % d == 0:
+            poly = _divide_exactly(poly, cyclotomic_polynomial(d))
+    return poly
+
+
+def planted_statistic(length, killed):
+    """Values on one T-cycle of `length` whose span under T has a known spectrum.
+
+    The functions on the cycle are Q[x]/(x^L - 1), with T acting as
+    multiplication by x.  The value at the t-th point is the coefficient of
+    x^t in G = prod_{e in killed} Phi_e * (x^2 + 2), folded mod x^L - 1.  As
+    x^2 + 2 has no root of unity as a root, the span is the ideal generated by
+    gcd(G, x^L - 1) = prod_{e in killed} Phi_e, so the primitive e-th roots
+    of unity have multiplicity 1 for each e | L not in `killed`, and 0 for
+    each e in `killed`.
+    """
+    poly = [2, 0, 1]
+    for e in killed:
+        factor = cyclotomic_polynomial(e)
+        product = [0] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        poly = product
+    values = [0] * length
+    for t, c in enumerate(poly):
+        values[t % length] += c
+    return values
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def planted_spectra(draw, periods=(1, 2, 3, 4, 5, 6, 8, 9, 10, 12)):
+    """(perm, period, stats, mults): a system and its spectrum, by design.
+
+    Statistic i is `planted_statistic` on cycle i and zero elsewhere, so V is
+    the direct sum of the cycles' spans and the multiplicity of each
+    primitive e-th root counts the cycles i with e | L_i and e not killed on
+    i.  Idle cycles carry no statistic, appended rational combinations of the
+    planted statistics leave V unchanged, and so do the seeded relabelling
+    and the rescaling of every statistic by a nonzero rational.  With at most
+    5 statistics and period at most 12, every width n*k is at most 60.
+    """
+    n = draw(st.sampled_from(periods))
+    lengths = draw(st.lists(st.sampled_from(_divisors(n)), min_size=1, max_size=3))
+    killed = [
+        draw(st.sets(st.sampled_from(_divisors(length)))) for length in lengths
+    ]
+    idle = draw(st.lists(st.sampled_from(_divisors(n)), max_size=2))
+    small = st.fractions(-3, 3, max_denominator=3)
+    combos = draw(
+        st.lists(st.lists(small, min_size=len(lengths), max_size=len(lengths)),
+                 max_size=2)
+    )
+    scales = draw(
+        st.lists(small.filter(bool), min_size=len(lengths) + len(combos),
+                 max_size=len(lengths) + len(combos))
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    cycles, size = [], 0
+    for length in lengths + idle:
+        cycles.append(list(range(size, size + length)))
+        size += length
+    columns = []
+    for cycle, dead in zip(cycles, killed):
+        column = [Fraction(0)] * size
+        for x, v in zip(cycle, planted_statistic(len(cycle), sorted(dead))):
+            column[x] = Fraction(v)
+        columns.append(column)
+    for coeffs in combos:
+        columns.append(
+            [sum(c * col[x] for c, col in zip(coeffs, columns)) for x in range(size)]
+        )
+    columns = [[s * v for v in col] for s, col in zip(scales, columns)]
+
+    sigma = list(range(size))
+    random.Random(seed).shuffle(sigma)
+    perm, stats = [0] * size, [()] * size
+    for cycle in cycles:
+        for t, x in enumerate(cycle):
+            perm[sigma[x]] = sigma[cycle[(t + 1) % len(cycle)]]
+            stats[sigma[x]] = tuple(col[x] for col in columns)
+
+    by_root = {
+        e: sum(1 for length, dead in zip(lengths, killed)
+               if length % e == 0 and e not in dead)
+        for e in _divisors(n)
+    }
+    mults = tuple(by_root[n // math.gcd(j, n)] for j in range(n))
+    return perm, n, stats, mults

@@ -38,6 +38,7 @@ from dynspan.linearize import (
 )
 from dynspan.system import FiniteSystem, orbits, validate
 from oracles import invariant_matrix as oracle_invariant_matrix
+from oracles import planted_spectra
 from oracles import shifted_difference as oracle_shifted_difference
 from oracles import statistic_report as oracle_statistic_report
 
@@ -681,6 +682,27 @@ def test_cyclotomic_multiplicity_matches_every_exponent_rank(system):
     )
 
 
+# one 12-cycle with Phi_3 and Phi_4 killed: the roots of orders 1, 2, 6 and 12
+# survive, 1 + 1 + 2 + 4 = 8 of the 12
+@settings(max_examples=60)
+@given(planted_spectra())
+@example(
+    (
+        list(range(1, 12)) + [0],
+        12,
+        [(v,) for v in (2, 2, 5, 3, 4, 1, 1, 0, 0, 0, 0, 0)],
+        (1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1),
+    )
+)
+def test_planted_spectra(planted):
+    # the multiplicities are known by construction, not from another route
+    perm, period, stats, mults = planted
+    system = FiniteSystem(perm=tuple(perm), period=period, stats=tuple(stats))
+    assert spectrum(system, "galois").mults == mults
+    assert spectrum(dataclasses.replace(system), "cyclotomic").mults == mults
+    assert zero_mesic_dimension(system) == sum(mults) - mults[0]
+
+
 def all_fractions(values) -> bool:
     return all(type(v) is Fraction for v in values)
 
@@ -735,12 +757,32 @@ def test_integer_report_stages_match_fraction_oracles(system):
     diff = shifted_difference(pm)
     assert [list(r) for r in diff.entries] == oracle_shifted_difference(rows, n, k)
     assert all(all_fractions(r) for r in diff.entries)
+    # the orbit quotient's rows are the full matrices' rows at the orbit starts
+    starts = [c[0] for c in orbits(system)]
+    quotient_diff = shifted_difference(quotient)
+    assert quotient_diff.entries == tuple(diff.entries[x] for x in starts)
+    assert all(all_fractions(r) for r in quotient_diff.entries)
+    for j in range(n):
+        full, rows_j = zeta_matrix(pm, j), zeta_matrix(quotient, j).entries
+        assert rows_j == tuple(full.entries[x] for x in starts)
+        assert all(type(v) is CycNumber for r in rows_j for v in r)
 
 
 class TestMemo:
     def test_repeat_calls_share_the_presenting_matrix(self):
         system = multiset_rotation(3, 2)
         assert presenting_matrix(system).matrix is presenting_matrix(system).matrix
+
+    def test_a_report_builds_no_full_presenting_matrix(self):
+        # every stage reads the integer rows at the orbit starts, built once
+        system = multiset_rotation(4, 3)
+        analysis_report(system, "both")
+        assert "presenting" not in system._memo
+        rows = system._memo["quotient"]
+        assert len(rows) == len(orbits(system)) < system.size
+        full_rank = presenting_matrix(system).matrix.rank()
+        assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
+        assert system._memo["quotient"] is rows
 
     def test_repeat_calls_share_the_orbits(self):
         system = multiset_rotation(3, 2)
