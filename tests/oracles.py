@@ -212,9 +212,10 @@ def planted_spectra(draw, periods=(1, 2, 3, 4, 5, 6, 8, 9, 10, 12)):
         for x, v in zip(cycle, planted_statistic(len(cycle), sorted(dead))):
             column[x] = Fraction(v)
         columns.append(column)
+    planted = list(columns)
     for coeffs in combos:
         columns.append(
-            [sum(c * col[x] for c, col in zip(coeffs, columns)) for x in range(size)]
+            [sum(c * col[x] for c, col in zip(coeffs, planted)) for x in range(size)]
         )
     columns = [[s * v for v in col] for s, col in zip(scales, columns)]
 
