@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .families import (
@@ -68,14 +69,18 @@ def _check_budget(size: int, period: int, num_stats: int) -> None:
         )
 
 
+def _too_long() -> CliInputError:
+    return CliInputError(
+        "a result has an integer with more than "
+        f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits"
+    )
+
+
 def _rational_to_json(q: Fraction) -> int | str:
     try:
         text = str(q)
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise CliInputError(
-            "a result has an integer with more than "
-            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()} digits"
-        ) from exc
+        raise _too_long() from exc
     return q.numerator if q.denominator == 1 else text
 
 
@@ -199,29 +204,34 @@ def _read_document(path: str) -> FiniteSystem:
 
 
 def _emit(payload: dict | list, output: str) -> None:
-    if output == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_table(payload)
+    """Print the payload, rendered whole first, so a failure prints nothing."""
+    try:
+        if output == "json":
+            text = json.dumps(payload, indent=2) + "\n"
+        else:
+            text = "".join(f"{line}\n" for line in _table_lines(payload))
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise _too_long() from exc
+    print(text, end="")
 
 
-def _print_table(payload: dict | list, indent: int = 0) -> None:
+def _table_lines(payload: dict | list, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
     if isinstance(payload, dict):
         for key, value in payload.items():
             if isinstance(value, (dict, list)) and value:
-                print(f"{pad}{key}:")
-                _print_table(value, indent + 1)
+                yield f"{pad}{key}:"
+                yield from _table_lines(value, indent + 1)
             else:
-                print(f"{pad}{key}: {json.dumps(value)}")
+                yield f"{pad}{key}: {json.dumps(value)}"
     else:
         for item in payload:
             if isinstance(item, (dict, list)):
-                _print_table(item, indent)
+                yield from _table_lines(item, indent)
                 if indent == 0:
-                    print()
+                    yield ""
             else:
-                print(f"{pad}{json.dumps(item)}")
+                yield f"{pad}{json.dumps(item)}"
 
 
 # -- report assembly --------------------------------------------------------

@@ -10,7 +10,9 @@ Matrices are dense and immutable, and carry a single scalar kind.  Rank,
 column-basis and nullspace computations are fraction-free: Bareiss
 elimination over Z, and a streaming echelon over Z[zeta_d] that stops once
 every column has a pivot.  Results are deterministic across runs and never
-touch floating point.
+touch floating point.  A rational matrix times a vector of ints and Fractions
+sums integers too: the matrix's rows are scaled to integers once, the vector
+once per product, and each entry of the result is one Fraction.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -30,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -397,17 +399,19 @@ class CycNumber:
 # elimination cores
 
 
+def _scale_to_int(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(scale, ints): the lcm of the row's denominators, and the row times it."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return scale, [v.numerator * (scale // v.denominator) for v in row]
+
+
 def _int_rows(entries: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators.
 
     Row scaling by nonzero constants preserves rank, column dependence
     relations and the nullspace, and lets elimination run on plain ints.
     """
-    out: list[list[int]] = []
-    for row in entries:
-        scale = math.lcm(*(v.denominator for v in row))
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+    return [_scale_to_int(row)[1] for row in entries]
 
 
 def _bareiss_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -750,10 +754,30 @@ class ExactMatrix:
             e >>= 1
         return out
 
+    @cached_property
+    def _integer_rows(self) -> list[tuple[int, list[int]]] | None:
+        """The rows as (scale, integer row), or None unless every entry is rational."""
+        if all(isinstance(v, (int, Fraction)) for row in self.entries for v in row):
+            return [_scale_to_int(row) for row in self.entries]
+        return None
+
     def apply(self, vector: Sequence[object]) -> tuple[Scalar, ...]:
-        """Matrix-vector product."""
+        """Matrix-vector product.
+
+        A rational matrix times a vector of ints and Fractions sums integers.
+        Row i is kept as s_i times itself, s_i the lcm of its denominators,
+        from the first product on; the vector is scaled by the lcm L of its
+        own, and entry i is Fraction(that integer dot product, s_i * L), a
+        Fraction as on the generic path, which other scalars take.
+        """
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
+        scaled = self._integer_rows
+        if scaled is not None and all(isinstance(v, (int, Fraction)) for v in vector):
+            den, ints = _scale_to_int(vector)
+            return tuple(
+                Fraction(sum(map(mul, row, ints)), scale * den) for scale, row in scaled
+            )
         out = []
         for r in self.entries:
             acc = self._zero_scalar()

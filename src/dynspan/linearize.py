@@ -52,6 +52,7 @@ from .exact import (
     _field,
     _int_rows,
     _rotation_closure_rank,
+    _scale_to_int,
     divisors,
     euler_phi,
     mobius,
@@ -508,25 +509,28 @@ def coboundary_witness(
     """A function g with f = g - g o T, for a 0-mesic value vector f.
 
     Uses the weighted sum h = 1*f + 2*(f o T) + ... + n*(f o T^(n-1)) and
-    returns g = -h/n.  Rejects inputs whose orbit sums are nonzero.
+    returns g = -h/n.  Rejects inputs whose orbit sums are nonzero.  f is
+    scaled once to integers over the lcm of its denominators, so the orbit
+    sums and h are integer sums, and each g(x) is one Fraction.
     """
     _require_valid(system)
-    f = [Fraction(v) for v in values]
+    f = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     if len(f) != system.size:
         raise ValueError(f"value vector must have length {system.size}")
+    den, ints = _scale_to_int(f)
     for orbit in orbits(system):
-        total = sum((f[x] for x in orbit), Fraction(0))
+        total = sum(ints[x] for x in orbit)
         if total:
             raise ValueError(
-                f"not 0-mesic: orbit starting at {orbit[0]} has sum {total}"
+                f"not 0-mesic: orbit starting at {orbit[0]} has sum "
+                f"{Fraction(total, den)}"
             )
     n = system.period
     tables = _power_tables(system.perm, n)
-    g = []
-    for x in range(system.size):
-        h = sum(((j + 1) * f[tables[j][x]] for j in range(n)), Fraction(0))
-        g.append(-h / n)
-    return tuple(g)
+    return tuple(
+        Fraction(-sum((j + 1) * ints[tables[j][x]] for j in range(n)), n * den)
+        for x in range(system.size)
+    )
 
 
 def extend_products(system: FiniteSystem) -> FiniteSystem:

@@ -36,7 +36,7 @@ Point = tuple[Fraction, Fraction, Fraction, Fraction]
 def _frac4(p) -> Point:
     if len(p) != 4:
         raise ValueError("expected a 4-tuple")
-    return tuple(Fraction(v) for v in p)  # type: ignore[return-value]
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in p)  # type: ignore[return-value]
 
 
 def in_order_polytope(p) -> bool:

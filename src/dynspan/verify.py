@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CycNumber, ExactMatrix
+from .exact import CycNumber, ExactMatrix, _bareiss_int
 from .families import (
     chain_rowmotion,
     distinct_multiset_rotation,
@@ -26,12 +26,13 @@ from .families import (
     nesw_recurrence_check,
 )
 from .linearize import (
+    PresentingMatrix,
     _orbit_quotient,
+    _power_block_sums,
     extend_products,
     homomesy_value,
     invariant_matrix,
     presenting_matrix,
-    shifted_difference,
     spectrum,
     zeta_matrix,
 )
@@ -160,13 +161,29 @@ def _structural_systems():
     yield "negation", negation_system()
 
 
+def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:
+    """Ranks of the presenting matrix, the invariant matrix and M - M' at `pm`.
+
+    Each is Bareiss elimination on the integer rows of `pm` (statistic i
+    scaled by its own lcm, which changes no rank), not the rotation closure
+    of one row per T-orbit that the spectra use.  The transposes are ranked:
+    on the sweep's systems their k*n rows are far fewer than |X|, and Bareiss
+    runs about a fifth faster on them.
+    """
+    rows, k = pm.rows, pm.k
+    matrices = (
+        rows,
+        _power_block_sums(rows, k, 1),
+        [[a - b for a, b in zip(row, row[-k:] + row[:-k])] for row in rows],
+    )
+    return tuple(len(_bareiss_int([list(c) for c in zip(*m)])[1]) for m in matrices)
+
+
 def _block_structural() -> list[CheckResult]:
     out = []
     for name, system in _structural_systems():
         pm = presenting_matrix(system)
-        rank_full = pm.matrix.rank()
-        rank_inv = invariant_matrix(pm).rank()
-        rank_zero = shifted_difference(pm).rank()
+        rank_full, rank_inv, rank_zero = _full_row_ranks(pm)
         sp_g = spectrum(system, "galois")
         sp_c = spectrum(system, "cyclotomic")
         out.append(

@@ -390,6 +390,22 @@ class TestLynessCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit" in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+    )
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_result_too_long_to_print_exit_2(self, capsys, output):
+        # each exponent is readable, but the orbit sum of (a, b, 0, 0, 0) has
+        # entries ±(a + b), one digit longer; no line of the result is printed
+        nines = "9" * sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "lyness", f"[{nines},{nines},0,0,0]", "--output", output
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sys.get_int_max_str_digits()" in err
+
     def test_deeply_nested_vector_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "lyness", "[" * 5000)
         assert code == 2

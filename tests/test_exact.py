@@ -246,6 +246,33 @@ int_matrices = st.integers(1, 4).flatmap(
 )
 
 
+@st.composite
+def apply_cases(draw):
+    """A rational matrix, some of its rows zero, and an int or Fraction vector."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=10**6),
+    )
+    rows = [
+        [0] * ncols
+        if draw(st.booleans()) and draw(st.booleans())
+        else draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        for _ in range(nrows)
+    ]
+    scalar = draw(
+        st.sampled_from(
+            [
+                st.integers(-(10**6), 10**6),
+                st.fractions(max_denominator=10**6),
+                st.one_of(st.integers(-9, 9), st.fractions(max_denominator=10**6)),
+            ]
+        )
+    )
+    vector = draw(st.lists(scalar, min_size=ncols, max_size=ncols))
+    return rows, vector
+
+
 class TestEliminationProperties:
     @given(int_matrices)
     def test_rank_matches_brute_force(self, rows):
@@ -320,6 +347,29 @@ class TestMatrixAlgebra:
     def test_apply(self):
         a = ExactMatrix.from_rows([[1, 2], [3, 4]])
         assert a.apply((1, 1)) == (3, 7)
+
+    @given(apply_cases())
+    @example(([[Fraction(1, 2)], [0]], [1]))
+    @example(([[Fraction(1, 999983), Fraction(2, 999979)]], [Fraction(1, 3), 5]))
+    def test_apply_matches_fraction_products(self, case):
+        rows, vector = case
+        want = tuple(
+            sum((Fraction(a) * Fraction(v) for a, v in zip(row, vector)), Fraction(0))
+            for row in rows
+        )
+        got = ExactMatrix.from_rows(rows).apply(vector)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+
+    def test_apply_keeps_other_scalars(self):
+        a = ExactMatrix.from_rows([[Fraction(1, 2), 2]])
+        z = CycNumber.root(3)
+        assert a.apply((z, 1)) == (z / 2 + 2,)
+        assert type(a.apply((z, 1))[0]) is CycNumber
+        assert a.apply((0.5, 1)) == (2.25,)
+        assert type(a.apply((0.5, 1))[0]) is float
+        cyclotomic = ExactMatrix.from_rows([[z, 1]])
+        assert cyclotomic.apply((Fraction(1, 2), 3)) == (z / 2 + 3,)
 
     def test_cyclotomic_rank(self):
         z = CycNumber.root(8)

@@ -37,6 +37,7 @@ from dynspan.linearize import (
     zeta_matrix,
 )
 from dynspan.system import FiniteSystem, orbits, validate
+from dynspan.verify import _full_row_ranks
 from oracles import invariant_matrix as oracle_invariant_matrix
 from oracles import planted_spectra
 from oracles import shifted_difference as oracle_shifted_difference
@@ -355,6 +356,12 @@ class TestCoboundaryWitness:
         with pytest.raises(ValueError, match="0-mesic"):
             coboundary_witness(system, [Fraction(1), Fraction(1)])
 
+    def test_fractional_orbit_sum_is_named(self):
+        system = FiniteSystem(perm=(0, 2, 1), period=2, stats=((0,), (0,), (0,)))
+        with pytest.raises(ValueError) as info:
+            coboundary_witness(system, [0, Fraction(1, 2), Fraction(-1, 3)])
+        assert str(info.value) == "not 0-mesic: orbit starting at 1 has sum 1/6"
+
     @pytest.mark.parametrize(
         "system",
         [multiset_rotation(3, 3), chain_rowmotion(4, 2), distinct_multiset_rotation(4, 2)],
@@ -494,6 +501,8 @@ def test_structural_identities_on_random_systems(system):
     rank_inv = invariant_matrix(pm).rank()
     rank_zero = shifted_difference(pm).rank()
     assert rank_full == rank_inv + rank_zero
+    # verify-paper's structural block ranks integer rows of all of X
+    assert _full_row_ranks(pm) == (rank_full, rank_inv, rank_zero)
     sp_g = spectrum(system, "galois")
     sp_c = spectrum(system, "cyclotomic")
     assert sp_g == sp_c
@@ -502,6 +511,25 @@ def test_structural_identities_on_random_systems(system):
     n = system.period
     for j in range(n):
         assert sp_g.mults[j] == sp_g.mults[math.gcd(j, n) % n]
+
+
+@given(random_systems(), st.data())
+def test_coboundary_witness_of_rational_zero_mesic_functions(system, data):
+    # values of mixed denominators, less their orbit means: a 0-mesic f
+    f = data.draw(
+        st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=12),
+            min_size=system.size,
+            max_size=system.size,
+        )
+    )
+    for orbit in orbits(system):
+        mean = sum((f[x] for x in orbit), Fraction(0)) / len(orbit)
+        for x in orbit:
+            f[x] -= mean
+    witness = coboundary_witness(system, f)
+    assert all(type(v) is Fraction for v in witness)
+    assert all(f[x] == witness[x] - witness[system.perm[x]] for x in range(system.size))
 
 
 def power_system(system: FiniteSystem, d: int) -> FiniteSystem:
