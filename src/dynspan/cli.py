@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS,
 for `extend-products` a system whose extension would be past it, an integer
 literal longer than sys.get_int_max_str_digits() digits, JSON nested deeper
-than the recursion limit, a document file that is not UTF-8, and a result
-with an integer that long, which could not be printed),
+than the recursion limit, a document file that is not UTF-8, a result
+with an integer that long, which could not be printed, and a `lyness --seed`
+exponent too large for the floating-point orbit sum),
 3 internal error (an unexpected exception, reported in one line on stderr),
 141 stdout closed by its reader before the output was written (128 + SIGPIPE,
 what a shell reports for `yes | head -1`; nothing is printed on stderr).
@@ -402,6 +403,8 @@ def _cmd_lyness(args: argparse.Namespace) -> int:
             payload["numeric_orbit_sum"] = lyness_numeric_orbit_sum(vector, seed)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
+        except OverflowError as exc:
+            raise CliInputError(f"exponents too large for --seed: {exc}") from exc
     _emit(payload, args.output)
     return 0
 

@@ -7,8 +7,9 @@ zeta_d reduced modulo the d-th cyclotomic polynomial.  Field arithmetic and
 the Z[zeta_d] echelon kernel share the same integer helpers, so cyclotomic
 matrix entries go into elimination without a detour through `Fraction`.
 Matrices are dense and immutable, and carry a single scalar kind.  Rank,
-column-basis and nullspace computations are fraction-free: Bareiss
-elimination over Z, and a streaming echelon over Z[zeta_d] that stops once
+column-basis and nullspace computations are fraction-free: a streaming
+echelon over Z, on each rational row scaled to integers, and one over
+Z[zeta_d]; each reduces a row against its basis in pivot order and stops once
 every column has a pivot.  Results are deterministic across runs and never
 touch floating point.  A rational matrix times a vector of ints and Fractions
 sums integers too: the matrix's rows are scaled to integers once, the vector
@@ -21,9 +22,9 @@ rows as columns, a fraction-free Gauss-Jordan basis tests each row with one
 dot product per column that has no pivot: every entry of the basis is a minor
 of the rows that joined it, so the sizes stay under the Hadamard bound, and
 every division in an update is exact by Sylvester's identity.  With fewer
-rows, most rows come from rotations and join the basis, and a streaming
-echelon reduces each against it.  Both stop reading rows once every column
-has a pivot.
+rows, most rows come from rotations and join the basis, and the streaming
+echelon over Z reduces each against it, queueing the rotation of each row
+that joins.  Both stop reading rows once every column has a pivot.
 """
 
 from __future__ import annotations
@@ -405,64 +406,7 @@ def _scale_to_int(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _int_rows(entries: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators.
-
-    Row scaling by nonzero constants preserves rank, column dependence
-    relations and the nullspace, and lets elimination run on plain ints.
-    """
-    return [_scale_to_int(row)[1] for row in entries]
-
-
-def _bareiss_int(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination on integer rows.
-
-    Pivots are chosen left-to-right by column, first nonzero entry from the
-    top.  Returns the echelon rows and the pivot column indices.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivot_cols: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        rr = rows[r]
-        piv = rr[c]
-        scale_only = piv == prev
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            aic = ri[c]
-            if aic:
-                for j in range(c + 1, ncols):
-                    q, rem = divmod(ri[j] * piv - aic * rr[j], prev)
-                    if rem:
-                        raise ArithmeticError("inexact division in Bareiss step")
-                    ri[j] = q
-                ri[c] = 0
-            elif not scale_only:
-                for j in range(c + 1, ncols):
-                    q, rem = divmod(ri[j] * piv, prev)
-                    if rem:
-                        raise ArithmeticError("inexact division in Bareiss step")
-                    ri[j] = q
-        pivot_cols.append(c)
-        prev = piv
-        r += 1
-    return rows, pivot_cols
-
-
-def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
+def _rotation_closure_rank(rows: Sequence[Sequence[int]], shift: int) -> int:
     """dim of the smallest rotation-invariant subspace containing `rows`.
 
     The rotation takes a row r to r[shift:] + r[:shift].  The rows are
@@ -477,15 +421,29 @@ def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
     `_gauss_jordan_closure_rank` tests each with one dot product per free
     column; its entries are minors of the rows that joined, and each of its
     divisions is exact.  With fewer rows, most rows come from rotations and
-    raise the rank: each is reduced against a fraction-free echelon basis, in
-    pivot order, and joins it divided by its content.  Either way no row is
-    read once every column has a pivot.
+    raise the rank, and `_streaming_echelon` reduces each against its basis.
+    Either way no row is read once every column has a pivot.
     """
     width = len(rows[0]) if rows else 0
     if len(rows) >= width:
         return _gauss_jordan_closure_rank(rows, shift, width)
-    # basis[c] is the tail, from column c, of the basis row with pivot c
-    basis: dict[int, list[int]] = {}
+    return len(_streaming_echelon(rows, width, shift))
+
+
+def _streaming_echelon(
+    rows: Iterable[Sequence[int]], width: int, shift: int | None = None
+) -> dict[int, Sequence[int]]:
+    """Fraction-free echelon basis of integer rows: {pivot: tail}.
+
+    Each row is reduced against the basis in pivot order, and joins it at
+    the first column without a pivot where it is nonzero, divided by its
+    content.  The tail of a basis row starts at its pivot, its first nonzero
+    entry, so the sorted pivots are those of the reduced row echelon form.
+    With `shift` set, each row that joins queues its rotation by `shift`
+    entries, and the basis spans the rotation closure of the rows.  No row
+    is reduced once every column has a pivot, and no input row is modified.
+    """
+    basis: dict[int, Sequence[int]] = {}
     queue = deque(rows)
     while queue and len(basis) < width:
         row = queue.popleft()
@@ -498,7 +456,8 @@ def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
             if pivot_row is None:
                 g = math.gcd(*tail)
                 basis[c] = [v // g for v in tail] if g > 1 else tail
-                queue.append(row[shift:] + row[:shift])
+                if shift is not None:
+                    queue.append(row[shift:] + row[:shift])
                 break
             a, p = tail[0], pivot_row[0]
             g = math.gcd(a, p)
@@ -509,10 +468,12 @@ def _rotation_closure_rank(rows: list[list[int]], shift: int) -> int:
                 skip += 1
             tail = tail[skip:]
             c += skip
-    return len(basis)
+    return basis
 
 
-def _gauss_jordan_closure_rank(rows: list[list[int]], shift: int, width: int) -> int:
+def _gauss_jordan_closure_rank(
+    rows: Sequence[Sequence[int]], shift: int, width: int
+) -> int:
     """`_rotation_closure_rank` by fraction-free Gauss-Jordan elimination.
 
     The basis is kept in fraction-free reduced echelon form (Bareiss, in its
@@ -567,7 +528,7 @@ def _cyc_echelon(
 ) -> tuple[list[list[list[int]]], list[int]]:
     """Streaming fraction-free echelon form over Z[zeta_order].
 
-    Like `_rotation_closure_rank`: each row is reduced against the basis in
+    Like `_streaming_echelon`: each row is reduced against the basis in
     pivot order, divided by its content before every step, and joins it at
     the first column without a pivot where it is nonzero.  A basis row is
     used times the adjugate of its pivot, made when a row first reduces
@@ -756,10 +717,13 @@ class ExactMatrix:
 
     @cached_property
     def _integer_rows(self) -> list[tuple[int, list[int]]] | None:
-        """The rows as (scale, integer row), or None unless every entry is rational."""
-        if all(isinstance(v, (int, Fraction)) for row in self.entries for v in row):
-            return [_scale_to_int(row) for row in self.entries]
-        return None
+        """The rows as (scale, integer row), or None for a cyclotomic matrix.
+
+        `apply` and the elimination of a rational matrix both read them, so
+        one matrix converts its rows once."""
+        if self.is_cyclotomic:
+            return None
+        return [_scale_to_int(row) for row in self.entries]
 
     def apply(self, vector: Sequence[object]) -> tuple[Scalar, ...]:
         """Matrix-vector product.
@@ -791,8 +755,10 @@ class ExactMatrix:
     def _echelon(self):
         """Echelon rows, pivot columns, and a lift of raw entries to the field.
 
-        Bareiss over Z, or `_cyc_echelon` over Z[zeta]: pivots and the nullspace
-        basis normalised at free columns depend only on the row space."""
+        `_streaming_echelon` over Z on the integer rows, or `_cyc_echelon` over
+        Z[zeta]; the rows are sorted by pivot and zero-padded.  Pivots and the
+        nullspace basis normalised at free columns depend only on the row
+        space."""
         if self.is_cyclotomic:
             order = self.entries[0][0].order
             rows, pivots = _cyc_echelon(_cyc_int_rows(self.entries), self.cols, order)
@@ -801,7 +767,9 @@ class ExactMatrix:
                 return _cyc(order, raw, 1)
 
         else:
-            rows, pivots = _bareiss_int(_int_rows(self.entries))
+            basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols)
+            pivots = sorted(basis)
+            rows = [[0] * c + basis[c] for c in pivots]
             lift = Fraction
         return rows, pivots, lift
 

@@ -50,7 +50,6 @@ from .exact import (
     _cyc,
     _cyc_reduce_int,
     _field,
-    _int_rows,
     _rotation_closure_rank,
     _scale_to_int,
     divisors,
@@ -188,14 +187,16 @@ def _orbit_quotient(
     return PresentingMatrix(pm.system, tuple(c[0] for c in cycles))
 
 
-def _power_block_sums(rows: Sequence[Sequence], k: int, d: int) -> list[list]:
+def _power_block_sums(rows: Sequence[Sequence], k: int, d: int) -> Sequence[Sequence]:
     """Rows of the T^d-invariant matrix, from rows of the presenting matrix.
 
     Entry r*k + i of the row at x is the sum of g_{i+1}(T^(r + m*d) x) over
     m = 0..n/d-1, that is of every (d*k)-th presenting entry from r*k + i.
-    d = 1 gives the invariant matrix; d = n gives the rows back.
+    d = 1 gives the invariant matrix; d = n gives the rows back, unchanged.
     """
     width = d * k
+    if rows and len(rows[0]) == width:
+        return rows
     return [[sum(row[c::width]) for c in range(width)] for row in rows]
 
 
@@ -227,7 +228,6 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     d = n // g
     s = exponent // g
     phi, mod = _field(d)
-    width = d * k
     # slot t holds the sum of the blocks m = r (mod d) with -s*r = t (mod d)
     offsets = [0] * d
     for r in range(d):
@@ -235,8 +235,7 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     # entry i is acc / scales[i] in lowest terms, the exact value
     scales = _integer_stats(pm.system)[0]
     rows = []
-    for row in pm.rows:
-        sums = [sum(row[c::width]) for c in range(width)] if d < n else row
+    for sums in _power_block_sums(pm.rows, k, d):
         out = []
         for i, scale in enumerate(scales):
             acc = [sums[o + i] for o in offsets]
@@ -276,8 +275,8 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
     row space is the rotation closure of one row per T-orbit.
     """
     quotient = _orbit_quotient(presenting_matrix(system), orbits(system))
-    rows = shifted_difference(quotient).entries
-    return _rotation_closure_rank(_int_rows(rows), quotient.k)
+    rows = shifted_difference(quotient)._integer_rows
+    return _rotation_closure_rank([row for _, row in rows], quotient.k)
 
 
 @dataclass(frozen=True)

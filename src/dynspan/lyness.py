@@ -120,9 +120,19 @@ def _log_abs(q: Fraction) -> float:
 def lyness_numeric_orbit_sum(v, seed) -> float:
     """Sum of log|monomial_v| over the 5-orbit through `seed`.
 
-    Orbit points and monomial values are exact rationals; only the final
-    logarithms are floating point.  Callers compare against their own
-    tolerance (the verification suite uses 1e-9).
+    The orbit points are exact rationals, and so is the product P_i of the
+    i-th factor (x, y, x+1, y+1 or x+y+1) over them.  The sum is
+    a_1*log|P_1| + ... + a_5*log|P_5| in floating point, so its cost does
+    not grow with the exponents.  An exponent too large for a float raises
+    OverflowError, as does a sum past the float range.  Callers compare
+    against their own tolerance (the verification suite uses 1e-9).
     """
     vec = _exp_vector(v)
-    return sum(_log_abs(monomial_value(vec, x, y)) for x, y in lyness_orbit(*seed))
+    products = [Fraction(1)] * 5
+    for x, y in lyness_orbit(*seed):
+        for i, f in enumerate((x, y, x + 1, y + 1, x + y + 1)):
+            products[i] *= f
+    terms = [a * _log_abs(p) for a, p in zip(vec, products)]
+    if not all(map(math.isfinite, terms)):
+        raise OverflowError("numeric orbit sum is out of the float range")
+    return math.fsum(terms)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CycNumber, ExactMatrix, _bareiss_int
+from .exact import CycNumber, ExactMatrix, _streaming_echelon
 from .families import (
     chain_rowmotion,
     distinct_multiset_rotation,
@@ -164,11 +164,13 @@ def _structural_systems():
 def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:
     """Ranks of the presenting matrix, the invariant matrix and M - M' at `pm`.
 
-    Each is Bareiss elimination on the integer rows of `pm` (statistic i
-    scaled by its own lcm, which changes no rank), not the rotation closure
-    of one row per T-orbit that the spectra use.  The transposes are ranked:
-    on the sweep's systems their k*n rows are far fewer than |X|, and Bareiss
-    runs about a fifth faster on them.
+    Each is a streaming echelon, without rotations, of the integer rows of
+    `pm` (statistic i scaled by its own lcm, which changes no rank), not the
+    rotation closure of one row per T-orbit that the spectra use.  The
+    transposes are ranked: on the sweep's systems their k*n rows are far
+    fewer than |X|, and the ranks are deficient, so the untransposed |X|
+    rows would each be reduced against the whole basis.  On the sweep, the
+    transposes take 0.5-0.6 s against 1.4 s for the rows (2-vCPU VM).
     """
     rows, k = pm.rows, pm.k
     matrices = (
@@ -176,7 +178,7 @@ def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:
         _power_block_sums(rows, k, 1),
         [[a - b for a, b in zip(row, row[-k:] + row[:-k])] for row in rows],
     )
-    return tuple(len(_bareiss_int([list(c) for c in zip(*m)])[1]) for m in matrices)
+    return tuple(len(_streaming_echelon(zip(*m), len(m))) for m in matrices)
 
 
 def _block_structural() -> list[CheckResult]:

@@ -1,14 +1,17 @@
 """Independent brute-force oracles: no shared code with the library paths.
 
 Determinants here expand over all permutations (the library uses cofactor
-recursion and Bareiss elimination), rank is the size of the largest square
-submatrix with nonzero determinant, and products in Q(zeta_d) are schoolbook
-products of Fraction coefficient lists, reduced by polynomial long division
-(the library multiplies integer vectors over a common denominator), and
-M - M' subtracts whole column blocks of Fraction presenting rows (the
-library subtracts the rotated integer rows and divides by each statistic's
-scale).  The block sums and orbit averages add Fractions one by one, as the
-library did before its report stages moved to integer statistics.
+recursion).  Rank is the size of the largest square submatrix with nonzero
+determinant, or, for matrices too large for that, the number of pivots of
+Gaussian elimination over Fraction (the library eliminates fraction-free on
+integer rows, in a streaming echelon or by Gauss-Jordan).  Products in
+Q(zeta_d) are schoolbook products of Fraction coefficient lists, reduced by
+polynomial long division (the library multiplies integer vectors over a
+common denominator), and M - M' subtracts whole column blocks of Fraction
+presenting rows (the library subtracts the rotated integer rows and divides
+by each statistic's scale).  The block sums and orbit averages add Fractions
+one by one, as the library did before its report stages moved to integer
+statistics.
 
 `planted_spectra` draws systems whose spectrum is known by construction,
 from cyclotomic polynomials built here by exact division of x^e - 1.
@@ -43,6 +46,25 @@ def perm_det(rows):
             term = -term
         total = term if total is None else total + term
     return Fraction(0) if total is None else total
+
+
+def gauss_rank(rows) -> int:
+    """Rank: the number of pivots of Gaussian elimination over Fraction."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][c] / top[c]
+            if factor:
+                work[i] = [a - factor * b for a, b in zip(work[i], top)]
+        rank += 1
+    return rank
 
 
 def brute_rank(rows) -> int:

@@ -406,6 +406,19 @@ class TestLynessCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sys.get_int_max_str_digits()" in err
 
+    def test_seed_with_exponent_too_large_for_a_float_exit_2(self, capsys):
+        vector = f"[{10**400},0,0,0,0]"
+        code, out, err = run_cli(
+            capsys, "lyness", vector, "--seed", "3/7,2/5", "--output", "json"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "internal error" not in err
+        # without --seed the exact orbit sum is printed
+        payload = run_json(capsys, "lyness", vector, "--output", "json")
+        assert payload["orbit_sum"][0] == -(10**400)
+
     def test_deeply_nested_vector_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "lyness", "[" * 5000)
         assert code == 2

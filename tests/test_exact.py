@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -14,12 +15,13 @@ from dynspan.exact import (
     _cyc_reduce_int,
     _field,
     _rotation_closure_rank,
+    _streaming_echelon,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
     mobius,
 )
-from oracles import brute_rank, cyclotomic_product, perm_det
+from oracles import brute_rank, cyclotomic_product, gauss_rank, perm_det
 
 # the 4x6 value matrix of the three sorted-entry statistics and their shifts
 # for two-symbol rotation on 3-element multisets; rank is k+1 = 4
@@ -549,7 +551,79 @@ def test_rotation_closure_rank_matches_rank_of_every_rotation(case):
         rotations = [
             r[j * shift :] + r[: j * shift] for r in rows for j in range(width // shift)
         ]
-        expected = ExactMatrix.from_rows(rotations).rank()
+        expected = gauss_rank(rotations)
     else:
         expected = 0
-    assert _rotation_closure_rank([list(r) for r in rows], shift) == expected
+    # lists and tuples alike, and neither is modified
+    lists = [list(r) for r in rows]
+    assert _rotation_closure_rank(lists, shift) == expected
+    assert lists == [list(r) for r in rows]
+    assert _rotation_closure_rank([tuple(r) for r in rows], shift) == expected
+
+
+def _q_block(nrows, ncols):
+    """Fraction entries: mostly small or zero, some numerators past 2**64."""
+    numerators = st.one_of(
+        st.just(0),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.integers(2**64, 2**66),
+        st.integers(-(2**66), -(2**64)),
+    )
+    entry = st.builds(Fraction, numerators, st.integers(1, 6))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def q_matrices(draw):
+    """Rational matrices up to 12 x 12: any shape, tall, wide, or a product.
+
+    A product of an r x t and a t x c matrix, t < min(r, c), has rank at
+    most t, so its rank is deficient.
+    """
+    shape = draw(st.sampled_from(["any", "tall", "wide", "product"]))
+    if shape == "tall":
+        nrows, ncols = draw(st.integers(6, 12)), draw(st.integers(1, 4))
+    elif shape == "wide":
+        nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(6, 12))
+    else:
+        nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if shape != "product":
+        return draw(_q_block(nrows, ncols))
+    inner = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+    left, right = draw(_q_block(nrows, inner)), draw(_q_block(inner, ncols))
+    columns = list(zip(*right))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in left]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q_matrices())
+# a later row takes a pivot left of an earlier one: back-substitution in the
+# order the pivots were made would read the unset v[1]
+@example([[0, 1, 1], [1, 1, 0]])
+@example([[0, 0], [0, 0]])  # rank 0
+def test_rational_matrices_match_gaussian_elimination(rows):
+    m = ExactMatrix.from_rows(rows)
+    rank = gauss_rank(rows)
+    assert m.rank() == rank
+    # the greedy left-to-right column rule
+    expected: list[int] = []
+    for c in range(m.cols):
+        if gauss_rank([[r[j] for j in expected + [c]] for r in rows]) > len(expected):
+            expected.append(c)
+    assert m.column_basis() == expected
+    # cols - rank vectors, each annihilated and normalised at the free columns
+    basis = m.nullspace_basis()
+    free = [c for c in range(m.cols) if c not in expected]
+    assert len(basis) == len(free) == m.cols - rank
+    for t, v in enumerate(basis):
+        assert [v[c] for c in free] == [int(c == free[t]) for c in free]
+        for row in rows:
+            assert sum(Fraction(a) * x for a, x in zip(row, v)) == 0
+    # each basis row of the kernel starts at its pivot, and is primitive
+    echelon = _streaming_echelon([r for _, r in m._integer_rows], m.cols)
+    assert sorted(echelon) == expected
+    for pivot, tail in echelon.items():
+        assert len(tail) == m.cols - pivot and tail[0]
+        assert math.gcd(*tail) == 1

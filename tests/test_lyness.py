@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -122,8 +123,6 @@ class TestOrbitSums:
         assert abs(lyness_numeric_orbit_sum((-2, 0, 1, 0, 0), (1, 1))) < 1e-12
 
     def test_numeric_sum_of_x_is_log_12(self):
-        import math
-
         total = lyness_numeric_orbit_sum((1, 0, 0, 0, 0), (1, 1))
         assert abs(total - math.log(12)) < 1e-12
 
@@ -159,6 +158,38 @@ class TestOrbitSums:
                 product *= monomial_value((-2, 0, 1, 0, 0), px, py)
             assert abs(product) == 1
             count += 1
+
+    def test_numeric_sum_matches_log_of_exact_orbit_product(self):
+        rng = random.Random(9)
+        count = 0
+        while count < 25:
+            x = F(rng.randint(-10, 10), rng.randint(1, 6))
+            y = F(rng.randint(-10, 10), rng.randint(1, 6))
+            v = tuple(rng.randint(-6, 6) for _ in range(5))
+            try:
+                orbit = lyness_orbit(x, y)
+            except ValueError:
+                continue
+            product = F(1)
+            for px, py in orbit:
+                product *= monomial_value(v, px, py)
+            exact = math.log(abs(product.numerator)) - math.log(product.denominator)
+            total = lyness_numeric_orbit_sum(v, (x, y))
+            assert math.isclose(total, exact, abs_tol=1e-9)
+            count += 1
+
+    def test_numeric_sum_cost_does_not_grow_with_the_exponents(self):
+        # a 10-digit exponent: the exact monomial value would have billions of digits
+        seed = (F(3, 7), F(2, 5))
+        one = lyness_numeric_orbit_sum((1, 0, 0, 0, 0), seed)
+        big = lyness_numeric_orbit_sum((10**9, 0, 0, 0, 0), seed)
+        assert math.isclose(big, 10**9 * one, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [10**400, 10**308])
+    def test_numeric_sum_past_the_float_range_overflows(self, exponent):
+        # 10**400 is no float; 10**308 is one, but its term is not
+        with pytest.raises(OverflowError):
+            lyness_numeric_orbit_sum((exponent, 0, 0, 0, 0), (F(3, 7), F(2, 5)))
 
     def test_bad_vector_length(self):
         with pytest.raises(ValueError):
