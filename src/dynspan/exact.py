@@ -13,7 +13,9 @@ Z[zeta_d]; each reduces a row against its basis in pivot order and stops once
 every column has a pivot.  Results are deterministic across runs and never
 touch floating point.  A rational matrix times a vector of ints and Fractions
 sums integers too: the matrix's rows are scaled to integers once, the vector
-once per product, and each entry of the result is one Fraction.
+once per product, and each entry of the result is one Fraction.  So does the
+cofactor determinant of a rational matrix: it expands the same integer rows,
+row i scaled by s_i, and divides by the product of the s_i once.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -803,16 +805,27 @@ class ExactMatrix:
         return basis
 
     def det_cofactor(self) -> Scalar:
-        """Determinant by cofactor expansion (the brute-force route)."""
+        """Determinant by cofactor expansion (the brute-force route).
+
+        The expansion is memoised on the set of columns left.  A rational
+        matrix expands its integer rows, row i scaled by s_i, the lcm of its
+        denominators: det(diag(s) * A) = prod(s_i) * det(A), so the result is
+        one Fraction, the integer determinant over prod(s_i).  A cyclotomic
+        matrix expands its entries in the field.
+        """
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
-        ent = self.entries
-        zero = self._zero_scalar()
-        one = self._one_scalar()
-        memo: dict[int, Scalar] = {}
+        scaled = self._integer_rows
+        if scaled is None:
+            ent = self.entries
+            zero, one = self._zero_scalar(), self._one_scalar()
+        else:
+            ent = [row for _, row in scaled]
+            zero, one = 0, 1
+        memo: dict[int, Scalar | int] = {}
 
-        def minor(mask: int) -> Scalar:
+        def minor(mask: int) -> Scalar | int:
             if mask == 0:
                 return one
             cached = memo.get(mask)
@@ -834,4 +847,7 @@ class ExactMatrix:
             memo[mask] = total
             return total
 
-        return minor((1 << n) - 1)
+        det = minor((1 << n) - 1)
+        if scaled is None:
+            return det
+        return Fraction(det, math.prod(s for s, _ in scaled))

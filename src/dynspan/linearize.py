@@ -44,6 +44,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import (
     ExactMatrix,
@@ -418,13 +419,23 @@ def homomesy_value(
     """Common orbit average of sum(coeffs * shifted statistics), if one exists.
 
     `coeffs` has length k*n and is indexed like the presenting-matrix columns.
-    Returns None when the orbit averages differ.
+    Returns None when the orbit averages differ.  T^j permutes each orbit, so
+    g_i o T^j has the orbit averages of g_i, and the combination averages
+    sum_i a_i * g_i on each orbit, with a_i = sum_j coeffs[j*k + i].  That
+    is summed on the integer statistics, each weight a_i / scales[i] scaled
+    once to an integer over a common denominator.
     """
     pm = presenting_matrix(system)
-    if len(coeffs) != pm.n * pm.k:
-        raise ValueError(f"need {pm.n * pm.k} coefficients, got {len(coeffs)}")
-    values = pm.matrix.apply([Fraction(c) for c in coeffs])
-    return _common_orbit_average(values, orbits(system))[1]
+    n, k = pm.n, pm.k
+    if len(coeffs) != n * k:
+        raise ValueError(f"need {n * k} coefficients, got {len(coeffs)}")
+    coeffs = [Fraction(c) for c in coeffs]
+    scales, ints = _integer_stats(system)
+    den, weights = _scale_to_int(
+        [sum(coeffs[i::k]) / s for i, s in enumerate(scales)]
+    )
+    values = [sum(map(mul, row, weights)) for row in ints]
+    return _common_orbit_average(values, orbits(system), den)[1]
 
 
 def _common_orbit_average(
@@ -488,17 +499,15 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
 def zero_mesic_original_combos(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     """Basis of {a in Q^k : sum a_i g_i has zero average on every orbit}.
 
-    Computed as the nullspace of the (orbit count x k) matrix of orbit sums.
+    Computed as the nullspace of the (orbit count x k) matrix of orbit sums,
+    each summed on the integer statistics and divided by its scale once.
     """
     _require_valid(system)
-    rows = []
-    for orbit in orbits(system):
-        rows.append(
-            [
-                sum((system.stats[x][i] for x in orbit), Fraction(0))
-                for i in range(system.num_stats)
-            ]
-        )
+    scales, ints = _integer_stats(system)
+    rows = [
+        [Fraction(sum(ints[x][i] for x in orbit), s) for i, s in enumerate(scales)]
+        for orbit in orbits(system)
+    ]
     return ExactMatrix.from_rows(rows).nullspace_basis()
 
 

@@ -5,14 +5,22 @@ x1 <= x3 <= x4 and 0 <= x1, x4 <= 1.  Rowmotion factors through three
 transfer maps (down-transfer, inverse up-transfer, complementation), and
 each factor becomes linear on the 6-dimensional extension of a point by
 max(x2, x3) and the constant 1.
+
+Each map works on integers: a point p is scaled once, by the lcm L of its
+denominators, to homogeneous coordinates (L * p, L).  The transfer maps
+commute with scaling by L > 0, since max does; complementation becomes
+z -> L - z and the polytope test 0 <= x1 <= x2 <= x4 <= L, x1 <= x3 <= x4.
+A Fraction is built only for a returned coordinate.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, _scale_to_int
 
 __all__ = [
     "delta_inv",
@@ -31,49 +39,93 @@ __all__ = [
 ]
 
 Point = tuple[Fraction, Fraction, Fraction, Fraction]
+Ints = Sequence[int]
 
 
-def _frac4(p) -> Point:
+def _homogeneous(p) -> tuple[list[int], int]:
+    """(L * p, L) for the lcm L of the denominators of the 4-tuple p."""
     if len(p) != 4:
         raise ValueError("expected a 4-tuple")
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in p)  # type: ignore[return-value]
+    den, ints = _scale_to_int([v if type(v) is Fraction else Fraction(v) for v in p])
+    return ints, den
+
+
+def _point(x: Ints, den: int) -> Point:
+    return tuple(Fraction(v, den) for v in x)  # type: ignore[return-value]
+
+
+def _inside(x: Ints, den: int) -> bool:
+    x1, x2, x3, x4 = x
+    return 0 <= x1 <= x2 <= x4 <= den and x1 <= x3 <= x4
+
+
+def _nabla(x: Ints) -> tuple[int, ...]:
+    x1, x2, x3, x4 = x
+    return (x1, x2 - x1, x3 - x1, x4 - max(x2, x3))
+
+
+def _delta_inv(y: Ints) -> tuple[int, ...]:
+    y1, y2, y3, y4 = y
+    return (y1 + max(y2, y3) + y4, y2 + y4, y3 + y4, y4)
+
+
+def _theta(z: Ints, den: int) -> tuple[int, ...]:
+    return tuple(den - v for v in z)
+
+
+def _extend(x: Ints, den: int) -> tuple[int, ...]:
+    return (*x, max(x[1], x[2]), den)
 
 
 def in_order_polytope(p) -> bool:
-    x1, x2, x3, x4 = _frac4(p)
-    return 0 <= x1 <= x2 <= x4 <= 1 and x1 <= x3 <= x4
+    return _inside(*_homogeneous(p))
 
 
 def nabla(p) -> Point:
     """Down-transfer: each coordinate minus the max of its lower covers."""
-    x1, x2, x3, x4 = _frac4(p)
-    return (x1, x2 - x1, x3 - x1, x4 - max(x2, x3))
+    x, den = _homogeneous(p)
+    return _point(_nabla(x), den)
 
 
 def delta_inv(q) -> Point:
     """Inverse up-transfer: each coordinate plus the image above it."""
-    y1, y2, y3, y4 = _frac4(q)
-    return (y1 + max(y2, y3) + y4, y2 + y4, y3 + y4, y4)
+    y, den = _homogeneous(q)
+    return _point(_delta_inv(y), den)
 
 
 def theta(z) -> Point:
     """Complementation within [0, 1]."""
-    z1, z2, z3, z4 = _frac4(z)
-    one = Fraction(1)
-    return (one - z1, one - z2, one - z3, one - z4)
+    w, den = _homogeneous(z)
+    return _point(_theta(w, den), den)
 
 
 def pl_rowmotion(p) -> Point:
     """theta o delta_inv o nabla; has order 4 on the whole polytope."""
-    if not in_order_polytope(p):
+    x, den = _homogeneous(p)
+    if not _inside(x, den):
         raise ValueError(f"point {p} violates the order-polytope constraints")
-    return theta(delta_inv(nabla(p)))
+    return _point(_theta(_delta_inv(_nabla(x)), den), den)
 
 
 def extend_point(p) -> tuple[Fraction, ...]:
     """Append max of the two middle coordinates and the constant 1."""
-    v = _frac4(p)
-    return v + (max(v[1], v[2]), Fraction(1))
+    x, den = _homogeneous(p)
+    return _point(_extend(x, den), den)
+
+
+def _returns_after(p, steps: int) -> bool:
+    """Whether `steps` applications of pl_rowmotion bring p back to itself.
+
+    False as soon as an iterate leaves the polytope, where pl_rowmotion
+    raises.  Every iterate stays in the homogeneous coordinates of p.
+    """
+    x, den = _homogeneous(p)
+    q = x
+    for _ in range(steps):
+        if not _inside(q, den):
+            return False
+        q = _theta(_delta_inv(_nabla(q)), den)
+    return list(q) == x
 
 
 def lifted_nabla() -> ExactMatrix:
@@ -164,7 +216,9 @@ def lift_consistency_check(samples: int, seed: int = 0) -> bool:
     """Check extend o map = lift * extend for all three factors and the composite.
 
     Runs on `samples` random tie-free rational points; exact equality
-    throughout.
+    throughout.  Each point is scaled once to homogeneous integer coordinates,
+    and the lifts, being linear, act on the extended integer vector: the whole
+    chain sums integers.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -173,17 +227,24 @@ def lift_consistency_check(samples: int, seed: int = 0) -> bool:
     d_mat = lifted_delta_inv()
     h_mat = lifted_theta()
     full = h_mat * d_mat * n_mat
+    # integer matrices: every row scale is 1
+    n_rows, d_rows, h_rows, full_rows = (
+        [row for _, row in m._integer_rows] for m in (n_mat, d_mat, h_mat, full)
+    )
+
+    def apply(rows: list[list[int]], v: Ints) -> tuple[int, ...]:
+        return tuple(sum(map(mul, row, v)) for row in rows)
+
     for _ in range(samples):
-        p = random_polytope_point(rng)
-        y = nabla(p)
-        z = delta_inv(y)
-        x1 = theta(z)
-        if extend_point(y) != n_mat.apply(extend_point(p)):
-            return False
-        if extend_point(z) != d_mat.apply(extend_point(y)):
-            return False
-        if extend_point(x1) != h_mat.apply(extend_point(z)):
-            return False
-        if extend_point(pl_rowmotion(p)) != full.apply(extend_point(p)):
+        x, den = _homogeneous(random_polytope_point(rng))
+        y = _nabla(x)
+        z = _delta_inv(y)
+        ex, ey, ez, ew = (_extend(v, den) for v in (x, y, z, _theta(z, den)))
+        if (ey, ez, ew, ew) != (
+            apply(n_rows, ex),
+            apply(d_rows, ey),
+            apply(h_rows, ez),
+            apply(full_rows, ex),
+        ):
             return False
     return True

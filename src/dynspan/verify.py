@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CycNumber, ExactMatrix, _streaming_echelon
+from .exact import CycNumber, ExactMatrix, _scale_to_int, _streaming_echelon
 from .families import (
     chain_rowmotion,
     distinct_multiset_rotation,
@@ -44,6 +44,7 @@ from .lyness import (
     lyness_orbit_sum_operator,
 )
 from .polytope import (
+    _returns_after,
     extend_point,
     lift_consistency_check,
     lifted_delta_inv,
@@ -234,19 +235,24 @@ def _block_coboundary() -> list[CheckResult]:
         pm = presenting_matrix(system)
         cycles = orbits(system)
         perm = system.perm
+        n = system.period
         good = 0
         for _ in range(100):
-            coeffs = [
-                _random_fraction(rng) for _ in range(system.period * system.num_stats)
-            ]
-            values = list(pm.matrix.apply(coeffs))
+            coeffs = [_random_fraction(rng) for _ in range(n * system.num_stats)]
+            # the values less their orbit means are f / (n * den), f integers:
+            # each orbit length divides n
+            den, ints = _scale_to_int(pm.matrix.apply(coeffs))
+            f = [n * v for v in ints]
             for orbit in cycles:
-                mean = sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
+                mean = n // len(orbit) * sum(ints[x] for x in orbit)
                 for x in orbit:
-                    values[x] -= mean
-            witness = coboundary_witness(system, values)
+                    f[x] -= mean
+            scale = n * den
+            witness = coboundary_witness(system, [Fraction(v, scale) for v in f])
+            # f / scale = g - g o T, for g = w / wden
+            wden, w = _scale_to_int(witness)
             if all(
-                values[x] == witness[x] - witness[perm[x]] for x in range(system.size)
+                f[x] * wden == (w[x] - w[perm[x]]) * scale for x in range(system.size)
             ):
                 good += 1
         out.append(_check("coboundary", f"{name} roundtrips", "100/100", f"{good}/100"))
@@ -397,14 +403,7 @@ def _block_lift() -> list[CheckResult]:
     rng = random.Random(777)
     points = [random_polytope_point(rng) for _ in range(1000)]
     points.extend(polytope_vertices())
-    order_ok = True
-    for p in points:
-        q = p
-        for _ in range(4):
-            q = pl_rowmotion(q)
-        if q != tuple(Fraction(v) for v in p):
-            order_ok = False
-            break
+    order_ok = all(_returns_after(p, 4) for p in points)
     out.append(
         _check("lift", "rowmotion^4 = id (1000 random + vertices)", True, order_ok)
     )

@@ -11,7 +11,11 @@ common denominator), and M - M' subtracts whole column blocks of Fraction
 presenting rows (the library subtracts the rotated integer rows and divides
 by each statistic's scale).  The block sums and orbit averages add Fractions
 one by one, as the library did before its report stages moved to integer
-statistics.
+statistics; so do the orbit sums behind `homomesy_value` and
+`zero_mesic_original_combos`, whose nullspace comes from a reduced row
+echelon form over Fraction.  The maps of the order polytope are the library's
+former Fraction definitions (the library now runs them on homogeneous
+integer coordinates).
 
 `planted_spectra` draws systems whose spectrum is known by construction,
 from cyclotomic polynomials built here by exact division of x^e - 1.
@@ -118,11 +122,8 @@ def invariant_matrix(rows, n, k):
     ]
 
 
-def statistic_report(perm, stats):
-    """(invariant, homomesy, orbit averages) of each statistic, over Q.
-
-    Orbits are listed by smallest member, each from that member forward.
-    """
+def _cycles(perm):
+    """The cycles of perm, by smallest member, each from that member forward."""
     cycles, seen = [], set()
     for start in range(len(perm)):
         if start not in seen:
@@ -132,17 +133,124 @@ def statistic_report(perm, stats):
                 cycle.append(x)
                 x = perm[x]
             cycles.append(cycle)
+    return cycles
+
+
+def _orbit_averages(values, cycles):
+    return tuple(
+        sum((values[x] for x in cycle), Fraction(0)) / len(cycle) for cycle in cycles
+    )
+
+
+def statistic_report(perm, stats):
+    """(invariant, homomesy, orbit averages) of each statistic, over Q.
+
+    Orbits are listed by smallest member, each from that member forward.
+    """
+    cycles = _cycles(perm)
     out = []
     for i in range(len(stats[0]) if stats else 0):
         values = [row[i] for row in stats]
         invariant = all(values[perm[x]] == values[x] for x in range(len(perm)))
-        averages = tuple(
-            sum((values[x] for x in cycle), Fraction(0)) / len(cycle)
-            for cycle in cycles
-        )
+        averages = _orbit_averages(values, cycles)
         homomesy = averages[0] if len(set(averages)) == 1 else None
         out.append((invariant, homomesy, averages))
     return out
+
+
+def homomesy_value(perm, period, stats, coeffs):
+    """Common orbit average of sum coeffs[j*k + i] * g_i o T^j, or None.
+
+    The value at x is the presenting row at x times coeffs, added as
+    Fractions along the T-orbit of x.
+    """
+    k = len(stats[0]) if stats else 0
+    values = []
+    for x in range(len(perm)):
+        total, y = Fraction(0), x
+        for j in range(period):
+            for i in range(k):
+                total += Fraction(coeffs[j * k + i]) * stats[y][i]
+            y = perm[y]
+        values.append(total)
+    averages = _orbit_averages(values, _cycles(perm))
+    return averages[0] if len(set(averages)) == 1 else None
+
+
+def nullspace(rows, ncols):
+    """Basis of {v : rows * v = 0}: one vector per free column of the reduced
+    row echelon form, 1 there and 0 at every other free column."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [v / work[r][c] for v in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = [a - row[c] * b for a, b in zip(row, work[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, c in zip(work, pivots):
+            v[c] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+def zero_mesic_original_combos(perm, stats, k):
+    """Basis of {a in Q^k : sum a_i g_i sums to zero on every orbit}."""
+    sums = [
+        [sum((stats[x][i] for x in cycle), Fraction(0)) for i in range(k)]
+        for cycle in _cycles(perm)
+    ]
+    return nullspace(sums, k)
+
+
+# the maps of the order polytope of the 2 x 2 grid, over Fraction
+
+
+def _frac4(p):
+    if len(p) != 4:
+        raise ValueError("expected a 4-tuple")
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in p)
+
+
+def in_order_polytope(p):
+    x1, x2, x3, x4 = _frac4(p)
+    return 0 <= x1 <= x2 <= x4 <= 1 and x1 <= x3 <= x4
+
+
+def nabla(p):
+    x1, x2, x3, x4 = _frac4(p)
+    return (x1, x2 - x1, x3 - x1, x4 - max(x2, x3))
+
+
+def delta_inv(q):
+    y1, y2, y3, y4 = _frac4(q)
+    return (y1 + max(y2, y3) + y4, y2 + y4, y3 + y4, y4)
+
+
+def theta(z):
+    z1, z2, z3, z4 = _frac4(z)
+    one = Fraction(1)
+    return (one - z1, one - z2, one - z3, one - z4)
+
+
+def pl_rowmotion(p):
+    if not in_order_polytope(p):
+        raise ValueError(f"point {p} violates the order-polytope constraints")
+    return theta(delta_inv(nabla(p)))
+
+
+def extend_point(p):
+    v = _frac4(p)
+    return v + (max(v[1], v[2]), Fraction(1))
 
 
 def _divide_exactly(num, den):

@@ -326,17 +326,65 @@ square_int_matrices = st.integers(1, 4).flatmap(
 )
 
 
+@st.composite
+def q_square_matrices(draw):
+    """Rational n x n matrices, n <= 6, with rows of their own denominators.
+
+    Each row is as drawn (numerators past 2**64 among them), divided by a
+    denominator of its own, zero, or a repeat of an earlier row.
+    """
+    n = draw(st.integers(0, 6))
+    rows = draw(_q_block(n, n))
+    for i in range(n):
+        form = draw(st.sampled_from(["drawn", "divided", "zero", "repeat"]))
+        if form == "divided":
+            den = draw(st.integers(2, 2**70))
+            rows[i] = [v / den for v in rows[i]]
+        elif form == "zero":
+            rows[i] = [Fraction(0)] * n
+        elif form == "repeat" and i:
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    return rows
+
+
 class TestDeterminant:
     @given(square_int_matrices)
     def test_cofactor_matches_permutation_expansion(self, rows):
         m = ExactMatrix.from_rows(rows)
         assert m.det_cofactor() == perm_det(rows)
 
+    @settings(max_examples=60)
+    @given(q_square_matrices())
+    @example([])
+    @example([[Fraction(-7, 3)]])
+    @example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(2**65 + 1, 5), Fraction(3, 7)]])
+    @example([[Fraction(1, 6), Fraction(5, 4)], [Fraction(1, 6), Fraction(5, 4)]])
+    def test_rational_cofactor_matches_permutation_expansion(self, rows):
+        # the integer rows expand to prod(s_i) * det; the result divides it out
+        m = ExactMatrix.from_rows(rows) if rows else ExactMatrix(())
+        det = m.det_cofactor()
+        assert type(det) is Fraction
+        assert det == perm_det(rows)
+
     def test_cyclotomic_determinant(self):
         z = CycNumber.root(4)
         m = ExactMatrix.from_rows([[z, 1], [1, z]])
         assert m.det_cofactor() == z * z - 1
         assert m.det_cofactor() == perm_det(m.entries)
+        assert type(m.det_cofactor()) is CycNumber
+
+    def test_cyclotomic_determinant_with_rational_rows(self):
+        z = CycNumber.root(5, 2)
+        m = ExactMatrix.from_rows(
+            [
+                [z, Fraction(1, 2), 0],
+                [Fraction(2, 3), z * z, Fraction(-1, 7)],
+                [Fraction(1, 4), Fraction(5, 6), Fraction(3, 2)],
+            ]
+        )
+        det = m.det_cofactor()
+        assert type(det) is CycNumber
+        assert det == perm_det(m.entries)
 
 
 class TestMatrixAlgebra:

@@ -39,10 +39,12 @@ from dynspan.linearize import (
 from dynspan.system import FiniteSystem, orbits, validate
 from dynspan.verify import _full_row_ranks
 from oracles import gauss_rank
+from oracles import homomesy_value as oracle_homomesy_value
 from oracles import invariant_matrix as oracle_invariant_matrix
 from oracles import planted_spectra
 from oracles import shifted_difference as oracle_shifted_difference
 from oracles import statistic_report as oracle_statistic_report
+from oracles import zero_mesic_original_combos as oracle_zero_mesic_original_combos
 
 
 def as_ints(matrix: ExactMatrix) -> list[list[int]]:
@@ -288,6 +290,12 @@ class TestHomomesyValue:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             homomesy_value(negation_system(), [Fraction(1)])
+
+    def test_builds_no_fraction_presenting_matrix(self):
+        # orbit sums of the integer statistics, not |X| Fraction rows
+        system = chain_rowmotion(3, 3)
+        assert homomesy_value(system, unit_coeffs(system, 1)) == 1
+        assert "presenting" not in system._memo
 
 
 class TestStatisticReport:
@@ -795,6 +803,89 @@ def test_integer_report_stages_match_fraction_oracles(system):
         full, rows_j = zeta_matrix(pm, j), zeta_matrix(quotient, j).entries
         assert rows_j == tuple(full.entries[x] for x in starts)
         assert all(type(v) is CycNumber for r in rows_j for v in r)
+
+
+@st.composite
+def systems_and_coeffs(draw):
+    """A random system and k*n coefficients, drawn or with zero block sums.
+
+    Coefficients of zero block sums (c - c rotated by one block) combine to a
+    function averaging 0 on every orbit, a homomesy.
+    """
+    system = draw(random_systems())
+    n, k = system.period, system.num_stats
+    c = draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=7),
+            min_size=n * k,
+            max_size=n * k,
+        )
+    )
+    if draw(st.booleans()):
+        c = [a - b for a, b in zip(c, c[k:] + c[:k])]
+    return system, c
+
+
+def coeffs_of(system: FiniteSystem, pairs) -> list[Fraction]:
+    coeffs = [Fraction(0)] * (system.period * system.num_stats)
+    for index, value in pairs:
+        coeffs[index] = Fraction(value)
+    return coeffs
+
+
+HOMOMESIC_33 = chain_rowmotion(3, 3)
+COMPLEMENTARY_32 = multiset_rotation(3, 2)
+MIXED_DENOMINATORS = FiniteSystem(
+    perm=(1, 2, 0, 3),
+    period=6,
+    stats=(
+        ("1/3", "5/6", 2),
+        ("5/6", "1/10", 1),
+        ("-1/2", "3/5", 7),
+        ("1/3", "1/2", 0),
+    ),
+)
+
+
+@settings(max_examples=60)
+@given(systems_and_coeffs())
+@example((HOMOMESIC_33, coeffs_of(HOMOMESIC_33, [(1, 1), (5, "-2/3")])))
+@example((COMPLEMENTARY_32, coeffs_of(COMPLEMENTARY_32, [(0, 1), (1, 1)])))
+@example((COMPLEMENTARY_32, coeffs_of(COMPLEMENTARY_32, [(0, "1/2"), (3, "1/2")])))
+@example((MIXED_DENOMINATORS, coeffs_of(MIXED_DENOMINATORS, [(2, "1/3"), (7, 2)])))
+@example((FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4), []))
+def test_homomesy_value_matches_fraction_oracle(case):
+    # the library sums orbit sums of the integer statistics; the oracle sums
+    # each presenting row times the coefficients, as Fractions
+    system, coeffs = case
+    got = homomesy_value(system, coeffs)
+    assert got == oracle_homomesy_value(system.perm, system.period, system.stats, coeffs)
+    assert got is None or type(got) is Fraction
+    assert "presenting" not in system._memo
+
+
+# rational statistics whose columns have different denominators, k = 0,
+# fixed points and a zero-mesic column (negation)
+@settings(max_examples=60)
+@given(random_systems())
+@example(MIXED_DENOMINATORS)
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(FiniteSystem(perm=(0, 1), period=4, stats=(("1/3", "-5/4"), ("2/3", "1/4"))))
+@example(
+    FiniteSystem(
+        perm=(1, 0, 2, 3),
+        period=4,
+        stats=tuple((Fraction(v, 3), Fraction(1, 1 + v)) for v in (1, -2, 5, 0)),
+    )
+)
+@example(negation_system())
+@example(HOMOMESIC_33)
+def test_zero_mesic_original_combos_match_fraction_oracle(system):
+    combos = zero_mesic_original_combos(system)
+    assert combos == oracle_zero_mesic_original_combos(
+        system.perm, system.stats, system.num_stats
+    )
+    assert all(all_fractions(combo) for combo in combos)
 
 
 class TestMemo:

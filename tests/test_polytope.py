@@ -2,9 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
+
+import dynspan.polytope
 from dynspan.exact import ExactMatrix
 from dynspan.polytope import (
+    _returns_after,
     delta_inv,
     extend_point,
     in_order_polytope,
@@ -133,3 +139,85 @@ def test_random_points_avoid_ties_and_stay_inside():
         p = random_polytope_point(rng)
         assert in_order_polytope(p)
         assert p[1] != p[2]
+
+
+# each map on homogeneous integer coordinates against its Fraction definition
+MAPS = [
+    (nabla, oracles.nabla),
+    (delta_inv, oracles.delta_inv),
+    (theta, oracles.theta),
+    (extend_point, oracles.extend_point),
+]
+
+
+def polytope_points():
+    rng = random.Random(16)
+    points = [random_polytope_point(rng) for _ in range(100)]
+    # small denominators: x2 = x3 and the other ties come up often
+    points += [
+        random_polytope_point(rng, max_denominator=4, avoid_ties=False)
+        for _ in range(100)
+    ]
+    points += polytope_vertices()
+    # int and str coordinates, inside and outside the polytope
+    points += [(0, 1, "1/2", 1), ("1/3", "2/3", "1/2", 1), (1, 1, 1, 1)]
+    points += [(1, 0, 0, 0), (0, 0, 0, 2), (-1, 0, 0, 0), ("3/2", 2, 2, "5/2")]
+    points += [(F(1, 3), F(1, 2), F(2, 3), F(1, 4)), (F(1, 2), F(1, 3), F(2, 3), 1)]
+    return points
+
+
+def assert_same_point(got, want):
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def assert_maps_match_fraction_definitions(p):
+    for ours, oracle in MAPS:
+        assert_same_point(ours(p), oracle(p))
+    assert in_order_polytope(p) is oracles.in_order_polytope(p)
+    try:
+        want = oracles.pl_rowmotion(p)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            pl_rowmotion(p)
+        assert str(raised.value) == str(error)
+    else:
+        assert_same_point(pl_rowmotion(p), want)
+    for steps in (1, 2, 4):
+        assert _returns_after(p, steps) is oracle_returns_after(p, steps)
+
+
+def oracle_returns_after(p, steps):
+    q = p
+    for _ in range(steps):
+        if not oracles.in_order_polytope(q):
+            return False
+        q = oracles.pl_rowmotion(q)
+    return q == tuple(F(v) for v in p)
+
+
+def test_integer_maps_match_fraction_definitions():
+    points = polytope_points()
+    assert any(p[1] == p[2] for p in points[100:200])
+    assert not all(in_order_polytope(p) for p in points)
+    assert all(_returns_after(p, 4) for p in points if in_order_polytope(p))
+    for p in points:
+        assert_maps_match_fraction_definitions(p)
+
+
+@given(st.lists(st.fractions(-2, 2, max_denominator=12), min_size=4, max_size=4))
+@example([F(0)] * 4)
+@example([F(2**65, 3), F(2**65 + 1, 3), F(1, 2**64), F(2**66)])
+def test_integer_maps_match_fraction_definitions_anywhere(p):
+    assert_maps_match_fraction_definitions(tuple(p))
+
+
+def test_maps_reject_other_lengths():
+    for ours in [m for m, _ in MAPS] + [pl_rowmotion, in_order_polytope]:
+        with pytest.raises(ValueError):
+            ours((0, 0, 0))
+
+
+def test_consistency_check_detects_a_wrong_lift(monkeypatch):
+    monkeypatch.setattr(dynspan.polytope, "lifted_theta", lifted_nabla)
+    assert not lift_consistency_check(5)
