@@ -11,11 +11,9 @@ column-basis and nullspace computations are fraction-free: a streaming
 echelon over Z, on each rational row scaled to integers, and one over
 Z[zeta_d]; each reduces a row against its basis in pivot order and stops once
 every column has a pivot.  Results are deterministic across runs and never
-touch floating point.  A rational matrix times a vector of ints and Fractions
-sums integers too: the matrix's rows are scaled to integers once, the vector
-once per product, and each entry of the result is one Fraction.  So does the
-cofactor determinant of a rational matrix: it expands the same integer rows,
-row i scaled by s_i, and divides by the product of the s_i once.
+touch floating point.  The cofactor determinant of a rational matrix sums
+integers too: it expands the same integer rows, row i scaled by s_i, the lcm
+of its denominators, and divides by the product of the s_i once.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -721,29 +719,17 @@ class ExactMatrix:
     def _integer_rows(self) -> list[tuple[int, list[int]]] | None:
         """The rows as (scale, integer row), or None for a cyclotomic matrix.
 
-        `apply` and the elimination of a rational matrix both read them, so
-        one matrix converts its rows once."""
+        The elimination and the cofactor determinant of a rational matrix
+        read them, as do the 0-mesic rank and the polytope lift check, so one
+        matrix converts its rows once."""
         if self.is_cyclotomic:
             return None
         return [_scale_to_int(row) for row in self.entries]
 
     def apply(self, vector: Sequence[object]) -> tuple[Scalar, ...]:
-        """Matrix-vector product.
-
-        A rational matrix times a vector of ints and Fractions sums integers.
-        Row i is kept as s_i times itself, s_i the lcm of its denominators,
-        from the first product on; the vector is scaled by the lcm L of its
-        own, and entry i is Fraction(that integer dot product, s_i * L), a
-        Fraction as on the generic path, which other scalars take.
-        """
+        """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        scaled = self._integer_rows
-        if scaled is not None and all(isinstance(v, (int, Fraction)) for v in vector):
-            den, ints = _scale_to_int(vector)
-            return tuple(
-                Fraction(sum(map(mul, row, ints)), scale * den) for scale, row in scaled
-            )
         out = []
         for r in self.entries:
             acc = self._zero_scalar()

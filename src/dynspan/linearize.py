@@ -104,9 +104,10 @@ class PresentingMatrix:
     stats grid itself and block j+1 is block j composed with T.  `elements`
     is all of X (`presenting_matrix`) or the first element of each T-orbit
     (`_orbit_quotient`), both increasing, so the length tells them apart
-    (they coincide when every orbit is a point).  The quotient's integer
-    `rows` and the Fraction `matrix` of all of X are built once per system,
-    in its memo, which never holds this object and so makes no cycle.
+    (they coincide when every orbit is a point).  The matrix has one
+    representation, its integer `rows`; those of the quotient are built once
+    per system, in its memo, which never holds this object and so makes no
+    cycle.
     """
 
     system: FiniteSystem
@@ -127,36 +128,21 @@ class PresentingMatrix:
         memoised = len(self.elements) == len(orbits(system))
         rows = system._memo.get("quotient") if memoised else None
         if rows is None:
-            rows = _presenting_rows(system, _integer_stats(system)[1], self.elements)
+            rows = _presenting_rows(system, self.elements)
             if memoised:
                 system._memo["quotient"] = rows
         return rows
 
-    @property
-    def matrix(self) -> ExactMatrix:
-        """The selected rows over Q."""
-        system = self.system
-        memoised = len(self.elements) == system.size
-        matrix = system._memo.get("presenting") if memoised else None
-        if matrix is None:
-            matrix = ExactMatrix(
-                tuple(_presenting_rows(system, system.stats, self.elements))
-            )
-            if memoised:
-                system._memo["presenting"] = matrix
-        return matrix
 
+def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tuple]:
+    """Integer rows of the presenting matrix at `elements`.
 
-def _presenting_rows(
-    system: FiniteSystem, grid: Sequence[Sequence], elements: Sequence[int]
-) -> list[tuple]:
-    """Rows of the presenting matrix at `elements`, with values from `grid`.
-
-    `grid` is `system.stats` or its integer form; the row at x concatenates
-    the grid rows of x, T(x), ..., T^(n-1)(x).  Scaling a statistic by a
+    The row at x concatenates the rows of x, T(x), ..., T^(n-1)(x) of the
+    integer statistics grid (`_integer_stats`).  Scaling a statistic by a
     nonzero constant scales its column in every block, so no rank of any
     block-sum matrix changes.
     """
+    grid = _integer_stats(system)[1]
     n, perm = system.period, system.perm
     rows = []
     for x in elements:
@@ -545,18 +531,19 @@ def extend_products(system: FiniteSystem) -> FiniteSystem:
     """Close the statistic list under degree-2 products of shifted statistics.
 
     The new system keeps X, T and the period; its statistics are the shifted
-    statistics g_i o T^j followed by all pairwise products of those,
-    deduplicated by exact value vector.
+    statistics g_i o T^j, read from `system.stats` through the powers of T,
+    followed by all pairwise products of those, deduplicated by exact value
+    vector.
     """
-    _require_valid(system)
-    pm = presenting_matrix(system)
+    pm = presenting_matrix(system)  # validates, and rejects an empty X
     n, k = pm.n, pm.k
+    grid = system.stats
     named: list[tuple[str, tuple[Fraction, ...]]] = []
-    for j in range(n):
+    for j, image in enumerate(_power_tables(system.perm, n)):
         for i in range(k):
             base = system.stat_name(i)
             name = base if j == 0 else f"U^{j} {base}"
-            named.append((name, pm.matrix.column(j * k + i)))
+            named.append((name, tuple(grid[y][i] for y in image)))
     count = len(named)
     for a in range(count):
         for b in range(a, count):

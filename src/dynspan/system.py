@@ -25,11 +25,8 @@ class FiniteSystem:
     of the denominators of g_i and `rows[x][i]` is g_i(x) * scales[i]; read
     by every stage of a report), "quotient" (the integer presenting rows at
     the first element of each T-orbit, read by both spectrum routes, the
-    invariant basis and the 0-mesic rank), "galois" (f(d) = dim of the
-    T^d-invariant subspace of V, for d | n) and "presenting" (the Fraction
-    presenting matrix of all of X, filled only when
-    `presenting_matrix(system).matrix` is read).
-    Each is built on first use and lives exactly as long as the instance.
+    invariant basis and the 0-mesic rank) and "galois" (f(d) = dim of the
+    T^d-invariant subspace of V, for d | n).  Each is built on first use and lives exactly as long as the instance.
     It takes no part in equality, hashing or repr, and
     `dataclasses.replace` starts a new instance with an empty memo.
     """

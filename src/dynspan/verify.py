@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact import CycNumber, ExactMatrix, _scale_to_int, _streaming_echelon
 from .families import (
@@ -27,8 +29,10 @@ from .families import (
 )
 from .linearize import (
     PresentingMatrix,
+    _integer_stats,
     _orbit_quotient,
     _power_block_sums,
+    coboundary_witness,
     extend_products,
     homomesy_value,
     invariant_matrix,
@@ -38,6 +42,7 @@ from .linearize import (
 )
 from .lyness import (
     lyness_homomesy_check,
+    lyness_map,
     lyness_matrix,
     lyness_numeric_orbit_sum,
     lyness_orbit,
@@ -116,7 +121,7 @@ def _block_chain() -> list[CheckResult]:
                     "chain",
                     f"n={n} k={k} dim V",
                     k + 1,
-                    presenting_matrix(system).matrix.rank(),
+                    _full_row_rank(presenting_matrix(system).rows),
                 )
             )
             for method in ("galois", "cyclotomic"):
@@ -162,16 +167,25 @@ def _structural_systems():
     yield "negation", negation_system()
 
 
+def _full_row_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows, by a streaming echelon, without rotations, of
+    their transpose.
+
+    On the presenting matrices of the sweeps, the k*n rows of the transpose
+    are far fewer than |X|, and the ranks are deficient, so the untransposed
+    |X| rows would each be reduced against the whole basis.  On the
+    `structural` sweep, the transposes take 0.5-0.6 s against 1.4 s for the
+    rows (2-vCPU VM).
+    """
+    return len(_streaming_echelon(zip(*rows), len(rows)))
+
+
 def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:
     """Ranks of the presenting matrix, the invariant matrix and M - M' at `pm`.
 
-    Each is a streaming echelon, without rotations, of the integer rows of
-    `pm` (statistic i scaled by its own lcm, which changes no rank), not the
-    rotation closure of one row per T-orbit that the spectra use.  The
-    transposes are ranked: on the sweep's systems their k*n rows are far
-    fewer than |X|, and the ranks are deficient, so the untransposed |X|
-    rows would each be reduced against the whole basis.  On the sweep, the
-    transposes take 0.5-0.6 s against 1.4 s for the rows (2-vCPU VM).
+    Each is `_full_row_rank` of integer rows built from those of `pm`
+    (statistic i scaled by its own lcm, which changes no rank), not the
+    rotation closure of one row per T-orbit that the spectra use.
     """
     rows, k = pm.rows, pm.k
     matrices = (
@@ -179,7 +193,7 @@ def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:
         _power_block_sums(rows, k, 1),
         [[a - b for a, b in zip(row, row[-k:] + row[:-k])] for row in rows],
     )
-    return tuple(len(_streaming_echelon(zip(*m), len(m))) for m in matrices)
+    return tuple(map(_full_row_rank, matrices))
 
 
 def _block_structural() -> list[CheckResult]:
@@ -229,19 +243,22 @@ def _block_coboundary() -> list[CheckResult]:
         ("negation", negation_system()),
     ]
     rng = random.Random(20240)
-    from .linearize import coboundary_witness
-
     for name, system in cases:
-        pm = presenting_matrix(system)
+        rows = presenting_matrix(system).rows
         cycles = orbits(system)
         perm = system.perm
         n = system.period
+        # column j*k + i of the integer rows is g_i o T^j times scales[i]
+        scales = _integer_stats(system)[0] * n
         good = 0
         for _ in range(100):
             coeffs = [_random_fraction(rng) for _ in range(n * system.num_stats)]
-            # the values less their orbit means are f / (n * den), f integers:
+            # the combination at x is (rows[x] . weights) / den: each weight
+            # coeffs[c] / scales[c] is scaled once to an integer
+            den, weights = _scale_to_int([a / s for a, s in zip(coeffs, scales)])
+            ints = [sum(map(mul, row, weights)) for row in rows]
+            # less their orbit means, the values are f / (n * den), f integers:
             # each orbit length divides n
-            den, ints = _scale_to_int(pm.matrix.apply(coeffs))
             f = [n * v for v in ints]
             for orbit in cycles:
                 mean = n // len(orbit) * sum(ints[x] for x in orbit)
@@ -348,8 +365,6 @@ def _block_lyness() -> list[CheckResult]:
             orbit,
         )
     )
-    from .lyness import lyness_map
-
     out.append(
         _check("lyness", "period 5 at (1,1)", (Fraction(1), Fraction(1)), lyness_map(*orbit[-1]))
     )

@@ -13,7 +13,9 @@ by each statistic's scale).  The block sums and orbit averages add Fractions
 one by one, as the library did before its report stages moved to integer
 statistics; so do the orbit sums behind `homomesy_value` and
 `zero_mesic_original_combos`, whose nullspace comes from a reduced row
-echelon form over Fraction.  The maps of the order polytope are the library's
+echelon form over Fraction.  The degree-2 product extension steps along T
+from each element for every shifted statistic (the library reads a table of
+the powers of T).  The maps of the order polytope are the library's
 former Fraction definitions (the library now runs them on homogeneous
 integer coordinates).
 
@@ -210,6 +212,38 @@ def zero_mesic_original_combos(perm, stats, k):
         for cycle in _cycles(perm)
     ]
     return nullspace(sums, k)
+
+
+def extend_products(perm, period, stats, names):
+    """(name, value vector) of each statistic of the degree-2 extension.
+
+    The shifted statistics g_i o T^j, j = 0..period-1, each value found by
+    stepping j times forward from x, then the product of each pair a <= b of
+    them, in that order; of equal value vectors only the first is kept.
+    """
+    k = len(stats[0]) if stats else 0
+    shifted = []
+    for j in range(period):
+        for i in range(k):
+            values = []
+            for x in range(len(perm)):
+                y = x
+                for _ in range(j):
+                    y = perm[y]
+                values.append(Fraction(stats[y][i]))
+            name = names[i] if j == 0 else f"U^{j} {names[i]}"
+            shifted.append((name, tuple(values)))
+    products = [
+        (f"{name_a} * {name_b}", tuple(u * v for u, v in zip(a, b)))
+        for index, (name_a, a) in enumerate(shifted)
+        for name_b, b in shifted[index:]
+    ]
+    kept, seen = [], set()
+    for name, values in shifted + products:
+        if values not in seen:
+            seen.add(values)
+            kept.append((name, values))
+    return kept
 
 
 # the maps of the order polytope of the 2 x 2 grid, over Fraction

@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from dynspan.families import (
 )
 from dynspan.linearize import (
     _galois_table,
+    _integer_stats,
     _orbit_quotient,
     _power_block_sums,
     coboundary_witness,
@@ -38,6 +40,7 @@ from dynspan.linearize import (
 )
 from dynspan.system import FiniteSystem, orbits, validate
 from dynspan.verify import _full_row_ranks
+from oracles import extend_products as oracle_extend_products
 from oracles import gauss_rank
 from oracles import homomesy_value as oracle_homomesy_value
 from oracles import invariant_matrix as oracle_invariant_matrix
@@ -51,10 +54,33 @@ def as_ints(matrix: ExactMatrix) -> list[list[int]]:
     return [[int(v) for v in row] for row in matrix.entries]
 
 
+def as_lists(pm) -> list[list[int]]:
+    return [list(row) for row in pm.rows]
+
+
+def presenting_rows(system: FiniteSystem) -> list[list[Fraction]]:
+    """Every row of the presenting matrix, rebuilt from the stats, not the memo."""
+    rows = []
+    for x in range(system.size):
+        row, y = [], x
+        for _ in range(system.period):
+            row.extend(system.stats[y])
+            y = system.perm[y]
+        rows.append(row)
+    return rows
+
+
+RATIONAL_STATS = FiniteSystem(
+    perm=(1, 2, 0, 4, 3),
+    period=6,
+    stats=(("1/3", "5/6"), ("2/3", "1/2"), (1, "-1/6"), ("1/3", 2), ("-7/9", 0)),
+)
+
+
 class TestPresentingMatrix:
     def test_two_symbol_k3(self):
         pm = presenting_matrix(multiset_rotation(2, 3))
-        assert as_ints(pm.matrix) == [
+        assert as_lists(pm) == [
             [0, 0, 0, 1, 1, 1],
             [0, 0, 1, 0, 1, 1],
             [0, 1, 1, 0, 0, 1],
@@ -63,7 +89,7 @@ class TestPresentingMatrix:
 
     def test_two_symbol_k4(self):
         pm = presenting_matrix(multiset_rotation(2, 4))
-        assert as_ints(pm.matrix) == [
+        assert as_lists(pm) == [
             [0, 0, 0, 0, 1, 1, 1, 1],
             [0, 0, 0, 1, 0, 1, 1, 1],
             [0, 0, 1, 1, 0, 0, 1, 1],
@@ -73,25 +99,31 @@ class TestPresentingMatrix:
 
     def test_two_symbol_k2(self):
         pm = presenting_matrix(multiset_rotation(2, 2))
-        assert as_ints(pm.matrix) == [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]]
+        assert as_lists(pm) == [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]]
 
     def test_first_block_is_the_stats_grid(self):
-        system = multiset_rotation(3, 3)
-        pm = presenting_matrix(system)
-        k = system.num_stats
-        for x in range(system.size):
-            assert pm.matrix.entries[x][:k] == system.stats[x]
+        # entry i of a row is g_i(x) times the lcm of the denominators of g_i
+        for system in (multiset_rotation(3, 3), RATIONAL_STATS):
+            pm = presenting_matrix(system)
+            scales = _integer_stats(system)[0]
+            k = system.num_stats
+            for x in range(system.size):
+                assert all(type(v) is int for v in pm.rows[x])
+                got = tuple(Fraction(v, s) for v, s in zip(pm.rows[x][:k], scales))
+                assert got == system.stats[x]
 
     def test_block_j_is_block_0_composed_with_t_power(self):
-        system = chain_rowmotion(3, 2)
-        pm = presenting_matrix(system)
-        k, n = system.num_stats, system.period
-        image = list(range(system.size))
-        for j in range(n):
-            for x in range(system.size):
-                for i in range(k):
-                    assert pm.matrix.entries[x][j * k + i] == system.stats[image[x]][i]
-            image = [system.perm[x] for x in image]
+        for system in (chain_rowmotion(3, 2), RATIONAL_STATS):
+            pm = presenting_matrix(system)
+            scales = _integer_stats(system)[0]
+            k, n = system.num_stats, system.period
+            image = list(range(system.size))
+            for j in range(n):
+                for x in range(system.size):
+                    for i in range(k):
+                        value = Fraction(pm.rows[x][j * k + i], scales[i])
+                        assert value == system.stats[image[x]][i]
+                image = [system.perm[x] for x in image]
 
 
 class TestDimension:
@@ -292,10 +324,10 @@ class TestHomomesyValue:
             homomesy_value(negation_system(), [Fraction(1)])
 
     def test_builds_no_fraction_presenting_matrix(self):
-        # orbit sums of the integer statistics, not |X| Fraction rows
+        # orbit sums of the integer statistics, not presenting rows
         system = chain_rowmotion(3, 3)
         assert homomesy_value(system, unit_coeffs(system, 1)) == 1
-        assert "presenting" not in system._memo
+        assert set(system._memo) == {"orbits", "integer"}
 
 
 class TestStatisticReport:
@@ -378,14 +410,14 @@ class TestCoboundaryWitness:
     )
     def test_roundtrip_on_random_projections(self, system):
         rng = random.Random(99)
-        pm = presenting_matrix(system)
+        rows = presenting_rows(system)
         cycles = orbits(system)
         for _ in range(25):
             coeffs = [
                 Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 for _ in range(system.period * system.num_stats)
             ]
-            values = list(pm.matrix.apply(coeffs))
+            values = [sum(map(mul, row, coeffs), Fraction(0)) for row in rows]
             for orbit in cycles:
                 mean = sum((values[x] for x in orbit), Fraction(0)) / len(orbit)
                 for x in orbit:
@@ -506,7 +538,7 @@ def random_systems(draw):
 def test_structural_identities_on_random_systems(system):
     assert validate(system) == []
     pm = presenting_matrix(system)
-    rank_full = pm.matrix.rank()
+    rank_full = gauss_rank(presenting_rows(system))
     rank_inv = invariant_matrix(pm).rank()
     rank_zero = shifted_difference(pm).rank()
     assert rank_full == rank_inv + rank_zero
@@ -604,18 +636,6 @@ def test_orbit_quotient_ranks_match_full_row_ranks(system):
         assert f_d == invariant_matrix(presenting_matrix(power_system(system, d))).rank()
     full = invariant_matrix(pm)
     assert invariant_basis(system) == [full.column(c) for c in full.column_basis()]
-
-
-def presenting_rows(system: FiniteSystem) -> list[list[Fraction]]:
-    """Every row of the presenting matrix, rebuilt from the stats, not the memo."""
-    rows = []
-    for x in range(system.size):
-        row, y = [], x
-        for _ in range(system.period):
-            row.extend(system.stats[y])
-            y = system.perm[y]
-        rows.append(row)
-    return rows
 
 
 # |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
@@ -788,7 +808,7 @@ def test_integer_report_stages_match_fraction_oracles(system):
     for matrix in (pm, quotient):
         block_sums = invariant_matrix(matrix)
         assert [list(r) for r in block_sums.entries] == oracle_invariant_matrix(
-            [list(r) for r in matrix.matrix.entries], n, k
+            [rows[x] for x in matrix.elements], n, k
         )
         assert all(all_fractions(r) for r in block_sums.entries)
     diff = shifted_difference(pm)
@@ -861,7 +881,7 @@ def test_homomesy_value_matches_fraction_oracle(case):
     got = homomesy_value(system, coeffs)
     assert got == oracle_homomesy_value(system.perm, system.period, system.stats, coeffs)
     assert got is None or type(got) is Fraction
-    assert "presenting" not in system._memo
+    assert set(system._memo) <= {"orbits", "integer"}
 
 
 # rational statistics whose columns have different denominators, k = 0,
@@ -888,19 +908,46 @@ def test_zero_mesic_original_combos_match_fraction_oracle(system):
     assert all(all_fractions(combo) for combo in combos)
 
 
-class TestMemo:
-    def test_repeat_calls_share_the_presenting_matrix(self):
-        system = multiset_rotation(3, 2)
-        assert presenting_matrix(system).matrix is presenting_matrix(system).matrix
+# k = 0; period 1; fixed points under a non-minimal period, whose shifts all
+# repeat; rational statistics with named columns; an invariant statistic whose
+# shift repeats its column beside one whose shift does not
+@settings(max_examples=60)
+@given(random_systems())
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(FiniteSystem(perm=(0, 1, 2), period=1, stats=((1, "1/2"), (2, 0), ("-1/3", 5))))
+@example(FiniteSystem(perm=(0, 1), period=4, stats=(("1/3", "-5/4"), ("2/3", "1/4"))))
+@example(MIXED_DENOMINATORS)
+@example(dataclasses.replace(RATIONAL_STATS, stat_names=("a", "b")))
+@example(
+    FiniteSystem(perm=(1, 0, 2, 3), period=2, stats=((1, 0), (1, 1), (2, 0), (0, "1/2")))
+)
+def test_extend_products_matches_fraction_oracle(system):
+    # the library reads g_i o T^j through a table of the powers of T; the
+    # oracle steps along T from each element
+    names = [system.stat_name(i) for i in range(system.num_stats)]
+    expected = oracle_extend_products(system.perm, system.period, system.stats, names)
+    extended = extend_products(system)
+    assert list(extended.stat_names) == [name for name, _ in expected]
+    columns = [tuple(row[c] for row in extended.stats) for c in range(len(expected))]
+    assert columns == [values for _, values in expected]
+    assert all(len(row) == len(expected) for row in extended.stats)
+    assert all(all_fractions(row) for row in extended.stats)
+    assert (extended.perm, extended.period, extended.labels) == (
+        system.perm,
+        system.period,
+        system.labels,
+    )
 
+
+class TestMemo:
     def test_a_report_builds_no_full_presenting_matrix(self):
         # every stage reads the integer rows at the orbit starts, built once
         system = multiset_rotation(4, 3)
         analysis_report(system, "both")
-        assert "presenting" not in system._memo
+        assert set(system._memo) == {"orbits", "integer", "quotient", "galois"}
         rows = system._memo["quotient"]
         assert len(rows) == len(orbits(system)) < system.size
-        full_rank = presenting_matrix(system).matrix.rank()
+        full_rank = gauss_rank(presenting_rows(system))
         assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
         assert system._memo["quotient"] is rows
 
@@ -911,11 +958,12 @@ class TestMemo:
     def test_equal_systems_do_not_share_a_memo(self):
         first, second = multiset_rotation(3, 2), multiset_rotation(3, 2)
         assert first == second and first is not second
-        matrix = presenting_matrix(first).matrix
+        rows = _orbit_quotient(presenting_matrix(first), orbits(first)).rows
         spectrum(first)
         assert second._memo == {}
-        assert presenting_matrix(second).matrix is not matrix
-        assert presenting_matrix(second).matrix == matrix
+        second_rows = _orbit_quotient(presenting_matrix(second), orbits(second)).rows
+        assert second_rows is not rows
+        assert second_rows == rows
 
     def test_equality_hash_and_repr_ignore_the_memo(self):
         analysed, fresh = multiset_rotation(3, 2), multiset_rotation(3, 2)
