@@ -99,41 +99,33 @@ def mobius(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials and the cyclotomic polynomials
-
-
-def _poly_div_exact_int(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
-    """Divide integer polynomials exactly; `den` must be monic and divide `num`."""
-    work = list(num)
-    dn = len(work) - 1
-    dd = len(den) - 1
-    if den[dd] != 1:
-        raise ValueError("divisor must be monic")
-    quot = [0] * (dn - dd + 1)
-    for i in range(dn, dd - 1, -1):
-        c = work[i]
-        if c:
-            quot[i - dd] = c
-            for t in range(dd + 1):
-                work[i - dd + t] -= c * den[t]
-    if any(work):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(quot)
+# the cyclotomic polynomials
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Integer coefficients of the d-th cyclotomic polynomial, ascending degree.
 
-    Computed by dividing x^d - 1 by the cyclotomic polynomials of the proper
-    divisors of d; the result is monic of degree euler_phi(d).
+    Phi_1 = x - 1.  For d > 1, Phi_d = prod_{e | d} (1 - x^e)^mobius(d/e),
+    taken as a power series cut past degree euler_phi(d): multiplying by
+    1 - x^e is one backward pass over the coefficients and dividing by it is
+    one forward pass.  The result is monic of degree euler_phi(d).
     """
     if d < 1:
         raise ValueError("d must be positive")
-    poly: tuple[int, ...] = tuple([-1] + [0] * (d - 1) + [1])
-    for e in divisors(d)[:-1]:
-        poly = _poly_div_exact_int(poly, cyclotomic_polynomial(e))
-    return poly
+    if d == 1:
+        return (-1, 1)
+    phi = euler_phi(d)
+    poly = [1] + [0] * phi
+    for e in divisors(d):
+        sign = mobius(d // e)
+        if sign == 1:
+            for i in range(phi, e - 1, -1):
+                poly[i] -= poly[i - e]
+        elif sign == -1:
+            for i in range(e, phi + 1):
+                poly[i] += poly[i - e]
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------

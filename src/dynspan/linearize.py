@@ -34,7 +34,10 @@ times their row at x.
 
 Neither route ranks once per exponent.  The statistics are rational, so the
 multiplicity of zeta^j depends only on gcd(j, n) (see `Spectrum`), and each
-route computes one number per divisor d of n.
+route computes at most one number per divisor d of n.  On a non-minimal
+period neither ranks past what the orbits carry: the galois route closes
+only for d | m, the minimal period, and the cyclotomic route only for d
+dividing some orbit length.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .exact import (
     euler_phi,
     mobius,
 )
-from .system import FiniteSystem, orbits, validate
+from .system import FiniteSystem, minimal_period, orbits, validate
 
 __all__ = [
     "FlatnessReport",
@@ -325,16 +328,19 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     (`_power_block_sums`, width d*k), whose row at T(x) is its row at x
     rotated by k entries.  So its row space is the rotation closure of one
     row per T-orbit, and `_rotation_closure_rank` computes it from those
-    rows alone.  f(n) is the rank of the presenting matrix, dim V.
+    rows alone.  U^m = I on V for the minimal period m, so closures run only
+    for e | m, and f(d) = f(gcd(d, m)).  f(n) is dim V.
     """
     table = system._memo.get("galois")
     if table is None:
         reps = PresentingMatrix(system, tuple(c[0] for c in orbits(system))).rows
         k = system.num_stats
-        table = {
-            d: _rotation_closure_rank(_power_block_sums(reps, k, d), k)
-            for d in divisors(system.period)
+        m = minimal_period(system)
+        closure = {
+            e: _rotation_closure_rank(_power_block_sums(reps, k, e), k)
+            for e in divisors(m)
         }
+        table = {d: closure[math.gcd(d, m)] for d in divisors(system.period)}
         system._memo["galois"] = table
     return table
 
@@ -342,21 +348,18 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
 def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     """Spectral multiplicity function of U, by one of two independent routes.
 
-    "galois" works entirely over Q: for each divisor d of n it computes the
-    dimension f(d) of the T^d-invariant subspace of V and recovers the common
-    multiplicity m_e of the primitive e-th roots by Moebius inversion of
+    Both start from one row per T-orbit (see the module notes), and neither
+    reads the other's results, so the two stay independent; they agree on
+    every system with rational statistics.  "galois" works entirely over Q:
+    it recovers the common multiplicity m_e of the primitive e-th roots from
+    the table f of `_galois_table` by Moebius inversion of
     sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for each d | n, the
     weighted block sum of exponent n/d over Q(zeta_d) with its own Z[zeta]
     elimination, and gives that rank to every exponent j with
-    n/gcd(j, n) = d; Galois conjugation makes this exact (see `Spectrum`).  It
-    never reads f(d) or a Moebius sum, so the two methods stay independent;
-    they agree on every system with rational statistics.
-
-    Both start from one row per T-orbit, which is exact.  The row of the
-    T^d-invariant matrix at T(x) is its row at x rotated by k entries, so the
-    galois route ranks the rotation closure of those rows; the row of a
-    weighted block sum at T(x) is zeta times the row at x, so the other rows
-    add nothing to a cyclotomic rank.
+    n/gcd(j, n) = d (exact by Galois conjugation, see `Spectrum`).  The row of
+    an orbit of length L is L-periodic, so its weighted block sum at a
+    primitive d-th root vanishes unless d | L: a d that divides no orbit
+    length has rank 0, with no matrix and no Phi_d.
     """
     _require_valid(system)
     n = system.period
@@ -371,12 +374,16 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
                     f"Moebius inversion produced a non-multiplicity at divisor {e}"
                 )
             prim_mult[e] = total // phi
-        mults = tuple(prim_mult[n // math.gcd(j, n)] for j in range(n))
-        return Spectrum(n, mults)
+        return Spectrum(n, tuple(prim_mult[n // math.gcd(j, n)] for j in range(n)))
     if method == "cyclotomic":
-        pm = _orbit_quotient(presenting_matrix(system), orbits(system))
+        cycles = orbits(system)
+        pm = _orbit_quotient(presenting_matrix(system), cycles)
+        lengths = {len(c) for c in cycles}
         # exponent n/d stands for every j with gcd(j, n) = n/d
-        rank = {d: zeta_matrix(pm, (n // d) % n).rank() for d in divisors(n)}
+        rank = dict.fromkeys(divisors(n), 0)
+        for d in rank:
+            if any(length % d == 0 for length in lengths):
+                rank[d] = zeta_matrix(pm, (n // d) % n).rank()
         return Spectrum(n, tuple(rank[n // math.gcd(j, n)] for j in range(n)))
     raise ValueError(f"unknown spectrum method: {method!r}")
 

@@ -59,7 +59,7 @@ from .polytope import (
     polytope_vertices,
     random_polytope_point,
 )
-from .system import minimal_period, orbits
+from .system import FiniteSystem, minimal_period, orbits
 
 __all__ = ["CheckResult", "BLOCK_NAMES", "run_checks"]
 
@@ -229,34 +229,41 @@ def _block_structural() -> list[CheckResult]:
     return out
 
 
+def _coboundary_cases():
+    yield "multiset(2,3)", multiset_rotation(2, 3)
+    yield "multiset(2,4)", multiset_rotation(2, 4)
+    yield "multiset(3,2)", multiset_rotation(3, 2)
+    yield "multiset(3,3)", multiset_rotation(3, 3)
+    yield "multiset(4,3)", multiset_rotation(4, 3)
+    yield "chain(3,3)", chain_rowmotion(3, 3)
+    yield "chain(4,2)", chain_rowmotion(4, 2)
+    yield "distinct(4,2)", distinct_multiset_rotation(4, 2)
+    yield "negation", negation_system()
+
+
 def _block_coboundary() -> list[CheckResult]:
     out = []
-    cases = [
-        ("multiset(2,3)", multiset_rotation(2, 3)),
-        ("multiset(2,4)", multiset_rotation(2, 4)),
-        ("multiset(3,2)", multiset_rotation(3, 2)),
-        ("multiset(3,3)", multiset_rotation(3, 3)),
-        ("multiset(4,3)", multiset_rotation(4, 3)),
-        ("chain(3,3)", chain_rowmotion(3, 3)),
-        ("chain(4,2)", chain_rowmotion(4, 2)),
-        ("distinct(4,2)", distinct_multiset_rotation(4, 2)),
-        ("negation", negation_system()),
-    ]
     rng = random.Random(20240)
-    for name, system in cases:
+    for name, system in _coboundary_cases():
         rows = presenting_matrix(system).rows
         cycles = orbits(system)
         perm = system.perm
-        n = system.period
+        n, k = system.period, system.num_stats
         # column j*k + i of the integer rows is g_i o T^j times scales[i]
         scales = _integer_stats(system)[0] * n
         good = 0
-        for _ in range(100):
-            coeffs = [_random_fraction(rng) for _ in range(n * system.num_stats)]
+        for trial in range(100):
+            coeffs = [_random_fraction(rng) for _ in range(n * k)]
             # the combination at x is (rows[x] . weights) / den: each weight
             # coeffs[c] / scales[c] is scaled once to an integer
             den, weights = _scale_to_int([a / s for a, s in zip(coeffs, scales)])
             ints = [sum(map(mul, row, weights)) for row in rows]
+            # the first trial checks that this is the function
+            # sum c_{j,i} g_i o T^j of V, summed in Fractions from the statistics
+            in_v = trial > 0 or all(
+                Fraction(v, den) == _shifted_combination(system, coeffs, x)
+                for x, v in enumerate(ints)
+            )
             # less their orbit means, the values are f / (n * den), f integers:
             # each orbit length divides n
             f = [n * v for v in ints]
@@ -268,12 +275,23 @@ def _block_coboundary() -> list[CheckResult]:
             witness = coboundary_witness(system, [Fraction(v, scale) for v in f])
             # f / scale = g - g o T, for g = w / wden
             wden, w = _scale_to_int(witness)
-            if all(
+            if in_v and all(
                 f[x] * wden == (w[x] - w[perm[x]]) * scale for x in range(system.size)
             ):
                 good += 1
         out.append(_check("coboundary", f"{name} roundtrips", "100/100", f"{good}/100"))
     return out
+
+
+def _shifted_combination(
+    system: FiniteSystem, coeffs: Sequence[Fraction], x: int
+) -> Fraction:
+    """sum_{j,i} coeffs[j*k + i] * g_i(T^j x), stepping along T from x."""
+    k, total = system.num_stats, Fraction(0)
+    for j in range(system.period):
+        total += sum(map(mul, coeffs[j * k : (j + 1) * k], system.stats[x]))
+        x = system.perm[x]
+    return total
 
 
 def _block_nesw() -> list[CheckResult]:

@@ -20,9 +20,11 @@ former Fraction definitions (the library now runs them on homogeneous
 integer coordinates).
 
 `planted_spectra` draws systems whose spectrum is known by construction,
-from cyclotomic polynomials built here by exact division of x^e - 1.
+from cyclotomic polynomials built here by exact long division of x^e - 1
+(the library multiplies and divides power series by binomials 1 - x^e).
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -290,22 +292,25 @@ def extend_point(p):
 def _divide_exactly(num, den):
     """num / den for ascending integer polynomials, den monic, no remainder."""
     num = list(num)
+    terms = [(t, c) for t, c in enumerate(den) if c]
     quotient = [0] * (len(num) - len(den) + 1)
     for top in range(len(quotient) - 1, -1, -1):
         lead = quotient[top] = num[top + len(den) - 1]
-        for t, c in enumerate(den):
-            num[top + t] -= lead * c
+        if lead:
+            for t, c in terms:
+                num[top + t] -= lead * c
     assert not any(num), "not an exact division"
     return quotient
 
 
+@functools.cache
 def cyclotomic_polynomial(e):
     """Ascending coefficients of Phi_e: x^e - 1 over Phi_d for each d | e, d < e."""
     poly = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
             poly = _divide_exactly(poly, cyclotomic_polynomial(d))
-    return poly
+    return tuple(poly)
 
 
 def planted_statistic(length, killed):

@@ -19,6 +19,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def subprocess_env() -> dict:
+    """The environment, with the package sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -480,6 +489,53 @@ class TestVerifyCommand:
         failed = [line for line in out.splitlines() if "FAIL" in line]
         assert len(failed) == 1 and "multiset(4,2) gcd classes" in failed[0]
 
+    def test_coboundary_combination_is_checked(self, capsys, monkeypatch):
+        # reversed weights plus 7 still give a function of V, which centring
+        # makes 0-mesic, so every roundtrip holds; only the first trial's
+        # comparison with the Fraction sum over the statistics can fail
+        from dynspan import verify
+
+        real = verify._scale_to_int
+
+        def mutated(values):
+            den, ints = real(values)
+            if isinstance(values, list):  # the weights, not the witness tuple
+                ints = [v + 7 for v in reversed(ints)]
+            return den, ints
+
+        monkeypatch.setattr(verify, "_scale_to_int", mutated)
+        code, out, _ = run_cli(
+            capsys, "verify-paper", "--only", "coboundary", "--output", "json"
+        )
+        assert code == 1
+        assert {item["got"] for item in json.loads(out)} == {"99/100"}
+
+    def test_coboundary_rational_case(self, capsys, monkeypatch):
+        # statistics whose scales are 3 and 6, under a non-minimal period
+        from dynspan import verify
+
+        q = Fraction
+        system = FiniteSystem(
+            perm=(1, 2, 0, 3),
+            period=6,
+            stats=((q(1, 3), q(5, 6)), (q(2, 3), q(1, 2)), (q(1), q(-1, 6)),
+                   (q(1, 3), q(2))),
+        )
+        monkeypatch.setattr(verify, "_coboundary_cases", lambda: [("rational", system)])
+        code, out, _ = run_cli(capsys, "verify-paper", "--only", "coboundary")
+        assert code == 0, out
+        assert "rational roundtrips" in out
+        # a dropped scale forms another function of V: the first trial fails
+        real = verify._integer_stats
+        monkeypatch.setattr(
+            verify, "_integer_stats", lambda s: ([1] * s.num_stats, real(s)[1])
+        )
+        code, out, _ = run_cli(
+            capsys, "verify-paper", "--only", "coboundary", "--output", "json"
+        )
+        assert code == 1
+        assert json.loads(out)[0]["got"] == "99/100"
+
     def test_unknown_block_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify-paper", "--only", "bogus")
         assert code == 2
@@ -494,21 +550,41 @@ class TestVerifyCommand:
         assert all(item["passed"] for item in payload)
 
 
+def test_long_non_minimal_period_finishes(tmp_path):
+    # one 2-cycle under period 55440 (120 divisors, 110880 cells): only the
+    # roots of order 1 and 2 are eigenvalues, and both routes stop there
+    path = tmp_path / "p55440.json"
+    path.write_text(json.dumps({"period": 55440, "perm": [1, 0], "stats": [[1], [0]]}))
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dynspan.cli", *argv, str(path), "--output", "json"],
+            capture_output=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    report = json.loads(run("analyze", "--method", "both"))
+    assert report["dim_V"] == 2
+    assert [r["multiplicity"] for r in report["spectrum"]][:3] == [1, 0, 0]
+    galois = run("spectrum", "--method", "galois")
+    assert galois == run("spectrum", "--method", "cyclotomic")
+    assert json.loads(galois)["spectrum"][27720]["multiplicity"] == 1
+
+
 class TestClosedStdout:
     """A reader that closes stdout early gets exit 141 and an empty stderr."""
 
     def start(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
         # about 150 KB of JSON, more than a pipe buffers
         argv = ["builtin", "multiset", "--n", "8", "--k", "6"]
         return subprocess.Popen(
             [sys.executable, "-m", "dynspan.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=subprocess_env(),
         )
 
     def finish(self, proc):

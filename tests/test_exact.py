@@ -22,6 +22,7 @@ from dynspan.exact import (
     mobius,
 )
 from oracles import brute_rank, cyclotomic_product, gauss_rank, perm_det
+from oracles import cyclotomic_polynomial as oracle_cyclotomic_polynomial
 
 # the 4x6 value matrix of the three sorted-entry statistics and their shifts
 # for two-symbol rotation on 3-element multisets; rank is k+1 = 4
@@ -114,6 +115,12 @@ class TestCyclotomicPolynomial:
     @pytest.mark.parametrize("d", range(1, 25))
     def test_degree_is_phi(self, d):
         assert len(cyclotomic_polynomial(d)) == euler_phi(d) + 1
+
+    def test_binomial_product_matches_long_division(self):
+        # prod_{e | d} (1 - x^e)^mu(d/e), and x - 1 at d = 1, against the
+        # oracle's division of x^d - 1 by Phi_e for each proper divisor e
+        for d in sorted(set(range(1, 301)) | set(divisors(5040))):
+            assert cyclotomic_polynomial(d) == oracle_cyclotomic_polynomial(d), d
 
 
 def test_sparse_reduction_matches_long_division():

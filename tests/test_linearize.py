@@ -38,7 +38,7 @@ from dynspan.linearize import (
     zero_mesic_original_combos,
     zeta_matrix,
 )
-from dynspan.system import FiniteSystem, orbits, validate
+from dynspan.system import FiniteSystem, minimal_period, orbits, validate
 from dynspan.verify import _full_row_ranks
 from oracles import extend_products as oracle_extend_products
 from oracles import gauss_rank
@@ -758,6 +758,27 @@ def test_planted_spectra(planted):
     assert spectrum(system, "galois").mults == mults
     assert spectrum(dataclasses.replace(system), "cyclotomic").mults == mults
     assert zero_mesic_dimension(system) == sum(mults) - mults[0]
+
+
+# a 2-cycle under 5 times its minimal period, and a 3-cycle beside a fixed
+# point under 3 times: most roots of the declared period are no eigenvalue
+@settings(max_examples=40)
+@given(planted_spectra(), st.sampled_from([1, 2, 3, 5]))
+@example(([1, 0], 2, [(1,), (0,)], (1, 1)), 5)
+@example(([1, 2, 0, 3], 3, [(2, 1), (0, 1), (1, 1), (4, 1)], (2, 1, 1)), 3)
+def test_spectrum_under_a_non_minimal_period(planted, multiple):
+    # the spectrum planted at period b, read at n = multiple * m: U^m = I, so
+    # e^(2 pi i j / n) is an eigenvalue only if j m / n, and so j b / n, is an
+    # integer, and it is then the root of exponent j b / n at period b
+    perm, b, stats, mults = planted
+    system = FiniteSystem(perm=tuple(perm), period=b, stats=tuple(stats))
+    n = multiple * minimal_period(system)
+    expected = tuple(
+        mults[j * b // n] if j * b % n == 0 else 0 for j in range(n)
+    )
+    for method in ("galois", "cyclotomic"):
+        redeclared = dataclasses.replace(system, period=n)
+        assert spectrum(redeclared, method).mults == expected, method
 
 
 def all_fractions(values) -> bool:
