@@ -4,16 +4,18 @@ Scalars are either `fractions.Fraction` or `CycNumber`, an element of the
 field Q(zeta_d).  A `CycNumber` is an integer coefficient vector over a
 common positive denominator, in lowest terms: the vector is a polynomial in
 zeta_d reduced modulo the d-th cyclotomic polynomial.  Field arithmetic and
-the Z[zeta_d] echelon kernel share the same integer helpers, so cyclotomic
-matrix entries go into elimination without a detour through `Fraction`.
-Matrices are dense and immutable, and carry a single scalar kind.  Rank,
-column-basis and nullspace computations are fraction-free: a streaming
-echelon over Z, on each rational row scaled to integers, and one over
-Z[zeta_d]; each reduces a row against its basis in pivot order and stops once
-every column has a pivot.  Results are deterministic across runs and never
-touch floating point.  The cofactor determinant of a rational matrix sums
-integers too: it expands the same integer rows, row i scaled by s_i, the lcm
-of its denominators, and divides by the product of the s_i once.
+the Z[zeta_d] echelon kernel share the same integer helpers.  Matrices are
+dense and immutable, carry a single scalar kind and store their rows once,
+as integer rows over positive denominators: integers over Q, integer
+coefficient vectors over Q(zeta_d).  Scalars are derived from that store
+when they are read (and the store from the scalars of a matrix built from
+them).  Rank, column-basis and nullspace computations are fraction-free on
+the store: a streaming echelon over Z and one over Z[zeta_d]; each reduces a
+row against its basis in pivot order and stops once every column has a
+pivot.  Results are deterministic across runs and never touch floating
+point.  The cofactor determinant expands the same integer rows, row i scaled
+by s_i, the lcm of its denominators, and divides by the product of the s_i
+once.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -31,11 +33,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "CycNumber",
@@ -506,15 +507,6 @@ def _gauss_jordan_closure_rank(
     return len(pivots)
 
 
-def _cyc_int_rows(
-    entries: Sequence[Sequence[CycNumber]],
-) -> Iterator[list[list[int]]]:
-    """Each row scaled by the lcm of its entries' denominators, as it is read."""
-    for row in entries:
-        scale = math.lcm(*(v.den for v in row))
-        yield [[c * (scale // v.den) for c in v.num] for v in row]
-
-
 def _cyc_echelon(
     rows: Iterable[list[list[int]]], ncols: int, order: int
 ) -> tuple[list[list[list[int]]], list[int]]:
@@ -566,11 +558,61 @@ def _cyc_echelon(
     return [[[0] * phi] * c + basis[c] for c in pivots], pivots
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """A dense immutable matrix over Q or over a single cyclotomic field."""
+    """A dense immutable matrix over Q or over a single cyclotomic field.
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    The rows have one store, `_integer_rows`: row i is ints / den, den > 0,
+    where ints holds integers (over Q) or integer coefficient vectors (over
+    Q(zeta_order)).  The elimination kernels and the cofactor determinant
+    read only the store.  `entries`, the rows as Fraction or CycNumber
+    scalars in lowest terms, is a second view of the same rows.  A matrix
+    made from scalars (`from_rows`, the constructor) derives its store on the
+    first kernel call; one made from integer rows (`_from_integer_rows`)
+    builds its scalars only when they are read.  Each view is built at most
+    once, and the shape and the field never need the scalars.
+    """
+
+    def __init__(self, entries: tuple[tuple[Scalar, ...], ...]) -> None:
+        first = entries[0] if entries else ()
+        order = first[0].order if first and isinstance(first[0], CycNumber) else None
+        self.__dict__.update(entries=entries, rows=len(entries), cols=len(first), _order=order)
+
+    @classmethod
+    def _from_integer_rows(
+        cls, rows: list[tuple[int, list]], cols: int, order: int | None
+    ) -> "ExactMatrix":
+        """The matrix with row i = rows[i][1] / rows[i][0], over Q(zeta_order) or Q."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(_integer_rows=rows, rows=len(rows), cols=cols, _order=order)
+        return obj
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The rows as scalars in lowest terms, from the store when first read."""
+        order = self._order
+        if order is None:
+            return tuple(tuple(Fraction(v, s) for v in r) for s, r in self._integer_rows)
+        return tuple(tuple(_cyc(order, v, s) for v in r) for s, r in self._integer_rows)
+
+    @cached_property
+    def _integer_rows(self) -> list[tuple[int, list]]:
+        """The store, from `entries`: each row scaled by the lcm of its denominators."""
+        if not self.is_cyclotomic:
+            return [_scale_to_int(row) for row in self.entries]
+        out = []
+        for row in self.entries:
+            scale = math.lcm(*(v.den for v in row))
+            out.append((scale, [[c * (scale // v.den) for c in v.num] for v in row]))
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ExactMatrix) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]]) -> "ExactMatrix":
@@ -580,29 +622,14 @@ class ExactMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        order = None
-        for r in rows:
-            for v in r:
-                if isinstance(v, CycNumber):
-                    order = v.order
-                    break
-            if order is not None:
-                break
-        out: list[tuple[Scalar, ...]] = []
-        for r in rows:
-            if order is None:
-                out.append(tuple(v if type(v) is Fraction else Fraction(v) for v in r))
-            else:
-                conv = []
-                for v in r:
-                    if isinstance(v, CycNumber):
-                        if v.order != order:
-                            raise ValueError("mixed cyclotomic orders in one matrix")
-                        conv.append(v)
-                    else:
-                        conv.append(CycNumber.from_rational(Fraction(v), order))
-                out.append(tuple(conv))
-        return cls(tuple(out))
+        orders = {v.order for r in rows for v in r if isinstance(v, CycNumber)}
+        if len(orders) > 1:
+            raise ValueError("mixed cyclotomic orders in one matrix")
+        if orders:
+            zero = CycNumber.zero(orders.pop())
+            rows = [[v if isinstance(v, CycNumber) else zero + Fraction(v) for v in r] for r in rows]
+            return cls(tuple(map(tuple, rows)))
+        return cls(tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in r) for r in rows))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -611,26 +638,14 @@ class ExactMatrix:
         )
 
     @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
     def is_cyclotomic(self) -> bool:
-        return self.cols > 0 and isinstance(self.entries[0][0], CycNumber)
+        return self.cols > 0 and self._order is not None
 
     def _zero_scalar(self) -> Scalar:
-        if self.is_cyclotomic:
-            return CycNumber.zero(self.entries[0][0].order)
-        return Fraction(0)
+        return CycNumber.zero(self._order) if self.is_cyclotomic else Fraction(0)
 
     def _one_scalar(self) -> Scalar:
-        if self.is_cyclotomic:
-            return CycNumber.one(self.entries[0][0].order)
-        return Fraction(1)
+        return CycNumber.one(self._order) if self.is_cyclotomic else Fraction(1)
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r[j] for r in self.entries)
@@ -679,12 +694,7 @@ class ExactMatrix:
             )
         return NotImplemented
 
-    def __rmul__(self, other: object) -> "ExactMatrix":
-        if isinstance(other, (int, Fraction, CycNumber)):
-            return ExactMatrix(
-                tuple(tuple(other * v for v in r) for r in self.entries)
-            )
-        return NotImplemented
+    __rmul__ = __mul__  # both fields are commutative
 
     def __pow__(self, exponent: int) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -707,17 +717,6 @@ class ExactMatrix:
             e >>= 1
         return out
 
-    @cached_property
-    def _integer_rows(self) -> list[tuple[int, list[int]]] | None:
-        """The rows as (scale, integer row), or None for a cyclotomic matrix.
-
-        The elimination and the cofactor determinant of a rational matrix
-        read them, as do the 0-mesic rank and the polytope lift check, so one
-        matrix converts its rows once."""
-        if self.is_cyclotomic:
-            return None
-        return [_scale_to_int(row) for row in self.entries]
-
     def apply(self, vector: Sequence[object]) -> tuple[Scalar, ...]:
         """Matrix-vector product."""
         if len(vector) != self.cols:
@@ -735,19 +734,20 @@ class ExactMatrix:
     def _echelon(self):
         """Echelon rows, pivot columns, and a lift of raw entries to the field.
 
-        `_streaming_echelon` over Z on the integer rows, or `_cyc_echelon` over
-        Z[zeta]; the rows are sorted by pivot and zero-padded.  Pivots and the
-        nullspace basis normalised at free columns depend only on the row
-        space."""
+        `_streaming_echelon` over Z or `_cyc_echelon` over Z[zeta], on the
+        integer rows of the store; the rows are sorted by pivot and
+        zero-padded.  Pivots and the nullspace basis normalised at free
+        columns depend only on the row space."""
+        ints = (r for _, r in self._integer_rows)
         if self.is_cyclotomic:
-            order = self.entries[0][0].order
-            rows, pivots = _cyc_echelon(_cyc_int_rows(self.entries), self.cols, order)
+            order = self._order
+            rows, pivots = _cyc_echelon(ints, self.cols, order)
 
             def lift(raw: Sequence[int]) -> Scalar:
                 return _cyc(order, raw, 1)
 
         else:
-            basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols)
+            basis = _streaming_echelon(ints, self.cols)
             pivots = sorted(basis)
             rows = [[0] * c + basis[c] for c in pivots]
             lift = Fraction
@@ -789,18 +789,18 @@ class ExactMatrix:
         matrix expands its integer rows, row i scaled by s_i, the lcm of its
         denominators: det(diag(s) * A) = prod(s_i) * det(A), so the result is
         one Fraction, the integer determinant over prod(s_i).  A cyclotomic
-        matrix expands its entries in the field.
+        matrix expands the same store, each coefficient vector read as an
+        element of Z[zeta], and divides by prod(s_i) in the field.
         """
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant needs a square matrix")
         scaled = self._integer_rows
-        if scaled is None:
-            ent = self.entries
+        ent = [row for _, row in scaled]
+        zero, one = 0, 1
+        if self.is_cyclotomic:
+            ent = [[_cyc(self._order, v, 1) for v in row] for row in ent]
             zero, one = self._zero_scalar(), self._one_scalar()
-        else:
-            ent = [row for _, row in scaled]
-            zero, one = 0, 1
         memo: dict[int, Scalar | int] = {}
 
         def minor(mask: int) -> Scalar | int:
@@ -825,7 +825,4 @@ class ExactMatrix:
             memo[mask] = total
             return total
 
-        det = minor((1 << n) - 1)
-        if scaled is None:
-            return det
-        return Fraction(det, math.prod(s for s, _ in scaled))
+        return minor((1 << n) - 1) * Fraction(1, math.prod(s for s, _ in scaled))

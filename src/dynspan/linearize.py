@@ -17,7 +17,9 @@ A `PresentingMatrix` is a selection of rows: all of X, or one row per T-orbit
 integers, not Fractions: orbit averages, the invariance test, the block sums
 of `invariant_matrix` and `zeta_matrix` and the differences of M - M'.  A
 Fraction is built only for a value that is returned, from an integer sum and
-the scale of its statistic.
+the scale of its statistic.  `zeta_matrix` and `shifted_difference` return
+their sums as the integer rows of an `ExactMatrix`, so the cyclotomic and
+0-mesic ranks build no CycNumber and no Fraction.
 
 No rank here reads a row for every element of X.  V is closed under
 composition with T, so the row of the presenting matrix at T(x) is its row at
@@ -42,7 +44,6 @@ dividing some orbit length.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -51,7 +52,6 @@ from operator import mul
 
 from .exact import (
     ExactMatrix,
-    _cyc,
     _cyc_reduce_int,
     _field,
     _rotation_closure_rank,
@@ -210,6 +210,8 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     the zeta-eigenspace of U, so the rank is the multiplicity of zeta.  For
     zeta = zeta_d^s, each entry sums the integer rows of `pm` into d slots of
     Z[x]/(x^d - 1), block m at slot (-s*m) mod d, and is reduced mod Phi_d.
+    The matrix is built as integer rows, with no scalars: column i of every
+    row is that sum times L/scales[i], over L, the lcm of the scales.
     """
     n, k = pm.n, pm.k
     if not 0 <= exponent < n:
@@ -222,17 +224,23 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     offsets = [0] * d
     for r in range(d):
         offsets[(-s * r) % d] = r * k
-    # entry i is acc / scales[i] in lowest terms, the exact value
-    scales = _integer_stats(pm.system)[0]
+    lcm, factors = _common_scale(pm.system, 1)
     rows = []
     for sums in _power_block_sums(pm.rows, k, d):
         out = []
-        for i, scale in enumerate(scales):
+        for i, factor in enumerate(factors):
             acc = [sums[o + i] for o in offsets]
             _cyc_reduce_int(acc, phi, mod)
-            out.append(_cyc(d, acc[:phi], scale))
-        rows.append(tuple(out))
-    return ExactMatrix(tuple(rows))
+            out.append([factor * v for v in acc[:phi]])
+        rows.append((lcm, out))
+    return ExactMatrix._from_integer_rows(rows, k, d)
+
+
+def _common_scale(system: FiniteSystem, blocks: int) -> tuple[int, list[int]]:
+    """L, the lcm of the scales, and L/scales[i] for column i of each of `blocks` blocks."""
+    scales = _integer_stats(system)[0]
+    lcm = math.lcm(*scales)
+    return lcm, [lcm // s for s in scales] * blocks
 
 
 def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
@@ -240,22 +248,16 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
 
     Each row is its presenting row minus that row rotated by k entries:
     entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), with T^-1 = T^(n-1).
-    The differences are taken on the integer rows and divided by the scale
-    of g_i.
+    The matrix is built as integer rows, with no scalars: each difference of
+    integer rows, times L/scales[i], over L, the lcm of the scales.
     """
-    scales = _integer_stats(pm.system)[0] * pm.n
-    # equal differences share one immutable Fraction, built once
-    fraction = functools.cache(Fraction)
+    lcm, factors = _common_scale(pm.system, pm.n)
     k = pm.k
-    return ExactMatrix(
-        tuple(
-            tuple(
-                fraction(a - b, s)
-                for a, b, s in zip(row, row[-k:] + row[:-k], scales)
-            )
-            for row in pm.rows
-        )
-    )
+    rows = [
+        (lcm, [f * (a - b) for a, b, f in zip(row, row[-k:] + row[:-k], factors)])
+        for row in pm.rows
+    ]
+    return ExactMatrix._from_integer_rows(rows, pm.n * k, None)
 
 
 def zero_mesic_dimension(system: FiniteSystem) -> int:

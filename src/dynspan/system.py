@@ -20,15 +20,17 @@ class FiniteSystem:
 
     `_memo` holds what is derived from the system alone and would otherwise
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
-    `orbits`, and so by `validate` too).  `linearize` fills "integer" (the
+    `orbits`, and so by `validate` too) and "violations" (the tuple of
+    contract violations, by `validate`).  `linearize` fills "integer" (the
     statistics scaled to integers, `(scales, rows)`: `scales[i]` is the lcm
     of the denominators of g_i and `rows[x][i]` is g_i(x) * scales[i]; read
     by every stage of a report), "quotient" (the integer presenting rows at
     the first element of each T-orbit, read by both spectrum routes, the
     invariant basis and the 0-mesic rank) and "galois" (f(d) = dim of the
-    T^d-invariant subspace of V, for d | n).  Each is built on first use and lives exactly as long as the instance.
-    It takes no part in equality, hashing or repr, and
-    `dataclasses.replace` starts a new instance with an empty memo.
+    T^d-invariant subspace of V, for d | n).  Each is built on first use and
+    lives exactly as long as the instance.  It takes no part in equality,
+    hashing or repr, and `dataclasses.replace` starts a new instance with an
+    empty memo.
     """
 
     perm: tuple[int, ...]
@@ -75,7 +77,18 @@ class FiniteSystem:
 
 
 def validate(system: FiniteSystem) -> list[str]:
-    """Return every contract violation (empty list means the system is valid)."""
+    """Return every contract violation (empty list means the system is valid).
+
+    The system is immutable, so the violations are found once and kept in
+    `system._memo["violations"]`; each call returns a fresh list of them.
+    """
+    found = system._memo.get("violations")
+    if found is None:
+        found = system._memo["violations"] = tuple(_violations(system))
+    return list(found)
+
+
+def _violations(system: FiniteSystem) -> list[str]:
     violations: list[str] = []
     n = system.size
     perm = system.perm

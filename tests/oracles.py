@@ -19,6 +19,11 @@ the powers of T).  The maps of the order polytope are the library's
 former Fraction definitions (the library now runs them on homogeneous
 integer coordinates).
 
+The weighted block sums of the cyclotomic route are summed term by term in
+`CycNumber` field arithmetic, which no report path uses (the library adds
+integer slots of Z[x]/(x^d - 1), reduces them modulo Phi_d, and ranks the
+integer coefficient vectors).
+
 `planted_spectra` draws systems whose spectrum is known by construction,
 from cyclotomic polynomials built here by exact long division of x^e - 1
 (the library multiplies and divides power series by binomials 1 - x^e).
@@ -31,6 +36,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
+
+from dynspan.exact import CycNumber
 
 
 def perm_sign(perm) -> int:
@@ -116,6 +123,28 @@ def shifted_difference(rows, n, k):
         [row[j * k + i] - row[((j - 1) % n) * k + i] for j in range(n) for i in range(k)]
         for row in rows
     ]
+
+
+def zeta_matrix(perm, period, stats, exponent, elements):
+    """Rows at `elements` of sum_m zeta_d^(-s*m) * g_i(T^m x), m = 0..period-1.
+
+    zeta = e^(2 pi i exponent / period) = zeta_d^s, with d = period / g and
+    s = exponent / g for g = gcd(exponent, period).  Each term is a
+    `CycNumber` root of unity times a Fraction, added one by one while
+    stepping along T from x.
+    """
+    g = math.gcd(exponent, period)
+    d, s = period // g, exponent // g
+    k = len(stats[0]) if stats else 0
+    rows = []
+    for x in elements:
+        row, y = [CycNumber.zero(d)] * k, x
+        for m in range(period):
+            weight = CycNumber.root(d, -s * m)
+            row = [acc + weight * stats[y][i] for i, acc in enumerate(row)]
+            y = perm[y]
+        rows.append(row)
+    return rows
 
 
 def invariant_matrix(rows, n, k):

@@ -11,7 +11,6 @@ from dynspan.exact import (
     CycNumber,
     ExactMatrix,
     _cyc_echelon,
-    _cyc_int_rows,
     _cyc_reduce_int,
     _field,
     _rotation_closure_rank,
@@ -556,7 +555,7 @@ def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
     read = []
 
     def rows():
-        for row in _cyc_int_rows(m.entries):
+        for _, row in m._integer_rows:
             read.append(row)
             yield row
 

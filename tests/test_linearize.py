@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynspan import exact
 from dynspan.cli import analysis_report
 from dynspan.exact import CycNumber, ExactMatrix, divisors
 from dynspan.families import (
@@ -48,6 +49,7 @@ from oracles import planted_spectra
 from oracles import shifted_difference as oracle_shifted_difference
 from oracles import statistic_report as oracle_statistic_report
 from oracles import zero_mesic_original_combos as oracle_zero_mesic_original_combos
+from oracles import zeta_matrix as oracle_zeta_matrix
 
 
 def as_ints(matrix: ExactMatrix) -> list[list[int]]:
@@ -327,7 +329,7 @@ class TestHomomesyValue:
         # orbit sums of the integer statistics, not presenting rows
         system = chain_rowmotion(3, 3)
         assert homomesy_value(system, unit_coeffs(system, 1)) == 1
-        assert set(system._memo) == {"orbits", "integer"}
+        assert set(system._memo) == {"orbits", "integer", "violations"}
 
 
 class TestStatisticReport:
@@ -902,7 +904,7 @@ def test_homomesy_value_matches_fraction_oracle(case):
     got = homomesy_value(system, coeffs)
     assert got == oracle_homomesy_value(system.perm, system.period, system.stats, coeffs)
     assert got is None or type(got) is Fraction
-    assert set(system._memo) <= {"orbits", "integer"}
+    assert set(system._memo) <= {"orbits", "integer", "violations"}
 
 
 # rational statistics whose columns have different denominators, k = 0,
@@ -960,12 +962,65 @@ def test_extend_products_matches_fraction_oracle(system):
     )
 
 
+# k = 0; period 1; fixed points under a non-minimal period; rational
+# statistics whose columns have different scales
+@settings(max_examples=40)
+@given(random_systems())
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(FiniteSystem(perm=(0, 1, 2), period=1, stats=((1, "1/2"), (2, 0), ("-1/3", 5))))
+@example(FiniteSystem(perm=(0, 1), period=4, stats=(("1/3", "-5/4"), ("2/3", "1/4"))))
+@example(FiniteSystem(perm=(1, 0, 2), period=6, stats=(("1/3", 2), ("-1/6", 0), (5, "7/4"))))
+@example(MIXED_DENOMINATORS)
+def test_zeta_matrix_matches_cyclotomic_oracle(system):
+    # the library sums integer slots and scales column i by L / scales[i]; the
+    # oracle adds zeta_d^(-s m) * g_i(T^m x) in the field, term by term
+    pm = presenting_matrix(system)
+    for matrix in (pm, _orbit_quotient(pm, orbits(system))):
+        for j in range(system.period):
+            got = zeta_matrix(matrix, j)
+            expected = oracle_zeta_matrix(
+                system.perm, system.period, system.stats, j, matrix.elements
+            )
+            assert [list(r) for r in got.entries] == expected
+            assert got.rank() == ExactMatrix.from_rows(expected).rank()
+
+
+@pytest.mark.parametrize(
+    "system",
+    [multiset_rotation(4, 3), chain_rowmotion(4, 3), RATIONAL_STATS],
+    ids=["multiset(4,3)", "chain(4,3)", "rational"],
+)
+def test_report_path_builds_no_cyclotomic_number(system, monkeypatch):
+    built = []
+    make, store = exact._cyc, CycNumber._set
+
+    def counting_cyc(*args):
+        built.append(args)
+        return make(*args)
+
+    def counting_set(self, *args):
+        built.append(args)
+        store(self, *args)
+
+    monkeypatch.setattr(exact, "_cyc", counting_cyc)
+    monkeypatch.setattr(CycNumber, "_set", counting_set)
+    spectrum(dataclasses.replace(system), "cyclotomic")
+    assert built == []
+    zero_mesic_dimension(dataclasses.replace(system))
+    assert built == []
+    analysis_report(dataclasses.replace(system), "both")
+    assert built == []
+    # the scalars are built when something reads them
+    entries = zeta_matrix(presenting_matrix(system), 1).entries
+    assert built and all(type(v) is CycNumber for r in entries for v in r)
+
+
 class TestMemo:
     def test_a_report_builds_no_full_presenting_matrix(self):
         # every stage reads the integer rows at the orbit starts, built once
         system = multiset_rotation(4, 3)
         analysis_report(system, "both")
-        assert set(system._memo) == {"orbits", "integer", "quotient", "galois"}
+        assert set(system._memo) == {"orbits", "integer", "quotient", "galois", "violations"}
         rows = system._memo["quotient"]
         assert len(rows) == len(orbits(system)) < system.size
         full_rank = gauss_rank(presenting_rows(system))

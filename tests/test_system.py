@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,21 @@ def test_all_violations_are_collected():
     bad = FiniteSystem(perm=(0, 0), period=0, stats=((Fraction(1),),))
     problems = validate(bad)
     assert len(problems) >= 3
+
+
+def test_violations_are_memoised_and_each_call_gets_a_fresh_list():
+    bad = FiniteSystem(perm=(0, 0), period=0, stats=((Fraction(1),),))
+    first = validate(bad)
+    assert first and bad._memo["violations"] == tuple(first)
+    second = validate(bad)
+    assert second == first and second is not first
+    second.append("changed by the caller")
+    first.clear()
+    assert validate(bad) == list(bad._memo["violations"]) and validate(bad)
+    assert "changed by the caller" not in validate(bad)
+    fresh = dataclasses.replace(bad)
+    assert fresh._memo == {}
+    assert validate(fresh) == validate(bad)
 
 
 class TestOrbits:
