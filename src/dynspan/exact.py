@@ -204,7 +204,8 @@ class CycNumber:
     of a polynomial in zeta_order reduced modulo the order-th cyclotomic
     polynomial, and `den` is a positive integer with gcd(den, *num) = 1.
     Each element has exactly one such form, so equality and hashing compare
-    fields, and an element is zero iff every entry of `num` is.  Products
+    fields (a rational element also equals and hashes like its Fraction),
+    and an element is zero iff every entry of `num` is.  Products
     run on the same integer helpers as the Z[zeta] echelon kernel, and the
     inverse is adj/N: adj is the product of the nontrivial conjugates and
     N = a * adj a nonzero integer.  Instances are immutable.
@@ -383,6 +384,9 @@ class CycNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a rational element equals its Fraction, so it hashes like one
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.order, self.num, self.den))
 
     def __repr__(self) -> str:

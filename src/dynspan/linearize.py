@@ -13,13 +13,15 @@ calls still validate the system, but share that work.  dim V is f(n), the
 rank of the presenting matrix that the galois route computes.
 
 A `PresentingMatrix` is a selection of rows: all of X, or one row per T-orbit
-(`_orbit_quotient`).  The stages of a report read its integer rows and sum
-integers, not Fractions: orbit averages, the invariance test, the block sums
-of `invariant_matrix` and `zeta_matrix` and the differences of M - M'.  A
-Fraction is built only for a value that is returned, from an integer sum and
-the scale of its statistic.  `zeta_matrix` and `shifted_difference` return
-their sums as the integer rows of an `ExactMatrix`, so the cyclotomic and
-0-mesic ranks build no CycNumber and no Fraction.
+(`_orbit_quotient`).  Its rows read one integer statistics grid per system
+(`_integer_stats`): every statistic times L, the lcm of all their
+denominators.  The stages of a report sum those integers, not Fractions:
+orbit averages, the invariance test, the block sums of `invariant_matrix`
+and `zeta_matrix` and the differences of M - M'.  A Fraction is built only
+for a value that is returned, from an integer sum over L.  `zeta_matrix` and
+`shifted_difference` return their sums over L as the integer rows of an
+`ExactMatrix`, so the cyclotomic and 0-mesic ranks build no CycNumber and no
+Fraction.
 
 No rank here reads a row for every element of X.  V is closed under
 composition with T, so the row of the presenting matrix at T(x) is its row at
@@ -105,12 +107,11 @@ class PresentingMatrix:
 
     Column j*k + i holds the function x -> g_{i+1}(T^j x); block 0 is the
     stats grid itself and block j+1 is block j composed with T.  `elements`
-    is all of X (`presenting_matrix`) or the first element of each T-orbit
-    (`_orbit_quotient`), both increasing, so the length tells them apart
-    (they coincide when every orbit is a point).  The matrix has one
-    representation, its integer `rows`; those of the quotient are built once
-    per system, in its memo, which never holds this object and so makes no
-    cycle.
+    is all of X (`presenting_matrix`), the first element of each T-orbit
+    (`_orbit_quotient`), or any selection a caller builds.  The matrix has
+    one representation, its integer `rows`; those of the orbit starts are
+    built once per system, in its memo, which never holds this object and so
+    makes no cycle.
     """
 
     system: FiniteSystem
@@ -126,9 +127,13 @@ class PresentingMatrix:
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        """The selected rows over Z: entry j*k + i is g_i(T^j x) * scales[i]."""
+        """The selected rows over Z: entry j*k + i is g_i(T^j x) * L.
+
+        L is the common denominator of `_integer_stats`.  Only the rows of
+        the orbit starts are memoised.
+        """
         system = self.system
-        memoised = len(self.elements) == len(orbits(system))
+        memoised = list(self.elements) == [c[0] for c in orbits(system)]
         rows = system._memo.get("quotient") if memoised else None
         if rows is None:
             rows = _presenting_rows(system, self.elements)
@@ -141,9 +146,9 @@ def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tupl
     """Integer rows of the presenting matrix at `elements`.
 
     The row at x concatenates the rows of x, T(x), ..., T^(n-1)(x) of the
-    integer statistics grid (`_integer_stats`).  Scaling a statistic by a
-    nonzero constant scales its column in every block, so no rank of any
-    block-sum matrix changes.
+    integer statistics grid (`_integer_stats`), each statistic times L.
+    Scaling the matrix by a nonzero constant changes no rank of any block-sum
+    matrix, and a value read from it is divided by L once.
     """
     grid = _integer_stats(system)[1]
     n, perm = system.period, system.perm
@@ -193,14 +198,12 @@ def _power_block_sums(rows: Sequence[Sequence], k: int, d: int) -> Sequence[Sequ
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
     """Sum of the n column blocks; its column span is the invariant space.
 
-    The blocks are summed on the integer rows, and column i divided by the
-    scale of g_i once.
+    The blocks are summed on the integer rows, and each sum divided by L
+    once.
     """
-    scales = _integer_stats(pm.system)[0]
+    lcm = _integer_stats(pm.system)[0]
     sums = _power_block_sums(pm.rows, pm.k, 1)
-    return ExactMatrix.from_rows(
-        [[Fraction(v, s) for v, s in zip(row, scales)] for row in sums]
-    )
+    return ExactMatrix.from_rows([[Fraction(v, lcm) for v in row] for row in sums])
 
 
 def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
@@ -210,8 +213,8 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     the zeta-eigenspace of U, so the rank is the multiplicity of zeta.  For
     zeta = zeta_d^s, each entry sums the integer rows of `pm` into d slots of
     Z[x]/(x^d - 1), block m at slot (-s*m) mod d, and is reduced mod Phi_d.
-    The matrix is built as integer rows, with no scalars: column i of every
-    row is that sum times L/scales[i], over L, the lcm of the scales.
+    The matrix is built as integer rows, with no scalars: each row is those
+    sums over L, the common denominator of `_integer_stats`.
     """
     n, k = pm.n, pm.k
     if not 0 <= exponent < n:
@@ -224,23 +227,16 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     offsets = [0] * d
     for r in range(d):
         offsets[(-s * r) % d] = r * k
-    lcm, factors = _common_scale(pm.system, 1)
+    lcm = _integer_stats(pm.system)[0]
     rows = []
     for sums in _power_block_sums(pm.rows, k, d):
         out = []
-        for i, factor in enumerate(factors):
+        for i in range(k):
             acc = [sums[o + i] for o in offsets]
             _cyc_reduce_int(acc, phi, mod)
-            out.append([factor * v for v in acc[:phi]])
+            out.append(acc[:phi])
         rows.append((lcm, out))
     return ExactMatrix._from_integer_rows(rows, k, d)
-
-
-def _common_scale(system: FiniteSystem, blocks: int) -> tuple[int, list[int]]:
-    """L, the lcm of the scales, and L/scales[i] for column i of each of `blocks` blocks."""
-    scales = _integer_stats(system)[0]
-    lcm = math.lcm(*scales)
-    return lcm, [lcm // s for s in scales] * blocks
 
 
 def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
@@ -249,13 +245,11 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
     Each row is its presenting row minus that row rotated by k entries:
     entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), with T^-1 = T^(n-1).
     The matrix is built as integer rows, with no scalars: each difference of
-    integer rows, times L/scales[i], over L, the lcm of the scales.
+    integer rows, over L, the common denominator of `_integer_stats`.
     """
-    lcm, factors = _common_scale(pm.system, pm.n)
-    k = pm.k
+    lcm, k = _integer_stats(pm.system)[0], pm.k
     rows = [
-        (lcm, [f * (a - b) for a, b, f in zip(row, row[-k:] + row[:-k], factors)])
-        for row in pm.rows
+        (lcm, [a - b for a, b in zip(row, row[-k:] + row[:-k])]) for row in pm.rows
     ]
     return ExactMatrix._from_integer_rows(rows, pm.n * k, None)
 
@@ -299,27 +293,21 @@ class Spectrum:
         }
 
 
-def _integer_stats(
-    system: FiniteSystem,
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The memoised `(scales, rows)`: each g_i scaled to integers.
+def _integer_stats(system: FiniteSystem) -> tuple[int, list[tuple[int, ...]]]:
+    """The memoised `(L, rows)`: the statistics over one common denominator.
 
-    scales[i] is the lcm of the denominators of g_i and rows[x][i] is
-    g_i(x) * scales[i].
+    L is the lcm of every denominator in the statistics and rows[x][i] is
+    g_i(x) * L.
     """
     grid = system._memo.get("integer")
     if grid is None:
         stats = system.stats
-        scales = [
-            math.lcm(*(row[i].denominator for row in stats))
-            for i in range(system.num_stats)
-        ]
+        lcm = math.lcm(*{v.denominator for row in stats for v in row})
         # tuple of a list, not of a generator, so each row is allocated exactly
         rows = [
-            tuple([v.numerator * (s // v.denominator) for v, s in zip(row, scales)])
-            for row in stats
+            tuple([v.numerator * (lcm // v.denominator) for v in row]) for row in stats
         ]
-        grid = system._memo["integer"] = (scales, rows)
+        grid = system._memo["integer"] = (lcm, rows)
     return grid
 
 
@@ -417,20 +405,18 @@ def homomesy_value(
     Returns None when the orbit averages differ.  T^j permutes each orbit, so
     g_i o T^j has the orbit averages of g_i, and the combination averages
     sum_i a_i * g_i on each orbit, with a_i = sum_j coeffs[j*k + i].  That
-    is summed on the integer statistics, each weight a_i / scales[i] scaled
-    once to an integer over a common denominator.
+    is summed on the integer statistics, with the weights a_i scaled once to
+    integers over a common denominator, and divided by it and L once.
     """
     pm = presenting_matrix(system)
     n, k = pm.n, pm.k
     if len(coeffs) != n * k:
         raise ValueError(f"need {n * k} coefficients, got {len(coeffs)}")
     coeffs = [Fraction(c) for c in coeffs]
-    scales, ints = _integer_stats(system)
-    den, weights = _scale_to_int(
-        [sum(coeffs[i::k]) / s for i, s in enumerate(scales)]
-    )
+    lcm, ints = _integer_stats(system)
+    den, weights = _scale_to_int([sum(coeffs[i::k]) for i in range(k)])
     values = [sum(map(mul, row, weights)) for row in ints]
-    return _common_orbit_average(values, orbits(system), den)[1]
+    return _common_orbit_average(values, orbits(system), den * lcm)[1]
 
 
 def _common_orbit_average(
@@ -479,12 +465,12 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
     _require_valid(system)
     cycles = orbits(system)
     perm = system.perm
-    scales, ints = _integer_stats(system)
+    lcm, ints = _integer_stats(system)
     verdicts = []
-    for i, scale in enumerate(scales):
+    for i in range(system.num_stats):
         values = [row[i] for row in ints]
         invariant = all(values[perm[x]] == values[x] for x in range(system.size))
-        averages, homomesy = _common_orbit_average(values, cycles, scale)
+        averages, homomesy = _common_orbit_average(values, cycles, lcm)
         verdicts.append(
             StatisticVerdict(system.stat_name(i), invariant, homomesy, averages)
         )
@@ -495,12 +481,12 @@ def zero_mesic_original_combos(system: FiniteSystem) -> list[tuple[Fraction, ...
     """Basis of {a in Q^k : sum a_i g_i has zero average on every orbit}.
 
     Computed as the nullspace of the (orbit count x k) matrix of orbit sums,
-    each summed on the integer statistics and divided by its scale once.
+    each summed on the integer statistics and divided by L once.
     """
     _require_valid(system)
-    scales, ints = _integer_stats(system)
+    lcm, ints = _integer_stats(system)
     rows = [
-        [Fraction(sum(ints[x][i] for x in orbit), s) for i, s in enumerate(scales)]
+        [Fraction(sum(ints[x][i] for x in orbit), lcm) for i in range(system.num_stats)]
         for orbit in orbits(system)
     ]
     return ExactMatrix.from_rows(rows).nullspace_basis()
@@ -589,15 +575,16 @@ class FlatnessReport:
     dim_v1perp: int
 
 
-def flatness_report(system: FiniteSystem, method: str = "galois") -> FlatnessReport:
+def flatness_report(system: FiniteSystem) -> FlatnessReport:
     """Summarize how evenly the multiplicity spreads over the nonunital roots.
 
     The ratio max/min runs over nonunital eigenvalues with nonzero
-    multiplicity and is absent (None) when there are none.
+    multiplicity and is absent (None) when there are none.  The spectrum is
+    the galois route's.
     """
     if system.period < 2:
         raise ValueError("flatness needs period >= 2")
-    sp = spectrum(system, method)
+    sp = spectrum(system)
     nonzero = [m for m in sp.mults[1:] if m > 0]
     if nonzero:
         lo, hi = min(nonzero), max(nonzero)

@@ -22,8 +22,8 @@ class FiniteSystem:
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
     `orbits`, and so by `validate` too) and "violations" (the tuple of
     contract violations, by `validate`).  `linearize` fills "integer" (the
-    statistics scaled to integers, `(scales, rows)`: `scales[i]` is the lcm
-    of the denominators of g_i and `rows[x][i]` is g_i(x) * scales[i]; read
+    statistics over one common denominator, `(L, rows)`: L is the lcm of
+    every denominator in the statistics and `rows[x][i]` is g_i(x) * L; read
     by every stage of a report), "quotient" (the integer presenting rows at
     the first element of each T-orbit, read by both spectrum routes, the
     invariant basis and the 0-mesic rank) and "galois" (f(d) = dim of the

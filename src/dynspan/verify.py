@@ -184,7 +184,7 @@ def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:
     """Ranks of the presenting matrix, the invariant matrix and M - M' at `pm`.
 
     Each is `_full_row_rank` of integer rows built from those of `pm`
-    (statistic i scaled by its own lcm, which changes no rank), not the
+    (every statistic times L, which changes no rank), not the
     rotation closure of one row per T-orbit that the spectra use.
     """
     rows, k = pm.rows, pm.k
@@ -249,14 +249,15 @@ def _block_coboundary() -> list[CheckResult]:
         cycles = orbits(system)
         perm = system.perm
         n, k = system.period, system.num_stats
-        # column j*k + i of the integer rows is g_i o T^j times scales[i]
-        scales = _integer_stats(system)[0] * n
+        # column j*k + i of the integer rows is g_i o T^j times L
+        lcm = _integer_stats(system)[0]
         good = 0
         for trial in range(100):
             coeffs = [_random_fraction(rng) for _ in range(n * k)]
-            # the combination at x is (rows[x] . weights) / den: each weight
-            # coeffs[c] / scales[c] is scaled once to an integer
-            den, weights = _scale_to_int([a / s for a, s in zip(coeffs, scales)])
+            # the coeffs are scaled once to integer weights; the combination
+            # at x is (rows[x] . weights) / den, den that scale times L
+            den, weights = _scale_to_int(coeffs)
+            den *= lcm
             ints = [sum(map(mul, row, weights)) for row in rows]
             # the first trial checks that this is the function
             # sum c_{j,i} g_i o T^j of V, summed in Fractions from the statistics

@@ -8,10 +8,10 @@ integer rows, in a streaming echelon or by Gauss-Jordan).  Products in
 Q(zeta_d) are schoolbook products of Fraction coefficient lists, reduced by
 polynomial long division (the library multiplies integer vectors over a
 common denominator), and M - M' subtracts whole column blocks of Fraction
-presenting rows (the library subtracts the rotated integer rows and divides
-by each statistic's scale).  The block sums and orbit averages add Fractions
-one by one, as the library did before its report stages moved to integer
-statistics; so do the orbit sums behind `homomesy_value` and
+presenting rows (the library subtracts the rotated integer rows over L, the
+common denominator of the statistics).  The block sums and orbit averages
+add Fractions one by one, as the library did before its report stages moved
+to integer statistics; so do the orbit sums behind `homomesy_value` and
 `zero_mesic_original_combos`, whose nullspace comes from a reduced row
 echelon form over Fraction.  The degree-2 product extension steps along T
 from each element for every shifted statistic (the library reads a table of
@@ -23,6 +23,11 @@ The weighted block sums of the cyclotomic route are summed term by term in
 `CycNumber` field arithmetic, which no report path uses (the library adds
 integer slots of Z[x]/(x^d - 1), reduces them modulo Phi_d, and ranks the
 integer coefficient vectors).
+
+`reference_report` builds a whole `analyze` report from the paper's
+definitions: the matrix of U on a basis of V, and each multiplicity from the
+rank of Phi_e(U), a third spectrum route that shares nothing with the galois
+table or the weighted block sums.
 
 `planted_spectra` draws systems whose spectrum is known by construction,
 from cyclotomic polynomials built here by exact long division of x^e - 1
@@ -210,9 +215,11 @@ def homomesy_value(perm, period, stats, coeffs):
     return averages[0] if len(set(averages)) == 1 else None
 
 
-def nullspace(rows, ncols):
-    """Basis of {v : rows * v = 0}: one vector per free column of the reduced
-    row echelon form, 1 there and 0 at every other free column."""
+def rref(rows, ncols):
+    """(work, pivots): the reduced row echelon form over Fraction, and its
+    pivot columns, which are the greedy left-to-right independent columns.
+    Row t of `work` holds, at column c, the coefficient of column pivots[t]
+    in column c."""
     work = [[Fraction(v) for v in row] for row in rows]
     pivots = []
     for c in range(ncols):
@@ -226,6 +233,13 @@ def nullspace(rows, ncols):
             if i != r and row[c]:
                 work[i] = [a - row[c] * b for a, b in zip(row, work[r])]
         pivots.append(c)
+    return work, pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of {v : rows * v = 0}: one vector per free column of the reduced
+    row echelon form, 1 there and 0 at every other free column."""
+    work, pivots = rref(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
@@ -432,3 +446,99 @@ def planted_spectra(draw, periods=(1, 2, 3, 4, 5, 6, 8, 9, 10, 12)):
     }
     mults = tuple(by_root[n // math.gcd(j, n)] for j in range(n))
     return perm, n, stats, mults
+
+
+def _json_rational(q):
+    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _matmul(a, b):
+    """a * b for Fraction matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [
+        [sum((x * y for x, y in zip(row, col) if x), Fraction(0)) for col in cols]
+        for row in a
+    ]
+
+
+def reference_report(doc):
+    """The `analyze --output json` payload of a system document, from the
+    paper's definitions in Fraction arithmetic.
+
+    V is spanned by the columns x -> g_i(T^j x), column j*k + i.  Its basis is
+    the greedy independent columns, the pivots of one reduced row echelon
+    form, which also gives every column's coordinates in that basis.  U maps
+    column j*k + i to column (j+1)*k + i (mod kn), so the matrix A of U in
+    the basis is read off the same form.  U^n = I, so U is diagonalisable and
+    the primitive e-th roots of unity, Galois conjugates, share one
+    multiplicity m_e = (dim V - rank Phi_e(A)) / phi(e), for each e | n:
+    neither the table of T^d-invariant dimensions of the galois route nor
+    the weighted block sums of the cyclotomic route.  The invariant basis is
+    the greedy independent columns of the block sum over j, on all of X; the
+    0-mesic dimension is `gauss_rank` of M - M' on all of X; the homomesies
+    come from `statistic_report`, and flatness from the spectrum.
+    """
+    perm, n = doc["perm"], doc["period"]
+    stats = [[Fraction(v) for v in row] for row in doc["stats"]]
+    size, k = len(perm), len(stats[0]) if stats else 0
+    names = doc.get("stat_names") or []
+    width = k * n
+
+    # rows[x][j*k + i] = g_i(T^j x), stepping along T from x
+    rows = []
+    for x in range(size):
+        row, y = [], x
+        for _ in range(n):
+            row += stats[y]
+            y = perm[y]
+        rows.append(row)
+    work, pivots = rref(rows, width)
+    dim = len(pivots)
+    matrix = [[work[t][(c + k) % width] for c in pivots] for t in range(dim)]
+
+    powers = [[[Fraction(int(s == t)) for t in range(dim)] for s in range(dim)]]
+    mult = {}
+    for e in _divisors(n):
+        phi = cyclotomic_polynomial(e)
+        while len(powers) < len(phi):
+            powers.append(_matmul(powers[-1], matrix))
+        value = [
+            [sum(c * p[s][t] for c, p in zip(phi, powers)) for t in range(dim)]
+            for s in range(dim)
+        ]
+        nullity = dim - gauss_rank(value)
+        assert nullity % (len(phi) - 1) == 0, f"nullity {nullity} at e = {e}"
+        mult[e] = nullity // (len(phi) - 1)
+    mults = [mult[n // math.gcd(j, n)] for j in range(n)]
+
+    sums = invariant_matrix(rows, n, k)
+    invariant_pivots = rref(sums, k)[1]
+    verdicts = statistic_report(perm, stats)
+    nonzero = [m for m in mults[1:] if m]
+    return {
+        "dim_V": dim,
+        "spectrum": [
+            {"exponent": j, "root_order": n // math.gcd(j, n), "multiplicity": m}
+            for j, m in enumerate(mults)
+        ],
+        "invariant_basis": [
+            [_json_rational(row[i]) for row in sums] for i in invariant_pivots
+        ],
+        "zero_mesic_dimension": gauss_rank(shifted_difference(rows, n, k)),
+        "homomesies": [
+            {
+                "name": names[i] if i < len(names) else f"g{i + 1}",
+                "verdict": "invariant" if invariant
+                else "c-mesic" if homomesy is not None
+                else "neither",
+                "c": None if homomesy is None else _json_rational(homomesy),
+            }
+            for i, (invariant, homomesy, _) in enumerate(verdicts)
+        ],
+        "flatness": None if n < 2 else {
+            "min_nonunital": min(nonzero) if nonzero else None,
+            "max_nonunital": max(nonzero) if nonzero else None,
+            "ratio": _json_rational(Fraction(max(nonzero), min(nonzero)))
+            if nonzero else None,
+        },
+    }

@@ -525,11 +525,9 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify-paper", "--only", "coboundary")
         assert code == 0, out
         assert "rational roundtrips" in out
-        # a dropped scale forms another function of V: the first trial fails
+        # L replaced by 1 forms another function of V: the first trial fails
         real = verify._integer_stats
-        monkeypatch.setattr(
-            verify, "_integer_stats", lambda s: ([1] * s.num_stats, real(s)[1])
-        )
+        monkeypatch.setattr(verify, "_integer_stats", lambda s: (1, real(s)[1]))
         code, out, _ = run_cli(
             capsys, "verify-paper", "--only", "coboundary", "--output", "json"
         )

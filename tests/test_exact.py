@@ -230,6 +230,26 @@ class TestCycNumber:
         assert x + Fraction(1, 2) == 2
         assert 1 - CycNumber.root(4) == CycNumber(4, (Fraction(1), Fraction(-1)))
 
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    @pytest.mark.parametrize("value", [Fraction(1), Fraction(0), Fraction(-7, 3)])
+    def test_rational_element_hashes_like_its_fraction(self, order, value):
+        x = CycNumber.from_rational(value, order)
+        assert x == value and hash(x) == hash(value)
+        assert len({x, value}) == 1
+        # an element that is not rational keeps its own hash
+        if order == 5:
+            assert CycNumber.root(5) != value
+            assert hash(CycNumber.root(5)) == hash(CycNumber.root(5, 6))
+
+    def test_rational_cyclotomic_matrix_equals_and_hashes_like_its_fractions(self):
+        rows = [[Fraction(1, 3), Fraction(0)], [Fraction(-2), Fraction(5, 4)]]
+        cyc = ExactMatrix.from_rows(
+            [[CycNumber.from_rational(v, 5) for v in row] for row in rows]
+        )
+        rational = ExactMatrix.from_rows(rows)
+        assert cyc == rational and hash(cyc) == hash(rational)
+        assert len({cyc, rational}) == 1
+
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CycNumber.root(3) + CycNumber.root(4)

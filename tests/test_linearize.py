@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import random
 import weakref
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynspan import exact
-from dynspan.cli import analysis_report
+from dynspan.cli import analysis_report, document_to_system, system_to_document
 from dynspan.exact import CycNumber, ExactMatrix, divisors
 from dynspan.families import (
     chain_rowmotion,
@@ -20,6 +21,7 @@ from dynspan.families import (
     negation_system,
 )
 from dynspan.linearize import (
+    PresentingMatrix,
     _galois_table,
     _integer_stats,
     _orbit_quotient,
@@ -45,7 +47,7 @@ from oracles import extend_products as oracle_extend_products
 from oracles import gauss_rank
 from oracles import homomesy_value as oracle_homomesy_value
 from oracles import invariant_matrix as oracle_invariant_matrix
-from oracles import planted_spectra
+from oracles import planted_spectra, reference_report
 from oracles import shifted_difference as oracle_shifted_difference
 from oracles import statistic_report as oracle_statistic_report
 from oracles import zero_mesic_original_combos as oracle_zero_mesic_original_combos
@@ -104,26 +106,26 @@ class TestPresentingMatrix:
         assert as_lists(pm) == [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]]
 
     def test_first_block_is_the_stats_grid(self):
-        # entry i of a row is g_i(x) times the lcm of the denominators of g_i
+        # entry i of a row is g_i(x) times L, the lcm of every denominator
         for system in (multiset_rotation(3, 3), RATIONAL_STATS):
             pm = presenting_matrix(system)
-            scales = _integer_stats(system)[0]
+            lcm = _integer_stats(system)[0]
             k = system.num_stats
             for x in range(system.size):
                 assert all(type(v) is int for v in pm.rows[x])
-                got = tuple(Fraction(v, s) for v, s in zip(pm.rows[x][:k], scales))
+                got = tuple(Fraction(v, lcm) for v in pm.rows[x][:k])
                 assert got == system.stats[x]
 
     def test_block_j_is_block_0_composed_with_t_power(self):
         for system in (chain_rowmotion(3, 2), RATIONAL_STATS):
             pm = presenting_matrix(system)
-            scales = _integer_stats(system)[0]
+            lcm = _integer_stats(system)[0]
             k, n = system.num_stats, system.period
             image = list(range(system.size))
             for j in range(n):
                 for x in range(system.size):
                     for i in range(k):
-                        value = Fraction(pm.rows[x][j * k + i], scales[i])
+                        value = Fraction(pm.rows[x][j * k + i], lcm)
                         assert value == system.stats[image[x]][i]
                 image = [system.perm[x] for x in image]
 
@@ -788,7 +790,7 @@ def all_fractions(values) -> bool:
 
 
 # |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
-# whose columns have different denominators, so each column its own scale
+# whose columns have different denominators, all over their one lcm L
 @settings(max_examples=60)
 @given(random_systems())
 @example(FiniteSystem(perm=(0,), period=2, stats=((Fraction(3, 2),),)))
@@ -963,7 +965,7 @@ def test_extend_products_matches_fraction_oracle(system):
 
 
 # k = 0; period 1; fixed points under a non-minimal period; rational
-# statistics whose columns have different scales
+# statistics whose columns have different denominators
 @settings(max_examples=40)
 @given(random_systems())
 @example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
@@ -972,7 +974,7 @@ def test_extend_products_matches_fraction_oracle(system):
 @example(FiniteSystem(perm=(1, 0, 2), period=6, stats=(("1/3", 2), ("-1/6", 0), (5, "7/4"))))
 @example(MIXED_DENOMINATORS)
 def test_zeta_matrix_matches_cyclotomic_oracle(system):
-    # the library sums integer slots and scales column i by L / scales[i]; the
+    # the library sums integer slots of the statistics times L, over L; the
     # oracle adds zeta_d^(-s m) * g_i(T^m x) in the field, term by term
     pm = presenting_matrix(system)
     for matrix in (pm, _orbit_quotient(pm, orbits(system))):
@@ -1027,6 +1029,18 @@ class TestMemo:
         assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
         assert system._memo["quotient"] is rows
 
+    @pytest.mark.parametrize("spectrum_first", [True, False])
+    def test_only_the_orbit_starts_are_memoised(self, spectrum_first):
+        # (1, 3) has one element per orbit, as the orbit starts (0, 2) have
+        system = FiniteSystem(perm=(1, 0, 3, 2), period=2, stats=[[1], [2], [3], [4]])
+        if spectrum_first:
+            spectrum(system)
+        assert PresentingMatrix(system, (1, 3)).rows == [(2, 1), (4, 3)]
+        assert system._memo.get("quotient", [(1, 2), (3, 4)]) == [(1, 2), (3, 4)]
+        quotient = _orbit_quotient(presenting_matrix(system), orbits(system))
+        assert quotient.rows == [(1, 2), (3, 4)]
+        assert system._memo["quotient"] is quotient.rows
+
     def test_repeat_calls_share_the_orbits(self):
         system = multiset_rotation(3, 2)
         assert orbits(system) is orbits(system)
@@ -1062,8 +1076,8 @@ class TestMemo:
         stats = [[1, "1/2"], [3, "1/3"], [0, 0]]
         system = FiniteSystem(perm=(1, 0, 2), period=2, stats=stats)
         report = statistic_report(system)
-        scales, rows = grid = system._memo["integer"]
-        assert scales == [1, 6] and rows == [(1, 3), (3, 2), (0, 0)]
+        lcm, rows = grid = system._memo["integer"]
+        assert lcm == 6 and rows == [(6, 3), (18, 2), (0, 0)]
         assert statistic_report(system) == report
         shifted_difference(presenting_matrix(system))
         spectrum(system)
@@ -1085,3 +1099,74 @@ class TestMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+# -- the whole report against the paper's definitions -------------------------
+
+
+def assert_report_matches_reference(doc):
+    expected = json.dumps(reference_report(doc))
+    for method in ("galois", "cyclotomic", "both"):
+        got = json.dumps(analysis_report(document_to_system(doc), method))
+        assert got == expected, method
+
+
+def planted_document(planted):
+    perm, period, stats, mults = planted
+    doc = {
+        "period": period,
+        "perm": list(perm),
+        "stats": [[str(Fraction(v)) for v in row] for row in stats],
+    }
+    # the planted spectrum also checks the oracle
+    assert [e["multiplicity"] for e in reference_report(doc)["spectrum"]] == list(mults)
+    return doc
+
+
+# k = 0 (V = 0); period 1; fixed points; non-minimal periods, where most roots
+# of the declared period are no eigenvalue; columns whose denominators differ
+# by large factors, so L is far from each column's own lcm
+@settings(max_examples=40)
+@given(random_systems())
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(FiniteSystem(perm=(1, 0), period=2, stats=((0, 0), (0, 0))))
+@example(FiniteSystem(perm=(0, 1, 2), period=1, stats=((1, "1/2"), (2, 0), ("-1/3", 5))))
+@example(FiniteSystem(perm=(0, 1, 2), period=4, stats=((1,), ("1/2",), (-3,))))
+@example(FiniteSystem(perm=(1, 0), period=12, stats=((1, "1/5"), (0, 2))))
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=12, stats=((2, 1), (0, 1), (1, 1), (4, 1))))
+@example(FiniteSystem(perm=(1, 0, 2), period=6, stats=(("1/3", 2), ("-1/6", 0), (5, "7/4"))))
+@example(
+    FiniteSystem(
+        perm=(1, 2, 0, 4, 3),
+        period=6,
+        stats=(("1/999983", 1, "1/2"), (0, "7/4", 1), ("5/999983", 0, 0),
+               (2, "1/13", "-1/2"), ("-1/999983", 3, 0)),
+    )
+)
+@example(MIXED_DENOMINATORS)
+@example(RATIONAL_STATS)
+def test_report_matches_reference_on_random_systems(system):
+    assert_report_matches_reference(system_to_document(system))
+
+
+@settings(max_examples=20)
+@given(planted_spectra(periods=(1, 2, 3, 4, 6)))
+def test_report_matches_reference_on_planted_spectra(planted):
+    assert_report_matches_reference(planted_document(planted))
+
+
+@pytest.mark.slow
+@settings(max_examples=60)
+@given(planted_spectra())
+def test_report_matches_reference_on_larger_planted_spectra(planted):
+    assert_report_matches_reference(planted_document(planted))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "system",
+    [multiset_rotation(4, 3), chain_rowmotion(4, 3), distinct_multiset_rotation(6, 3)],
+    ids=["multiset(4,3)", "chain(4,3)", "distinct(6,3)"],
+)
+def test_report_matches_reference_on_builtins(system):
+    assert_report_matches_reference(system_to_document(system))
