@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lyness", help="exponent-vector action of the period-5 map"
     )
     p_lyness.add_argument("vector", help="JSON array of 5 integers")
-    p_lyness.add_argument("--seed", default=None, help='rational point "x,y"')
+    p_lyness.add_argument("--seed", help='rational point "x,y"; x < 0 needs --seed=-2,3')
     p_lyness.add_argument("--output", choices=["json", "table"], default="table")
     p_lyness.set_defaults(func=_cmd_lyness)
 

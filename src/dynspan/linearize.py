@@ -15,10 +15,12 @@ rank of the presenting matrix that the galois route computes.
 A `PresentingMatrix` is a selection of rows: all of X, or one row per T-orbit
 (`_orbit_quotient`).  Its rows read one integer statistics grid per system
 (`_integer_stats`): every statistic times L, the lcm of all their
-denominators.  The stages of a report sum those integers, not Fractions:
-orbit averages, the invariance test, the block sums of `invariant_matrix`
-and `zeta_matrix` and the differences of M - M'.  A Fraction is built only
-for a value that is returned, from an integer sum over L.  `zeta_matrix` and
+denominators.  It builds its rows and each T^d block sum of them once, and
+the orbit-start selection keeps them in the system's memo, so the galois
+table, `zeta_matrix` and `invariant_matrix` of a report share each sum.  The
+stages of a report sum those integers, not Fractions: orbit averages, the
+invariance test, the block sums and the differences of M - M'.  A Fraction
+is built only for a value that is returned, from an integer sum over L.  `zeta_matrix` and
 `shifted_difference` return their sums over L as the integer rows of an
 `ExactMatrix`, so the cyclotomic and 0-mesic ranks build no CycNumber and no
 Fraction.
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -109,13 +111,14 @@ class PresentingMatrix:
     stats grid itself and block j+1 is block j composed with T.  `elements`
     is all of X (`presenting_matrix`), the first element of each T-orbit
     (`_orbit_quotient`), or any selection a caller builds.  The matrix has
-    one representation, its integer `rows`; those of the orbit starts are
-    built once per system, in its memo, which never holds this object and so
-    makes no cycle.
+    one representation, its integer `rows`.  They and each T^d block sum are
+    built once per instance, in `_sums`, keyed by d (d = n is the rows); the
+    orbit-start instances of one system share the `_sums` in its memo.
     """
 
     system: FiniteSystem
     elements: Sequence[int]
+    _sums: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -127,19 +130,22 @@ class PresentingMatrix:
 
     @property
     def rows(self) -> list[tuple[int, ...]]:
-        """The selected rows over Z: entry j*k + i is g_i(T^j x) * L.
+        """The selected rows over Z: entry j*k + i is g_i(T^j x) * L."""
+        return self.block_sums(self.n)
 
-        L is the common denominator of `_integer_stats`.  Only the rows of
-        the orbit starts are memoised.
-        """
-        system = self.system
-        memoised = list(self.elements) == [c[0] for c in orbits(system)]
-        rows = system._memo.get("quotient") if memoised else None
-        if rows is None:
-            rows = _presenting_rows(system, self.elements)
-            if memoised:
-                system._memo["quotient"] = rows
-        return rows
+    def block_sums(self, d: int) -> list[Sequence[int]]:
+        """Rows of the T^d-invariant matrix at `elements`, for d | n: entry
+        r*k + i of the row at x sums g_{i+1}(T^(r + m*d) x) * L over m < n/d.
+        d = 1 gives the invariant matrix; d = n gives the rows."""
+        sums = self._sums.get(d)
+        if sums is None:
+            if d == self.n:
+                sums = _presenting_rows(self.system, self.elements)
+            else:
+                w = d * self.k
+                sums = [[sum(row[c::w]) for c in range(w)] for row in self.rows]
+            self._sums[d] = sums
+        return sums
 
 
 def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tuple]:
@@ -164,8 +170,6 @@ def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tupl
 
 def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
     _require_valid(system)
-    if not system.size:
-        raise ValueError("matrix needs at least one row")
     return PresentingMatrix(system, range(system.size))
 
 
@@ -175,34 +179,20 @@ def dynamical_dimension(system: FiniteSystem) -> int:
     return _galois_table(system)[system.period]
 
 
-def _orbit_quotient(
-    pm: PresentingMatrix, cycles: tuple[tuple[int, ...], ...]
-) -> PresentingMatrix:
-    """The presenting matrix restricted to the first element of each T-orbit."""
-    return PresentingMatrix(pm.system, tuple(c[0] for c in cycles))
-
-
-def _power_block_sums(rows: Sequence[Sequence], k: int, d: int) -> Sequence[Sequence]:
-    """Rows of the T^d-invariant matrix, from rows of the presenting matrix.
-
-    Entry r*k + i of the row at x is the sum of g_{i+1}(T^(r + m*d) x) over
-    m = 0..n/d-1, that is of every (d*k)-th presenting entry from r*k + i.
-    d = 1 gives the invariant matrix; d = n gives the rows back, unchanged.
-    """
-    width = d * k
-    if rows and len(rows[0]) == width:
-        return rows
-    return [[sum(row[c::width]) for c in range(width)] for row in rows]
+def _orbit_quotient(pm: PresentingMatrix) -> PresentingMatrix:
+    """The rows of `pm.system` at the first element of each T-orbit.  All of
+    them share the `_sums` in `system._memo["quotient"]`, so the orbit-start
+    rows and each of their block sums are built once per system."""
+    system = pm.system
+    starts = tuple(c[0] for c in orbits(system))
+    return PresentingMatrix(system, starts, system._memo.setdefault("quotient", {}))
 
 
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
     """Sum of the n column blocks; its column span is the invariant space.
-
-    The blocks are summed on the integer rows, and each sum divided by L
-    once.
-    """
+    The blocks are summed on the integer rows, and each sum divided by L."""
     lcm = _integer_stats(pm.system)[0]
-    sums = _power_block_sums(pm.rows, pm.k, 1)
+    sums = pm.block_sums(1)
     return ExactMatrix.from_rows([[Fraction(v, lcm) for v in row] for row in sums])
 
 
@@ -229,7 +219,7 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
         offsets[(-s * r) % d] = r * k
     lcm = _integer_stats(pm.system)[0]
     rows = []
-    for sums in _power_block_sums(pm.rows, k, d):
+    for sums in pm.block_sums(d):
         out = []
         for i in range(k):
             acc = [sums[o + i] for o in offsets]
@@ -260,7 +250,7 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
     The row of M - M' at T(x) is its row at x rotated by k entries, so its
     row space is the rotation closure of one row per T-orbit.
     """
-    quotient = _orbit_quotient(presenting_matrix(system), orbits(system))
+    quotient = _orbit_quotient(presenting_matrix(system))
     rows = shifted_difference(quotient)._integer_rows
     return _rotation_closure_rank([row for _, row in rows], quotient.k)
 
@@ -315,19 +305,18 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     """The memoised f(d) = dim of the T^d-invariant subspace of V, for d | n.
 
     The system must be valid.  f(d) is the rank of the T^d-invariant matrix
-    (`_power_block_sums`, width d*k), whose row at T(x) is its row at x
-    rotated by k entries.  So its row space is the rotation closure of one
+    (`PresentingMatrix.block_sums`, width d*k), whose row at T(x) is its row
+    at x rotated by k entries.  So its row space is the rotation closure of one
     row per T-orbit, and `_rotation_closure_rank` computes it from those
     rows alone.  U^m = I on V for the minimal period m, so closures run only
     for e | m, and f(d) = f(gcd(d, m)).  f(n) is dim V.
     """
     table = system._memo.get("galois")
     if table is None:
-        reps = PresentingMatrix(system, tuple(c[0] for c in orbits(system))).rows
-        k = system.num_stats
+        quotient = _orbit_quotient(PresentingMatrix(system, ()))
         m = minimal_period(system)
         closure = {
-            e: _rotation_closure_rank(_power_block_sums(reps, k, e), k)
+            e: _rotation_closure_rank(quotient.block_sums(e), quotient.k)
             for e in divisors(m)
         }
         table = {d: closure[math.gcd(d, m)] for d in divisors(system.period)}
@@ -338,9 +327,9 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
 def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     """Spectral multiplicity function of U, by one of two independent routes.
 
-    Both start from one row per T-orbit (see the module notes), and neither
-    reads the other's results, so the two stay independent; they agree on
-    every system with rational statistics.  "galois" works entirely over Q:
+    Both start from the T^d block sums of one row per T-orbit (see the module
+    notes), and neither reads the other's ranks, so the two stay independent;
+    they agree on every system with rational statistics.  "galois" works entirely over Q:
     it recovers the common multiplicity m_e of the primitive e-th roots from
     the table f of `_galois_table` by Moebius inversion of
     sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for each d | n, the
@@ -366,9 +355,8 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
             prim_mult[e] = total // phi
         return Spectrum(n, tuple(prim_mult[n // math.gcd(j, n)] for j in range(n)))
     if method == "cyclotomic":
-        cycles = orbits(system)
-        pm = _orbit_quotient(presenting_matrix(system), cycles)
-        lengths = {len(c) for c in cycles}
+        pm = _orbit_quotient(presenting_matrix(system))
+        lengths = {len(c) for c in orbits(system)}
         # exponent n/d stands for every j with gcd(j, n) = n/d
         rank = dict.fromkeys(divisors(n), 0)
         for d in rank:
@@ -385,7 +373,7 @@ def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     whose rows are constant along orbits, and then read back on all of X.
     """
     cycles = orbits(system)
-    m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system), cycles))
+    m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system)))
     orbit_of = [0] * system.size
     for t, cycle in enumerate(cycles):
         for x in cycle:
@@ -480,16 +468,12 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
 def zero_mesic_original_combos(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     """Basis of {a in Q^k : sum a_i g_i has zero average on every orbit}.
 
-    Computed as the nullspace of the (orbit count x k) matrix of orbit sums,
-    each summed on the integer statistics and divided by L once.
+    The kernel of the invariant matrix at the orbit starts: its row at the
+    start of an orbit O is n/|O| times the orbit sums of the statistics, so
+    it has the kernel of the (orbit count x k) matrix of orbit sums.
     """
-    _require_valid(system)
-    lcm, ints = _integer_stats(system)
-    rows = [
-        [Fraction(sum(ints[x][i] for x in orbit), lcm) for i in range(system.num_stats)]
-        for orbit in orbits(system)
-    ]
-    return ExactMatrix.from_rows(rows).nullspace_basis()
+    quotient = _orbit_quotient(presenting_matrix(system))
+    return invariant_matrix(quotient).nullspace_basis()
 
 
 def coboundary_witness(
@@ -530,7 +514,7 @@ def extend_products(system: FiniteSystem) -> FiniteSystem:
     followed by all pairwise products of those, deduplicated by exact value
     vector.
     """
-    pm = presenting_matrix(system)  # validates, and rejects an empty X
+    pm = presenting_matrix(system)  # validates
     n, k = pm.n, pm.k
     grid = system.stats
     named: list[tuple[str, tuple[Fraction, ...]]] = []
@@ -582,9 +566,9 @@ def flatness_report(system: FiniteSystem) -> FlatnessReport:
     multiplicity and is absent (None) when there are none.  The spectrum is
     the galois route's.
     """
+    sp = spectrum(system)  # validates
     if system.period < 2:
         raise ValueError("flatness needs period >= 2")
-    sp = spectrum(system)
     nonzero = [m for m in sp.mults[1:] if m > 0]
     if nonzero:
         lo, hi = min(nonzero), max(nonzero)

@@ -24,13 +24,15 @@ class FiniteSystem:
     contract violations, by `validate`).  `linearize` fills "integer" (the
     statistics over one common denominator, `(L, rows)`: L is the lcm of
     every denominator in the statistics and `rows[x][i]` is g_i(x) * L; read
-    by every stage of a report), "quotient" (the integer presenting rows at
-    the first element of each T-orbit, read by both spectrum routes, the
-    invariant basis and the 0-mesic rank) and "galois" (f(d) = dim of the
-    T^d-invariant subspace of V, for d | n).  Each is built on first use and
-    lives exactly as long as the instance.  It takes no part in equality,
-    hashing or repr, and `dataclasses.replace` starts a new instance with an
-    empty memo.
+    by every stage of a report), "quotient" (the `_sums` that every
+    orbit-start `PresentingMatrix` shares: its integer rows at the first
+    element of each T-orbit and each T^d block sum of them, read by both
+    spectrum routes, the invariant basis and the 0-mesic rank) and "galois"
+    (f(d) = dim of the T^d-invariant subspace of V, for d | n).  It holds no
+    object that refers back to the system, so it makes no reference cycle.
+    Each entry is built on first use and lives exactly as long as the
+    instance.  The memo takes no part in equality, hashing or repr, and
+    `dataclasses.replace` starts a new instance with an empty memo.
     """
 
     perm: tuple[int, ...]
@@ -92,6 +94,9 @@ def _violations(system: FiniteSystem) -> list[str]:
     violations: list[str] = []
     n = system.size
     perm = system.perm
+
+    if not n:
+        violations.append("X needs at least one element")
 
     if system.period < 1:
         violations.append(f"period must be >= 1, got {system.period}")

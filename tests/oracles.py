@@ -152,12 +152,24 @@ def zeta_matrix(perm, period, stats, exponent, elements):
     return rows
 
 
-def invariant_matrix(rows, n, k):
-    """Rows of the sum of the n column blocks, added as Fractions."""
+def block_sums(rows, n, k, d):
+    """Rows of the T^d-invariant matrix, added as Fractions.
+
+    Entry r*k + i of a row adds its entries (r + m*d)*k + i, m = 0..n/d-1.
+    """
     return [
-        [sum((row[j * k + i] for j in range(n)), Fraction(0)) for i in range(k)]
+        [
+            sum((row[(r + m * d) * k + i] for m in range(n // d)), Fraction(0))
+            for r in range(d)
+            for i in range(k)
+        ]
         for row in rows
     ]
+
+
+def invariant_matrix(rows, n, k):
+    """Rows of the sum of the n column blocks, added as Fractions."""
+    return block_sums(rows, n, k, 1)
 
 
 def _cycles(perm):

@@ -376,6 +376,14 @@ class TestLynessCommand:
         assert payload["zero_mesic"] is True
         assert abs(payload["numeric_orbit_sum"]) < 1e-9
 
+    def test_negative_seed_in_the_equals_form(self, capsys):
+        # "--seed -2,3" would read -2,3 as an option; "--seed=-2,3" does not
+        payload = run_json(
+            capsys, "lyness", "[-2,0,1,0,0]", "--seed=-2,3", "--output", "json"
+        )
+        assert payload["zero_mesic"] is True
+        assert abs(payload["numeric_orbit_sum"]) < 1e-9
+
     def test_fractional_seed(self, capsys):
         payload = run_json(
             capsys, "lyness", "[0,0,0,0,0]", "--seed", "3/7,2/5", "--output", "json"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynspan import exact
+from dynspan import exact, linearize
 from dynspan.cli import analysis_report, document_to_system, system_to_document
 from dynspan.exact import CycNumber, ExactMatrix, divisors
 from dynspan.families import (
@@ -25,7 +25,6 @@ from dynspan.linearize import (
     _galois_table,
     _integer_stats,
     _orbit_quotient,
-    _power_block_sums,
     coboundary_witness,
     dynamical_dimension,
     extend_products,
@@ -43,6 +42,7 @@ from dynspan.linearize import (
 )
 from dynspan.system import FiniteSystem, minimal_period, orbits, validate
 from dynspan.verify import _full_row_ranks
+from oracles import block_sums as oracle_block_sums
 from oracles import extend_products as oracle_extend_products
 from oracles import gauss_rank
 from oracles import homomesy_value as oracle_homomesy_value
@@ -128,6 +128,34 @@ class TestPresentingMatrix:
                         value = Fraction(pm.rows[x][j * k + i], lcm)
                         assert value == system.stats[image[x]][i]
                 image = [system.perm[x] for x in image]
+
+
+# every public function of a system, and each one of a presenting matrix
+# through `presenting_matrix`, rejects an empty X in one way: by `validate`
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: coboundary_witness(s, []),
+        dynamical_dimension,
+        extend_products,
+        flatness_report,
+        lambda s: homomesy_value(s, []),
+        invariant_basis,
+        lambda s: invariant_matrix(presenting_matrix(s)),
+        presenting_matrix,
+        lambda s: shifted_difference(presenting_matrix(s)),
+        lambda s: spectrum(s, "galois"),
+        lambda s: spectrum(s, "cyclotomic"),
+        statistic_report,
+        zero_mesic_dimension,
+        zero_mesic_original_combos,
+        lambda s: zeta_matrix(presenting_matrix(s), 0),
+    ],
+)
+@pytest.mark.parametrize("period", [1, 2])
+def test_empty_x_is_rejected(call, period):
+    with pytest.raises(ValueError, match="X needs at least one element"):
+        call(FiniteSystem(perm=(), period=period, stats=()))
 
 
 class TestDimension:
@@ -710,7 +738,7 @@ def test_rotation_closure_ranks_match_full_row_ranks(system):
     table = _galois_table(dataclasses.replace(system))
     assert sorted(table) == divisors(n)
     for d in divisors(n):
-        assert table[d] == gauss_rank(_power_block_sums(rows, k, d))
+        assert table[d] == gauss_rank(oracle_block_sums(rows, n, k, d))
     assert dynamical_dimension(system) == table[n]
     zero_mesic = gauss_rank(oracle_shifted_difference(rows, n, k))
     assert zero_mesic_dimension(system) == zero_mesic
@@ -829,7 +857,7 @@ def test_integer_report_stages_match_fraction_oracles(system):
         assert all_fractions(verdict.orbit_averages)
         assert homomesy is None or type(verdict.homomesy) is Fraction
     pm = presenting_matrix(system)
-    quotient = _orbit_quotient(pm, orbits(system))
+    quotient = _orbit_quotient(pm)
     for matrix in (pm, quotient):
         block_sums = invariant_matrix(matrix)
         assert [list(r) for r in block_sums.entries] == oracle_invariant_matrix(
@@ -977,7 +1005,7 @@ def test_zeta_matrix_matches_cyclotomic_oracle(system):
     # the library sums integer slots of the statistics times L, over L; the
     # oracle adds zeta_d^(-s m) * g_i(T^m x) in the field, term by term
     pm = presenting_matrix(system)
-    for matrix in (pm, _orbit_quotient(pm, orbits(system))):
+    for matrix in (pm, _orbit_quotient(pm)):
         for j in range(system.period):
             got = zeta_matrix(matrix, j)
             expected = oracle_zeta_matrix(
@@ -1017,29 +1045,73 @@ def test_report_path_builds_no_cyclotomic_number(system, monkeypatch):
     assert built and all(type(v) is CycNumber for r in entries for v in r)
 
 
+def counting_rows(monkeypatch) -> list[int]:
+    """The number of elements of each `_presenting_rows` call, as it happens."""
+    built, make = [], linearize._presenting_rows
+
+    def counting(system, elements):
+        built.append(len(elements))
+        return make(system, elements)
+
+    monkeypatch.setattr(linearize, "_presenting_rows", counting)
+    return built
+
+
+class CountingSums(dict):
+    """A `_sums` cache that records the key of each entry built into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def __setitem__(self, d, sums):
+        self.built.append(d)
+        super().__setitem__(d, sums)
+
+
 class TestMemo:
-    def test_a_report_builds_no_full_presenting_matrix(self):
+    def test_a_report_builds_no_full_presenting_matrix(self, monkeypatch):
         # every stage reads the integer rows at the orbit starts, built once
+        built = counting_rows(monkeypatch)
         system = multiset_rotation(4, 3)
         analysis_report(system, "both")
         assert set(system._memo) == {"orbits", "integer", "quotient", "galois", "violations"}
-        rows = system._memo["quotient"]
-        assert len(rows) == len(orbits(system)) < system.size
+        assert built == [len(orbits(system))]
+        assert len(orbits(system)) < system.size
+        rows = system._memo["quotient"][system.period]
         full_rank = gauss_rank(presenting_rows(system))
         assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
-        assert system._memo["quotient"] is rows
+        assert system._memo["quotient"][system.period] is rows
+        assert built == [len(orbits(system))]
+
+    def test_a_report_builds_each_block_sum_once(self):
+        # the galois closures, the weighted block sums of the cyclotomic route
+        # and the invariant matrix read one block sum for each d | m; the
+        # sums for d = n are the orbit-start rows
+        system = relabelled(multiset_rotation(8, 5), 10)
+        sums = system._memo["quotient"] = CountingSums()
+        analysis_report(system, "both")
+        assert minimal_period(system) == system.period
+        assert sorted(sums.built) == divisors(system.period)
+        assert len(sums[system.period]) == len(orbits(system))
 
     @pytest.mark.parametrize("spectrum_first", [True, False])
     def test_only_the_orbit_starts_are_memoised(self, spectrum_first):
-        # (1, 3) has one element per orbit, as the orbit starts (0, 2) have
+        # (1, 3) has one element per orbit, as the orbit starts (0, 2) have,
+        # and its rows and block sums are its own
         system = FiniteSystem(perm=(1, 0, 3, 2), period=2, stats=[[1], [2], [3], [4]])
         if spectrum_first:
             spectrum(system)
-        assert PresentingMatrix(system, (1, 3)).rows == [(2, 1), (4, 3)]
-        assert system._memo.get("quotient", [(1, 2), (3, 4)]) == [(1, 2), (3, 4)]
-        quotient = _orbit_quotient(presenting_matrix(system), orbits(system))
+        selection = PresentingMatrix(system, (1, 3))
+        assert selection.rows == [(2, 1), (4, 3)]
+        assert selection.block_sums(1) == [[3], [7]]
+        memo = system._memo.get("quotient", {})
+        assert memo.get(2, [(1, 2), (3, 4)]) == [(1, 2), (3, 4)]
+        assert selection._sums is not memo
+        quotient = _orbit_quotient(presenting_matrix(system))
         assert quotient.rows == [(1, 2), (3, 4)]
-        assert system._memo["quotient"] is quotient.rows
+        assert system._memo["quotient"][2] is quotient.rows
+        assert quotient.block_sums(1) is system._memo["quotient"][1]
 
     def test_repeat_calls_share_the_orbits(self):
         system = multiset_rotation(3, 2)
@@ -1048,10 +1120,10 @@ class TestMemo:
     def test_equal_systems_do_not_share_a_memo(self):
         first, second = multiset_rotation(3, 2), multiset_rotation(3, 2)
         assert first == second and first is not second
-        rows = _orbit_quotient(presenting_matrix(first), orbits(first)).rows
+        rows = _orbit_quotient(presenting_matrix(first)).rows
         spectrum(first)
         assert second._memo == {}
-        second_rows = _orbit_quotient(presenting_matrix(second), orbits(second)).rows
+        second_rows = _orbit_quotient(presenting_matrix(second)).rows
         assert second_rows is not rows
         assert second_rows == rows
 

@@ -41,6 +41,12 @@ def test_huge_period_is_checked_without_iterating_it():
     assert validate(bad) == [f"T^{10**18 + 1} != identity"]
 
 
+def test_empty_x_is_reported():
+    assert validate(FiniteSystem(perm=(), period=1, stats=())) == [
+        "X needs at least one element"
+    ]
+
+
 def test_non_bijection_is_reported():
     bad = FiniteSystem(perm=(0, 0), period=1, stats=((Fraction(1),), (Fraction(2),)))
     assert any("bijection" in p for p in validate(bad))
