@@ -3,19 +3,21 @@
 Scalars are either `fractions.Fraction` or `CycNumber`, an element of the
 field Q(zeta_d).  A `CycNumber` is an integer coefficient vector over a
 common positive denominator, in lowest terms: the vector is a polynomial in
-zeta_d reduced modulo the d-th cyclotomic polynomial.  Field arithmetic and
-the Z[zeta_d] echelon kernel share the same integer helpers.  Matrices are
-dense and immutable, carry a single scalar kind and store their rows once,
-as integer rows over positive denominators: integers over Q, integer
+zeta_d reduced modulo the d-th cyclotomic polynomial.  Matrices are dense
+and immutable, carry a single scalar kind and store their rows once, as
+integer rows over positive denominators: integers over Q, integer
 coefficient vectors over Q(zeta_d).  Scalars are derived from that store
 when they are read (and the store from the scalars of a matrix built from
 them).  Rank, column-basis and nullspace computations are fraction-free on
-the store: a streaming echelon over Z and one over Z[zeta_d]; each reduces a
-row against its basis in pivot order and stops once every column has a
-pivot.  Results are deterministic across runs and never touch floating
-point.  The cofactor determinant expands the same integer rows, row i scaled
-by s_i, the lcm of its denominators, and divides by the product of the s_i
-once.
+the store, in one streaming echelon over Z that reduces a row against its
+basis in pivot order and stops once every column has a pivot.  Over
+Q(zeta_d) of degree phi it ranks the rows laid out flat, phi coefficients
+per entry, and closes the basis under x -> zeta*x: the result is the row
+space over Q(zeta_d) read over Q, of dimension phi times the rank
+(restriction of scalars).  Results are deterministic across runs and never
+touch floating point.  The cofactor determinant expands the same integer
+rows, row i scaled by s_i, the lcm of its denominators, and divides by the
+product of the s_i once.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -35,8 +37,9 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "CycNumber",
@@ -206,9 +209,10 @@ class CycNumber:
     Each element has exactly one such form, so equality and hashing compare
     fields (a rational element also equals and hashes like its Fraction),
     and an element is zero iff every entry of `num` is.  Products
-    run on the same integer helpers as the Z[zeta] echelon kernel, and the
-    inverse is adj/N: adj is the product of the nontrivial conjugates and
-    N = a * adj a nonzero integer.  Instances are immutable.
+    multiply the integer vectors and reduce them by the sparse terms of
+    Phi_order, and the inverse is adj/N: adj is the product of the
+    nontrivial conjugates and N = a * adj a nonzero integer.  Instances are
+    immutable.
     """
 
     __slots__ = ("order", "num", "den")
@@ -424,26 +428,30 @@ def _rotation_closure_rank(rows: Sequence[Sequence[int]], shift: int) -> int:
     width = len(rows[0]) if rows else 0
     if len(rows) >= width:
         return _gauss_jordan_closure_rank(rows, shift, width)
-    return len(_streaming_echelon(rows, width, shift))
+    return len(_streaming_echelon(rows, width, lambda r: r[shift:] + r[:shift]))
 
 
 def _streaming_echelon(
-    rows: Iterable[Sequence[int]], width: int, shift: int | None = None
+    rows: Iterable[Sequence[int]],
+    width: int,
+    step: Callable[[Sequence[int]], Sequence[int]] | None = None,
 ) -> dict[int, Sequence[int]]:
     """Fraction-free echelon basis of integer rows: {pivot: tail}.
 
     Each row is reduced against the basis in pivot order, and joins it at
     the first column without a pivot where it is nonzero, divided by its
-    content.  The tail of a basis row starts at its pivot, its first nonzero
-    entry, so the sorted pivots are those of the reduced row echelon form.
-    With `shift` set, each row that joins queues its rotation by `shift`
-    entries, and the basis spans the rotation closure of the rows.  No row
-    is reduced once every column has a pivot, and no input row is modified.
+    content.  A row being reduced is also divided by its content once its
+    leading entry passes 512 bits; the basis is the same either way.  The
+    tail of a basis row starts at its pivot, its first nonzero entry, so the
+    sorted pivots are those of the reduced row echelon form.  With `step`
+    set, each row that joins queues its image under that linear map, read
+    after every given row, and the basis spans the smallest subspace that
+    holds the rows and is closed under the map.  No row is read once every
+    column has a pivot, and no input row is modified.
     """
     basis: dict[int, Sequence[int]] = {}
-    queue = deque(rows)
-    while queue and len(basis) < width:
-        row = queue.popleft()
+    queued: list[Sequence[int]] = []
+    for row in chain(rows, queued) if width else ():
         c = 0
         while c < width and not row[c]:
             c += 1
@@ -453,8 +461,10 @@ def _streaming_echelon(
             if pivot_row is None:
                 g = math.gcd(*tail)
                 basis[c] = [v // g for v in tail] if g > 1 else tail
-                if shift is not None:
-                    queue.append(row[shift:] + row[:shift])
+                if len(basis) == width:
+                    return basis
+                if step is not None:
+                    queued.append(step(row))
                 break
             a, p = tail[0], pivot_row[0]
             g = math.gcd(a, p)
@@ -465,7 +475,32 @@ def _streaming_echelon(
                 skip += 1
             tail = tail[skip:]
             c += skip
+            # each step multiplies the row by a pivot, and past a few hundred
+            # bits every later step pays for that size: divide out the content
+            if tail and tail[0].bit_length() > 512:
+                g = math.gcd(*tail)
+                if g > 1:
+                    tail = [v // g for v in tail]
     return basis
+
+
+def _times_zeta(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list[int]]:
+    """x -> zeta*x on a row of elements of Q(zeta) laid out flat, phi
+    coefficients per entry: each entry's coefficients move up by one, and
+    the top one c becomes c*zeta^phi = -c * (the terms of Phi below phi)."""
+
+    def step(row: Sequence[int]) -> list[int]:
+        out: list[int] = []
+        for b in range(0, len(row), phi):
+            top = row[b + phi - 1]
+            entry = [0, *row[b : b + phi - 1]]
+            if top:
+                for t, m in mod:
+                    entry[t] -= top * m
+            out += entry
+        return out
+
+    return step
 
 
 def _gauss_jordan_closure_rank(
@@ -509,57 +544,6 @@ def _gauss_jordan_closure_rank(
         det = new_det
         queue.append(row[shift:] + row[:shift])
     return len(pivots)
-
-
-def _cyc_echelon(
-    rows: Iterable[list[list[int]]], ncols: int, order: int
-) -> tuple[list[list[list[int]]], list[int]]:
-    """Streaming fraction-free echelon form over Z[zeta_order].
-
-    Like `_streaming_echelon`: each row is reduced against the basis in
-    pivot order, divided by its content before every step, and joins it at
-    the first column without a pivot where it is nonzero.  A basis row is
-    used times the adjugate of its pivot, made when a row first reduces
-    against it, so its pivot is a rational integer N and clearing an entry a
-    costs one product in Z[zeta] per entry: N'*row - a'*basis_row, with N',
-    a' divided by gcd(N, a).  No row is read once every column has a pivot.
-    Returns the basis rows, sorted by pivot and zero-padded, and the pivots.
-    """
-    phi, mod = _field(order)
-    # basis[c] is the tail, from column c, of the basis row with pivot c, and
-    # scaled[c] is (N, that tail times the adjugate of its pivot)
-    basis: dict[int, list[list[int]]] = {}
-    scaled: dict[int, tuple[int, list[list[int]]]] = {}
-    for tail in rows:
-        c = 0
-        while any(map(any, tail)):
-            g = math.gcd(*(v for e in tail for v in e))
-            skip = next(j for j, e in enumerate(tail) if any(e))
-            tail, c = [[v // g for v in e] for e in tail[skip:]], c + skip
-            if c not in basis:
-                basis[c] = tail
-                break
-            if c not in scaled:
-                pivot_row = basis[c]
-                if any(pivot_row[0][1:]):
-                    adj = _cyc_adjoint_int(pivot_row[0], order, phi, mod)[0]
-                    pivot_row = [_cyc_mul_int(e, adj, phi, mod) for e in pivot_row]
-                    g = math.gcd(*(v for e in pivot_row for v in e))
-                    pivot_row = [[v // g for v in e] for e in pivot_row]
-                scaled[c] = pivot_row[0][0], pivot_row
-            norm, pivot_row = scaled[c]
-            g = math.gcd(norm, *tail[0])
-            n, a = norm // g, [v // g for v in tail[0]]
-            cyclic = any(a[1:])
-            step = []
-            for v, w in zip(tail[1:], pivot_row[1:]):
-                aw = _cyc_mul_int(a, w, phi, mod) if cyclic else [a[0] * y for y in w]
-                step.append([n * x - y for x, y in zip(v, aw)])
-            tail, c = step, c + 1
-        if len(basis) == ncols:
-            break
-    pivots = sorted(basis)
-    return [[[0] * phi] * c + basis[c] for c in pivots], pivots
 
 
 class ExactMatrix:
@@ -735,56 +719,57 @@ class ExactMatrix:
 
     # -- elimination-backed queries ------------------------------------
 
-    def _echelon(self):
-        """Echelon rows, pivot columns, and a lift of raw entries to the field.
-
-        `_streaming_echelon` over Z or `_cyc_echelon` over Z[zeta], on the
-        integer rows of the store; the rows are sorted by pivot and
-        zero-padded.  Pivots and the nullspace basis normalised at free
-        columns depend only on the row space."""
+    def _echelon(self) -> tuple[dict[int, Sequence[int]], int, list[int]]:
+        """The `_streaming_echelon` basis of the store, phi, its integers per
+        entry (1 over Q), and the pivot columns of the matrix.  Over Q(zeta)
+        the rows are laid out flat and the basis spans their closure under
+        x -> zeta*x, the row space over Q(zeta) read over Q.  That is
+        zeta-invariant, so each pivot block holds phi pivots, and the row with
+        pivot c*phi, cut into entries, is a row over Q(zeta) with pivot c.
+        Pivots and the nullspace basis normalised at free columns depend only
+        on the row space."""
         ints = (r for _, r in self._integer_rows)
-        if self.is_cyclotomic:
-            order = self._order
-            rows, pivots = _cyc_echelon(ints, self.cols, order)
-
-            def lift(raw: Sequence[int]) -> Scalar:
-                return _cyc(order, raw, 1)
-
-        else:
+        if not self.is_cyclotomic:
             basis = _streaming_echelon(ints, self.cols)
-            pivots = sorted(basis)
-            rows = [[0] * c + basis[c] for c in pivots]
-            lift = Fraction
-        return rows, pivots, lift
+            return basis, 1, sorted(basis)
+        phi, mod = _field(self._order)
+        flat = ([v for entry in r for v in entry] for r in ints)
+        step = _times_zeta(phi, mod) if phi > 1 else None
+        basis = _streaming_echelon(flat, self.cols * phi, step)
+        return basis, phi, sorted(c // phi for c in basis if c % phi == 0)
 
     def rank(self) -> int:
         """Exact rank over the matrix's scalar field."""
-        return len(self._echelon()[1])
+        return len(self._echelon()[2])
 
     def column_basis(self) -> list[int]:
         """Indices of the greedy left-to-right maximal independent column set."""
-        return self._echelon()[1]
+        return self._echelon()[2]
 
     def nullspace_basis(self) -> list[tuple[Scalar, ...]]:
         """cols - rank linearly independent vectors v with self * v = 0."""
-        ech, pivot_cols, lift = self._echelon()
+        basis, phi, pivot_cols = self._echelon()
         ncols = self.cols
-        zero = self._zero_scalar()
-        one = self._one_scalar()
+        # the echelon row of each pivot, zero-padded: ints over Q, which act
+        # on Fractions as they are, and CycNumbers over Q(zeta)
+        ech = [[0] * (c * phi) + list(basis[c * phi]) for c in pivot_cols]
+        if self.is_cyclotomic:
+            cut = range(0, ncols * phi, phi)
+            ech = [[_cyc(self._order, r[i : i + phi], 1) for i in cut] for r in ech]
+        zero, one = self._zero_scalar(), self._one_scalar()
         pivset = set(pivot_cols)
-        basis: list[tuple[Scalar, ...]] = []
+        out: list[tuple[Scalar, ...]] = []
         for fc in (c for c in range(ncols) if c not in pivset):
             v: list[Scalar] = [zero] * ncols
             v[fc] = one
-            for t in range(len(pivot_cols) - 1, -1, -1):
-                pc = pivot_cols[t]
+            for row, pc in zip(reversed(ech), reversed(pivot_cols)):
                 acc = zero
                 for c2 in range(pc + 1, ncols):
                     if v[c2]:
-                        acc = acc + lift(ech[t][c2]) * v[c2]
-                v[pc] = -acc / lift(ech[t][pc]) if acc else zero
-            basis.append(tuple(v))
-        return basis
+                        acc = acc + row[c2] * v[c2]
+                v[pc] = -acc / row[pc] if acc else zero
+            out.append(tuple(v))
+        return out
 
     def det_cofactor(self) -> Scalar:
         """Determinant by cofactor expansion (the brute-force route).

@@ -136,9 +136,12 @@ class PresentingMatrix:
     def block_sums(self, d: int) -> list[Sequence[int]]:
         """Rows of the T^d-invariant matrix at `elements`, for d | n: entry
         r*k + i of the row at x sums g_{i+1}(T^(r + m*d) x) * L over m < n/d.
-        d = 1 gives the invariant matrix; d = n gives the rows."""
+        d = 1 gives the invariant matrix; d = n gives the rows.  An empty
+        selection has no matrix, and raises ValueError."""
         sums = self._sums.get(d)
         if sums is None:
+            if not self.elements:
+                raise ValueError("a presenting matrix needs at least one element")
             if d == self.n:
                 sums = _presenting_rows(self.system, self.elements)
             else:
@@ -329,16 +332,19 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
 
     Both start from the T^d block sums of one row per T-orbit (see the module
     notes), and neither reads the other's ranks, so the two stay independent;
-    they agree on every system with rational statistics.  "galois" works entirely over Q:
-    it recovers the common multiplicity m_e of the primitive e-th roots from
-    the table f of `_galois_table` by Moebius inversion of
-    sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for each d | n, the
-    weighted block sum of exponent n/d over Q(zeta_d) with its own Z[zeta]
-    elimination, and gives that rank to every exponent j with
-    n/gcd(j, n) = d (exact by Galois conjugation, see `Spectrum`).  The row of
-    an orbit of length L is L-periodic, so its weighted block sum at a
-    primitive d-th root vanishes unless d | L: a d that divides no orbit
-    length has rank 0, with no matrix and no Phi_d.
+    they agree on every system with rational statistics.  "galois" works
+    entirely over Q: it recovers the common multiplicity m_e of the
+    primitive e-th roots from the table f of `_galois_table` by Moebius
+    inversion of sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for
+    each d | n, the weighted block sum of exponent n/d over Q(zeta_d), as the
+    zeta-closure of its flat coefficient rows (`ExactMatrix.rank`), and
+    gives that rank to every exponent j with n/gcd(j, n) = d (exact by
+    Galois conjugation, see `Spectrum`).  The cyclotomic ranks and the galois
+    closures with fewer rows than columns share the integer loop of
+    `exact._streaming_echelon`, on different matrices in different fields.
+    The row of an orbit of length L is L-periodic, so its weighted block sum
+    at a primitive d-th root vanishes unless d | L: a d that divides no
+    orbit length has rank 0, with no matrix and no Phi_d.
     """
     _require_valid(system)
     n = system.period

@@ -19,6 +19,11 @@ the powers of T).  The maps of the order polytope are the library's
 former Fraction definitions (the library now runs them on homogeneous
 integer coordinates).
 
+`cyc_echelon` is the former Z[zeta] rank kernel of the library: it
+eliminates on integer coefficient vectors and clears each pivot with its
+adjugate, on the library's field helpers (the library now ranks over
+Q(zeta) by the closure of the flat coefficient rows under x -> zeta*x).
+
 The weighted block sums of the cyclotomic route are summed term by term in
 `CycNumber` field arithmetic, which no report path uses (the library adds
 integer slots of Z[x]/(x^d - 1), reduces them modulo Phi_d, and ranks the
@@ -42,7 +47,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from dynspan.exact import CycNumber
+from dynspan.exact import CycNumber, _cyc_adjoint_int, _cyc_mul_int, _field
 
 
 def perm_sign(perm) -> int:
@@ -68,12 +73,13 @@ def perm_det(rows):
     return Fraction(0) if total is None else total
 
 
-def gauss_rank(rows) -> int:
-    """Rank: the number of pivots of Gaussian elimination over Fraction."""
+def gauss_pivots(rows) -> list[int]:
+    """The pivot columns of Gaussian elimination over Fraction, ascending."""
     work = [[Fraction(v) for v in row] for row in rows]
     ncols = len(work[0]) if work else 0
-    rank = 0
+    pivots = []
     for c in range(ncols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
@@ -83,8 +89,13 @@ def gauss_rank(rows) -> int:
             factor = work[i][c] / top[c]
             if factor:
                 work[i] = [a - factor * b for a, b in zip(work[i], top)]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return pivots
+
+
+def gauss_rank(rows) -> int:
+    """Rank: the number of pivots of Gaussian elimination over Fraction."""
+    return len(gauss_pivots(rows))
 
 
 def brute_rank(rows) -> int:
@@ -117,6 +128,81 @@ def cyclotomic_product(a, b, modulus):
         for t, m in enumerate(modulus):
             prod[top - phi + t] -= lead * m
     return tuple(prod[:phi])
+
+
+def cyc_echelon(rows, ncols, order):
+    """Streaming fraction-free echelon form over Z[zeta_order].
+
+    Each row of integer coefficient vectors is reduced against the basis in
+    pivot order, divided by its content before every step, and joins it at
+    the first column without a pivot where it is nonzero.  A basis row is
+    used times the adjugate of its pivot, made when a row first reduces
+    against it, so its pivot is a rational integer N and clearing an entry a
+    costs one product in Z[zeta] per entry: N'*row - a'*basis_row, with N',
+    a' divided by gcd(N, a).  No row is read once every column has a pivot.
+    Returns the basis rows, sorted by pivot and zero-padded, and the pivots.
+    """
+    phi, mod = _field(order)
+    # basis[c] is the tail, from column c, of the basis row with pivot c, and
+    # scaled[c] is (N, that tail times the adjugate of its pivot)
+    basis = {}
+    scaled = {}
+    for tail in rows:
+        c = 0
+        while any(map(any, tail)):
+            g = math.gcd(*(v for e in tail for v in e))
+            skip = next(j for j, e in enumerate(tail) if any(e))
+            tail, c = [[v // g for v in e] for e in tail[skip:]], c + skip
+            if c not in basis:
+                basis[c] = tail
+                break
+            if c not in scaled:
+                pivot_row = basis[c]
+                if any(pivot_row[0][1:]):
+                    adj = _cyc_adjoint_int(pivot_row[0], order, phi, mod)[0]
+                    pivot_row = [_cyc_mul_int(e, adj, phi, mod) for e in pivot_row]
+                    g = math.gcd(*(v for e in pivot_row for v in e))
+                    pivot_row = [[v // g for v in e] for e in pivot_row]
+                scaled[c] = pivot_row[0][0], pivot_row
+            norm, pivot_row = scaled[c]
+            g = math.gcd(norm, *tail[0])
+            n, a = norm // g, [v // g for v in tail[0]]
+            cyclic = any(a[1:])
+            step = []
+            for v, w in zip(tail[1:], pivot_row[1:]):
+                aw = _cyc_mul_int(a, w, phi, mod) if cyclic else [a[0] * y for y in w]
+                step.append([n * x - y for x, y in zip(v, aw)])
+            tail, c = step, c + 1
+        if len(basis) == ncols:
+            break
+    pivots = sorted(basis)
+    return [[[0] * phi] * c + basis[c] for c in pivots], pivots
+
+
+def cyc_nullspace(rows, pivots, ncols, order):
+    """The nullspace basis, normalised at the free columns, of echelon rows
+    of integer coefficient vectors (`cyc_echelon`): each row is reduced to
+    reduced row echelon form in `CycNumber` arithmetic, and the vector of
+    free column f holds 1 at f and minus column f of that form at the pivots.
+    """
+    rref = []
+    for row, p in zip(rows, pivots):
+        entries = [CycNumber(order, e) for e in row]
+        rref.append([x / entries[p] for x in entries])
+    for t in range(len(rref) - 1, -1, -1):
+        for u in range(t):
+            factor = rref[u][pivots[t]]
+            if factor:
+                rref[u] = [a - factor * b for a, b in zip(rref[u], rref[t])]
+    zero, one = CycNumber.zero(order), CycNumber.one(order)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[f] = one
+        for t, p in enumerate(pivots):
+            v[p] = -rref[t][f]
+        out.append(tuple(v))
+    return out
 
 
 def shifted_difference(rows, n, k):

@@ -10,17 +10,25 @@ from hypothesis import strategies as st
 from dynspan.exact import (
     CycNumber,
     ExactMatrix,
-    _cyc_echelon,
     _cyc_reduce_int,
     _field,
     _rotation_closure_rank,
     _streaming_echelon,
+    _times_zeta,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
     mobius,
 )
-from oracles import brute_rank, cyclotomic_product, gauss_rank, perm_det
+from oracles import (
+    brute_rank,
+    cyc_echelon,
+    cyc_nullspace,
+    cyclotomic_product,
+    gauss_pivots,
+    gauss_rank,
+    perm_det,
+)
 from oracles import cyclotomic_polynomial as oracle_cyclotomic_polynomial
 
 # the 4x6 value matrix of the three sorted-entry statistics and their shifts
@@ -475,7 +483,7 @@ def cyc_matrices(draw):
     """(order, rows) of CycNumber entries: random or built from a few base rows.
 
     Some rows and columns are then zeroed.  Tall random matrices usually
-    have full column rank, where the Z[zeta] kernel stops reading rows early.
+    have full column rank, where the kernel stops reading rows early.
     """
     order = draw(st.sampled_from(KERNEL_ORDERS))
     phi = euler_phi(order)
@@ -519,18 +527,20 @@ def cyc_matrices(draw):
 def _realified(rows, order, ncols):
     """Each entry a replaced by the phi x phi matrix of x -> a*x over Q.
 
-    Column j of that block holds the coefficients of a * zeta^j, an oracle
-    product.  Its rank over Q is phi times the rank over Q(zeta).
+    Column j of that block holds the coefficients of a * zeta^j, the oracle
+    product of column j - 1 and zeta.  Its rank over Q is phi times the rank
+    over Q(zeta).
     """
     modulus = cyclotomic_polynomial(order)
     phi = len(modulus) - 1
-    units = [[Fraction(int(i == j)) for i in range(phi)] for j in range(phi)]
     out = []
     for row in rows:
-        blocks = [
-            [cyclotomic_product(row[c].coeffs, u, modulus) for u in units]
-            for c in range(ncols)
-        ]
+        blocks = []
+        for c in range(ncols):
+            block = [row[c].coeffs]
+            while len(block) < phi:
+                block.append(cyclotomic_product(block[-1], (0, 1), modulus))
+            blocks.append(block)
         for i in range(phi):
             out.append([blocks[c][j][i] for c in range(ncols) for j in range(phi)])
     return out
@@ -546,13 +556,11 @@ def test_cyclotomic_kernel_matches_realified_rank(case):
     m = ExactMatrix.from_rows(rows)
     phi, ncols = euler_phi(order), m.cols
     real = _realified(m.entries, order, ncols)
-    rank_q = ExactMatrix.from_rows(real).rank()
-    assert rank_q % phi == 0 and m.rank() == rank_q // phi
-    prefix = [0] + [
-        ExactMatrix.from_rows([r[: (c + 1) * phi] for r in real]).rank()
-        for c in range(ncols)
-    ]
-    expected = [c for c in range(ncols) if prefix[c + 1] > prefix[c]]
+    # a column of m is in its greedy basis when its block of the realified
+    # matrix holds a pivot over Q
+    real_pivots = gauss_pivots(real)
+    assert len(real_pivots) % phi == 0 and m.rank() == len(real_pivots) // phi
+    expected = sorted({c // phi for c in real_pivots})
     assert m.column_basis() == expected
     basis = m.nullspace_basis()
     assert len(basis) == ncols - m.rank()
@@ -570,17 +578,94 @@ def test_cyclotomic_kernel_matches_realified_rank(case):
 
 
 def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
-    z = CycNumber.root(8)
-    m = ExactMatrix.from_rows([[z, 1], [1, z], [z, z], [1, 1]])
+    # over Q(zeta_8), phi = 4: the first eight rows, zeta^j times a unit row,
+    # already span all of Q^8 flat, so the closure reads no later row
+    phi, mod = _field(8)
+    units = [[1, 0], [0, 1]]
+    m = ExactMatrix.from_rows(
+        [[CycNumber.root(8, j) * u for u in unit] for unit in units for j in range(phi)]
+        + [[CycNumber.root(8), 1], [1, 1]]
+    )
     read = []
 
     def rows():
         for _, row in m._integer_rows:
             read.append(row)
-            yield row
+            yield [v for entry in row for v in entry]
 
-    assert _cyc_echelon(rows(), m.cols, 8)[1] == [0, 1]
-    assert len(read) == 2
+    basis = _streaming_echelon(rows(), m.cols * phi, _times_zeta(phi, mod))
+    assert sorted(basis) == list(range(8)) and len(read) == 8
+    assert m.rank() == 2 and m.column_basis() == [0, 1]
+
+
+# phi = 1, 1, 2, 2, 4, 6, 4, 6, 10, 4, 12, 8, 8, 12, 12, 12
+WIDE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 21, 28, 36)
+
+
+@st.composite
+def wide_cyc_matrices(draw):
+    """(order, rows) over Q(zeta_order), phi up to 12: any shape, or tall and
+    rank-deficient (a product of an r x t and a t x c matrix, t < c).
+    Coefficients are small rationals, zero, or integers past 2**64."""
+    order = draw(st.sampled_from(WIDE_ORDERS))
+    phi = euler_phi(order)
+    coeff = st.one_of(
+        st.just(Fraction(0)),
+        small_fractions,
+        st.integers(2**64, 2**66).map(Fraction),
+        st.integers(-(2**66), -(2**64)).map(Fraction),
+    )
+    entry = st.one_of(
+        st.just(CycNumber.zero(order)),
+        st.lists(coeff, min_size=phi, max_size=phi).map(lambda c: CycNumber(order, c)),
+    )
+
+    def block(nrows, ncols):
+        return draw(
+            st.lists(
+                st.lists(entry, min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+
+    if draw(st.booleans()):
+        return order, block(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    nrows, ncols = draw(st.integers(4, 6)), draw(st.integers(2, 3))
+    inner = draw(st.integers(1, ncols - 1))
+    left, right = block(nrows, inner), block(inner, ncols)
+    zero = CycNumber.zero(order)
+    return order, [
+        [sum((a * b[c] for a, b in zip(row, right)), zero) for c in range(ncols)]
+        for row in left
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_cyc_matrices())
+@example((13, [[CycNumber.root(13, 3), 1], [1, CycNumber.root(13, 10)]]))
+@example((36, [[CycNumber.root(36)] * 2, [CycNumber.root(36, 2)] * 2, [2**65, 2**65]]))
+def test_cyclotomic_queries_match_adjugate_echelon_and_realified_rank(case):
+    """rank, column_basis and nullspace_basis over Q(zeta) against the Z[zeta]
+    adjugate echelon of the oracles and the Fraction rank of the realified
+    matrix, which share no elimination code with the library's closure."""
+    order, rows = case
+    m = ExactMatrix.from_rows(rows)
+    phi, ncols = euler_phi(order), m.cols
+    ech, pivots = cyc_echelon((r for _, r in m._integer_rows), ncols, order)
+    basis = m.nullspace_basis()
+    assert m.rank() == len(pivots)
+    assert m.column_basis() == pivots
+    assert basis == cyc_nullspace(ech, pivots, ncols, order)
+    # the pivots of the realified matrix over Q: phi per pivot of m, and a
+    # column of m is in its greedy basis when its block holds one of them
+    real = _realified(m.entries, order, ncols)
+    real_pivots = gauss_pivots(real)
+    assert len(real_pivots) == phi * len(pivots)
+    assert sorted({c // phi for c in real_pivots}) == pivots
+    for v in basis:
+        flat = [x for value in v for x in value.coeffs]
+        assert all(sum(map(operator.mul, r, flat)) == 0 for r in real)
 
 
 closure_entries = st.one_of(

@@ -158,6 +158,19 @@ def test_empty_x_is_rejected(call, period):
         call(FiniteSystem(perm=(), period=period, stats=()))
 
 
+# a caller-built empty selection of a valid system is rejected in one way by
+# each matrix built from it: by `block_sums`, before any rows are summed
+@pytest.mark.parametrize(
+    "build",
+    [lambda pm: zeta_matrix(pm, 1), shifted_difference, invariant_matrix],
+)
+def test_empty_selection_is_rejected(build):
+    pm = PresentingMatrix(multiset_rotation(2, 2), ())
+    with pytest.raises(ValueError, match="needs at least one element"):
+        build(pm)
+    assert pm._sums == {}
+
+
 class TestDimension:
     def test_two_symbol_k3(self):
         assert dynamical_dimension(multiset_rotation(2, 3)) == 4

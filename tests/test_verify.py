@@ -62,3 +62,22 @@ def test_a_wrong_orbit_average_fails_the_chain_orbit_means(monkeypatch):
     monkeypatch.setattr(linearize, "_common_orbit_average", last_element_left_out)
     failed = failed_checks("chain")
     assert failed and all(name.endswith("orbit means") for name in failed)
+
+
+def test_a_dropped_block_fails_structural_without_an_exception(monkeypatch):
+    # the galois route's Moebius inversion raises on some systems; that is a
+    # failed check of the block, as in the four spectrum blocks
+    break_block_sums(monkeypatch, last_block_dropped)
+    results = run_checks("structural")
+    failed = [r for r in results if not r.passed]
+    assert failed
+    assert any("ArithmeticError" in r.expected for r in failed)
+    assert any(r.name.endswith("rank split") for r in failed)
+
+
+def test_a_dropped_block_fails_products(monkeypatch):
+    # the d = 1 sum of each n = 2 extension is then its block 0, whose span
+    # holds every statistic, so only the count from the full rows, dim V less
+    # the 0-mesic rank, can tell that the invariant span is too large
+    break_block_sums(monkeypatch, last_block_dropped)
+    assert failed_checks("products")
