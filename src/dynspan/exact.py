@@ -4,20 +4,21 @@ Scalars are either `fractions.Fraction` or `CycNumber`, an element of the
 field Q(zeta_d).  A `CycNumber` is an integer coefficient vector over a
 common positive denominator, in lowest terms: the vector is a polynomial in
 zeta_d reduced modulo the d-th cyclotomic polynomial.  Matrices are dense
-and immutable, carry a single scalar kind and store their rows once, as
-integer rows over positive denominators: integers over Q, integer
-coefficient vectors over Q(zeta_d).  Scalars are derived from that store
-when they are read (and the store from the scalars of a matrix built from
-them).  Rank, column-basis and nullspace computations are fraction-free on
-the store, in one streaming echelon over Z that reduces a row against its
-basis in pivot order and stops once every column has a pivot.  Over
-Q(zeta_d) of degree phi it ranks the rows laid out flat, phi coefficients
-per entry, and closes the basis under x -> zeta*x: the result is the row
-space over Q(zeta_d) read over Q, of dimension phi times the rank
-(restriction of scalars).  Results are deterministic across runs and never
-touch floating point.  The cofactor determinant expands the same integer
-rows, row i scaled by s_i, the lcm of its denominators, and divides by the
-product of the s_i once.
+and immutable, carry a single scalar kind and are built from one store,
+their rows as integers over positive denominators: one integer per entry
+over Q, and over Q(zeta_d) of degree phi the phi coefficients of each entry
+laid out flat.  Scalars are a view cut from that store when they are read.
+Rank, column-basis and nullspace computations are fraction-free on the
+store, in one streaming echelon over Z that reduces a row against its basis
+in pivot order and stops once every column has a pivot.  Over Q(zeta_d) it
+ranks the flat rows as they are stored and closes the basis under
+x -> zeta*x: the result is the row space over Q(zeta_d) read over Q, of
+dimension phi times the rank (restriction of scalars).  A rank is at most
+the number of nonzero rows and of columns, so with at most one of either it
+is read off the store with no elimination.  Results are deterministic
+across runs and never touch floating point.  The cofactor determinant
+expands the same integer rows, row i scaled by s_i, the lcm of its
+denominators, and divides by the product of the s_i once.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -487,17 +488,14 @@ def _streaming_echelon(
 def _times_zeta(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list[int]]:
     """x -> zeta*x on a row of elements of Q(zeta) laid out flat, phi
     coefficients per entry: each entry's coefficients move up by one, and
-    the top one c becomes c*zeta^phi = -c * (the terms of Phi below phi)."""
+    the one that reaches degree phi is reduced modulo Phi."""
 
     def step(row: Sequence[int]) -> list[int]:
         out: list[int] = []
         for b in range(0, len(row), phi):
-            top = row[b + phi - 1]
-            entry = [0, *row[b : b + phi - 1]]
-            if top:
-                for t, m in mod:
-                    entry[t] -= top * m
-            out += entry
+            entry = [0, *row[b : b + phi]]
+            _cyc_reduce_int(entry, phi, mod)
+            out += entry[:phi]
         return out
 
     return step
@@ -549,49 +547,33 @@ def _gauss_jordan_closure_rank(
 class ExactMatrix:
     """A dense immutable matrix over Q or over a single cyclotomic field.
 
-    The rows have one store, `_integer_rows`: row i is ints / den, den > 0,
-    where ints holds integers (over Q) or integer coefficient vectors (over
-    Q(zeta_order)).  The elimination kernels and the cofactor determinant
-    read only the store.  `entries`, the rows as Fraction or CycNumber
-    scalars in lowest terms, is a second view of the same rows.  A matrix
-    made from scalars (`from_rows`, the constructor) derives its store on the
-    first kernel call; one made from integer rows (`_from_integer_rows`)
-    builds its scalars only when they are read.  Each view is built at most
-    once, and the shape and the field never need the scalars.
+    The rows have one store, `_integer_rows`, the only thing a matrix is
+    built from: row i is ints / den, den > 0, where ints holds one integer
+    per entry over Q, and over Q(zeta_order) the phi integer coefficients of
+    each entry in turn, flat, as the elimination kernel reads them.  The
+    kernels and the cofactor determinant read only the store.  `entries`, the
+    rows as Fraction or CycNumber scalars in lowest terms, is a view of it,
+    cut from the store when first read; `from_rows` builds the store from
+    scalars and keeps them as that view.
     """
 
-    def __init__(self, entries: tuple[tuple[Scalar, ...], ...]) -> None:
-        first = entries[0] if entries else ()
-        order = first[0].order if first and isinstance(first[0], CycNumber) else None
-        self.__dict__.update(entries=entries, rows=len(entries), cols=len(first), _order=order)
-
-    @classmethod
-    def _from_integer_rows(
-        cls, rows: list[tuple[int, list]], cols: int, order: int | None
-    ) -> "ExactMatrix":
+    def __init__(self, rows: list[tuple[int, list[int]]], cols: int, order: int | None) -> None:
         """The matrix with row i = rows[i][1] / rows[i][0], over Q(zeta_order) or Q."""
-        obj = object.__new__(cls)
-        obj.__dict__.update(_integer_rows=rows, rows=len(rows), cols=cols, _order=order)
-        return obj
+        self.__dict__.update(_integer_rows=rows, rows=len(rows), cols=cols, _order=order)
 
     @cached_property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
         """The rows as scalars in lowest terms, from the store when first read."""
+        return tuple(tuple(self._scalars(r, s)) for s, r in self._integer_rows)
+
+    def _scalars(self, ints: Sequence[int], den: int = 1) -> list[Scalar]:
+        """The store row ints / den as scalars: over Q(zeta), phi coefficients
+        per CycNumber."""
         order = self._order
         if order is None:
-            return tuple(tuple(Fraction(v, s) for v in r) for s, r in self._integer_rows)
-        return tuple(tuple(_cyc(order, v, s) for v in r) for s, r in self._integer_rows)
-
-    @cached_property
-    def _integer_rows(self) -> list[tuple[int, list]]:
-        """The store, from `entries`: each row scaled by the lcm of its denominators."""
-        if not self.is_cyclotomic:
-            return [_scale_to_int(row) for row in self.entries]
-        out = []
-        for row in self.entries:
-            scale = math.lcm(*(v.den for v in row))
-            out.append((scale, [[c * (scale // v.den) for c in v.num] for v in row]))
-        return out
+            return [Fraction(v, den) for v in ints]
+        phi = _field(order)[0]
+        return [_cyc(order, ints[i : i + phi], den) for i in range(0, len(ints), phi)]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
@@ -604,6 +586,8 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]]) -> "ExactMatrix":
+        """The matrix of these scalars, its store built once, row i scaled by
+        the lcm of its denominators; the scalars, coerced, are its `entries`."""
         rows = [list(r) for r in rows]
         if not rows:
             raise ValueError("matrix needs at least one row")
@@ -613,11 +597,22 @@ class ExactMatrix:
         orders = {v.order for r in rows for v in r if isinstance(v, CycNumber)}
         if len(orders) > 1:
             raise ValueError("mixed cyclotomic orders in one matrix")
-        if orders:
-            zero = CycNumber.zero(orders.pop())
-            rows = [[v if isinstance(v, CycNumber) else zero + Fraction(v) for v in r] for r in rows]
-            return cls(tuple(map(tuple, rows)))
-        return cls(tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in r) for r in rows))
+        order = orders.pop() if orders else None
+        if order is None:
+            entries = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in r) for r in rows)
+            store = [_scale_to_int(row) for row in entries]
+        else:
+            entries = tuple(
+                tuple(v if isinstance(v, CycNumber) else CycNumber.from_rational(v, order) for v in r)
+                for r in rows
+            )
+            store = []
+            for row in entries:
+                scale = math.lcm(*(v.den for v in row))
+                store.append((scale, [c * (scale // v.den) for v in row for c in v.num]))
+        matrix = cls(store, width, order)
+        matrix.__dict__["entries"] = entries
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -640,20 +635,14 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other)
-        return ExactMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+        return ExactMatrix.from_rows(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other)
-        return ExactMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
+        return ExactMatrix.from_rows(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
         )
 
     def _check_shape(self, other: "ExactMatrix") -> None:
@@ -674,12 +663,10 @@ class ExactMatrix:
                         term = a * rb[j]
                         acc = term if acc is None else acc + term
                     row.append(acc if acc is not None else self._zero_scalar())
-                out.append(tuple(row))
-            return ExactMatrix(tuple(out))
+                out.append(row)
+            return ExactMatrix.from_rows(out)
         if isinstance(other, (int, Fraction, CycNumber)):
-            return ExactMatrix(
-                tuple(tuple(v * other for v in r) for r in self.entries)
-            )
+            return ExactMatrix.from_rows([[v * other for v in r] for r in self.entries])
         return NotImplemented
 
     __rmul__ = __mul__  # both fields are commutative
@@ -690,11 +677,8 @@ class ExactMatrix:
         if exponent < 0:
             raise ValueError("negative matrix powers are not supported")
         one, zero = self._one_scalar(), self._zero_scalar()
-        out = ExactMatrix(
-            tuple(
-                tuple(one if i == j else zero for j in range(self.cols))
-                for i in range(self.rows)
-            )
+        out = ExactMatrix.from_rows(
+            [[one if i == j else zero for j in range(self.cols)] for i in range(self.rows)]
         )
         base = self
         e = exponent
@@ -722,24 +706,29 @@ class ExactMatrix:
     def _echelon(self) -> tuple[dict[int, Sequence[int]], int, list[int]]:
         """The `_streaming_echelon` basis of the store, phi, its integers per
         entry (1 over Q), and the pivot columns of the matrix.  Over Q(zeta)
-        the rows are laid out flat and the basis spans their closure under
-        x -> zeta*x, the row space over Q(zeta) read over Q.  That is
-        zeta-invariant, so each pivot block holds phi pivots, and the row with
-        pivot c*phi, cut into entries, is a row over Q(zeta) with pivot c.
-        Pivots and the nullspace basis normalised at free columns depend only
-        on the row space."""
-        ints = (r for _, r in self._integer_rows)
-        if not self.is_cyclotomic:
-            basis = _streaming_echelon(ints, self.cols)
-            return basis, 1, sorted(basis)
-        phi, mod = _field(self._order)
-        flat = ([v for entry in r for v in entry] for r in ints)
+        the basis spans the closure of the flat rows under x -> zeta*x, the
+        row space over Q(zeta) read over Q.  That is zeta-invariant, so each
+        pivot block holds phi pivots, and the row with pivot c*phi, cut into
+        entries, is a row over Q(zeta) with pivot c.  Pivots and the
+        nullspace basis normalised at free columns depend only on the row
+        space."""
+        phi, mod = _field(self._order) if self.is_cyclotomic else (1, ())
         step = _times_zeta(phi, mod) if phi > 1 else None
-        basis = _streaming_echelon(flat, self.cols * phi, step)
+        basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols * phi, step)
         return basis, phi, sorted(c // phi for c in basis if c % phi == 0)
 
     def rank(self) -> int:
-        """Exact rank over the matrix's scalar field."""
+        """Exact rank over the matrix's scalar field.
+
+        A rank is at most the number of nonzero rows and the number of
+        columns, so with at most one of either it is read off the store
+        (a row is zero when all its integers are), with no elimination.
+        """
+        nonzero = (r for _, r in self._integer_rows if any(r))
+        if next(nonzero, None) is None:
+            return 0
+        if self.cols == 1 or next(nonzero, None) is None:
+            return 1
         return len(self._echelon()[2])
 
     def column_basis(self) -> list[int]:
@@ -754,8 +743,7 @@ class ExactMatrix:
         # on Fractions as they are, and CycNumbers over Q(zeta)
         ech = [[0] * (c * phi) + list(basis[c * phi]) for c in pivot_cols]
         if self.is_cyclotomic:
-            cut = range(0, ncols * phi, phi)
-            ech = [[_cyc(self._order, r[i : i + phi], 1) for i in cut] for r in ech]
+            ech = [self._scalars(r) for r in ech]
         zero, one = self._zero_scalar(), self._one_scalar()
         pivset = set(pivot_cols)
         out: list[tuple[Scalar, ...]] = []
@@ -778,8 +766,8 @@ class ExactMatrix:
         matrix expands its integer rows, row i scaled by s_i, the lcm of its
         denominators: det(diag(s) * A) = prod(s_i) * det(A), so the result is
         one Fraction, the integer determinant over prod(s_i).  A cyclotomic
-        matrix expands the same store, each coefficient vector read as an
-        element of Z[zeta], and divides by prod(s_i) in the field.
+        matrix expands the same store, each entry's phi coefficients read as
+        an element of Z[zeta], and divides by prod(s_i) in the field.
         """
         n = self.rows
         if n != self.cols:
@@ -788,7 +776,7 @@ class ExactMatrix:
         ent = [row for _, row in scaled]
         zero, one = 0, 1
         if self.is_cyclotomic:
-            ent = [[_cyc(self._order, v, 1) for v in row] for row in ent]
+            ent = [self._scalars(row) for row in ent]
             zero, one = self._zero_scalar(), self._one_scalar()
         memo: dict[int, Scalar | int] = {}
 

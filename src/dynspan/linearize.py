@@ -20,9 +20,10 @@ the orbit-start selection keeps them in the system's memo, so the galois
 table, `zeta_matrix` and `invariant_matrix` of a report share each sum.  The
 stages of a report sum those integers, not Fractions: orbit averages, the
 invariance test, the block sums and the differences of M - M'.  A Fraction
-is built only for a value that is returned, from an integer sum over L.  `zeta_matrix` and
-`shifted_difference` return their sums over L as the integer rows of an
-`ExactMatrix`, so the cyclotomic and 0-mesic ranks build no CycNumber and no
+is built only for a value that is returned, from an integer sum over L.
+`zeta_matrix` and `shifted_difference` build their `ExactMatrix` from its
+integer rows, their sums over L (a Q(zeta_d) row flat, phi coefficients per
+entry), so the cyclotomic and 0-mesic ranks build no CycNumber and no
 Fraction.
 
 No rank here reads a row for every element of X.  V is closed under
@@ -207,7 +208,8 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     zeta = zeta_d^s, each entry sums the integer rows of `pm` into d slots of
     Z[x]/(x^d - 1), block m at slot (-s*m) mod d, and is reduced mod Phi_d.
     The matrix is built as integer rows, with no scalars: each row is those
-    sums over L, the common denominator of `_integer_stats`.
+    sums, phi per entry and flat, over L, the common denominator of
+    `_integer_stats`.
     """
     n, k = pm.n, pm.k
     if not 0 <= exponent < n:
@@ -223,13 +225,13 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     lcm = _integer_stats(pm.system)[0]
     rows = []
     for sums in pm.block_sums(d):
-        out = []
+        out: list[int] = []
         for i in range(k):
             acc = [sums[o + i] for o in offsets]
             _cyc_reduce_int(acc, phi, mod)
-            out.append(acc[:phi])
+            out += acc[:phi]
         rows.append((lcm, out))
-    return ExactMatrix._from_integer_rows(rows, k, d)
+    return ExactMatrix(rows, k, d)
 
 
 def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
@@ -244,7 +246,7 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
     rows = [
         (lcm, [a - b for a, b in zip(row, row[-k:] + row[:-k])]) for row in pm.rows
     ]
-    return ExactMatrix._from_integer_rows(rows, pm.n * k, None)
+    return ExactMatrix(rows, pm.n * k, None)
 
 
 def zero_mesic_dimension(system: FiniteSystem) -> int:
@@ -416,7 +418,7 @@ def homomesy_value(
 def _common_orbit_average(
     values: Sequence[Fraction | int],
     cycles: tuple[tuple[int, ...], ...],
-    scale: int = 1,
+    scale: int,
 ) -> tuple[tuple[Fraction, ...], Fraction | None]:
     """The average of `values` / `scale` on each orbit, and their common value.
 

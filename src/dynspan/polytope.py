@@ -188,28 +188,25 @@ def polytope_vertices() -> list[Point]:
     return out
 
 
-def random_polytope_point(
-    rng: random.Random, max_denominator: int = 1000, avoid_ties: bool = True
-) -> Point:
-    """A random rational point of the polytope.
+def random_polytope_point(rng: random.Random) -> Point:
+    """A random rational point of the polytope, with no tie x2 = x3.
 
-    Draws four rationals, sorts them, and uses the extremes as x1, x4 and the
-    middle pair (in random order) as x2, x3.  With avoid_ties, resamples until
-    x2 != x3 so both branches of every max() get exercised.
+    Draws four rationals with denominators up to 1000, sorts them, and uses
+    the extremes as x1, x4 and the middle pair (in random order) as x2, x3.
+    It resamples until x2 != x3, so both branches of every max() get
+    exercised.
     """
 
     def draw() -> Fraction:
-        den = rng.randint(1, max_denominator)
+        den = rng.randint(1, 1000)
         return Fraction(rng.randint(0, den), den)
 
     while True:
         vals = sorted(draw() for _ in range(4))
         mid = [vals[1], vals[2]]
         rng.shuffle(mid)
-        p = (vals[0], mid[0], mid[1], vals[3])
-        if avoid_ties and p[1] == p[2]:
-            continue
-        return p
+        if mid[0] != mid[1]:
+            return (vals[0], mid[0], mid[1], vals[3])
 
 
 def lift_consistency_check(samples: int, seed: int = 0) -> bool:

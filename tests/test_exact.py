@@ -395,7 +395,7 @@ class TestDeterminant:
     @example([[Fraction(1, 6), Fraction(5, 4)], [Fraction(1, 6), Fraction(5, 4)]])
     def test_rational_cofactor_matches_permutation_expansion(self, rows):
         # the integer rows expand to prod(s_i) * det; the result divides it out
-        m = ExactMatrix.from_rows(rows) if rows else ExactMatrix(())
+        m = ExactMatrix.from_rows(rows) if rows else ExactMatrix([], 0, None)
         det = m.det_cofactor()
         assert type(det) is Fraction
         assert det == perm_det(rows)
@@ -591,7 +591,7 @@ def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
     def rows():
         for _, row in m._integer_rows:
             read.append(row)
-            yield [v for entry in row for v in entry]
+            yield row
 
     basis = _streaming_echelon(rows(), m.cols * phi, _times_zeta(phi, mod))
     assert sorted(basis) == list(range(8)) and len(read) == 8
@@ -645,6 +645,12 @@ def wide_cyc_matrices(draw):
 @given(wide_cyc_matrices())
 @example((13, [[CycNumber.root(13, 3), 1], [1, CycNumber.root(13, 10)]]))
 @example((36, [[CycNumber.root(36)] * 2, [CycNumber.root(36, 2)] * 2, [2**65, 2**65]]))
+# the ranks read off the store, with no elimination: a single row, a single
+# column, all-zero rows, and one nonzero row among zero rows
+@example((9, [[CycNumber.root(9), 2, CycNumber.root(9, 4) / 3]]))
+@example((9, [[CycNumber.root(9)], [0], [CycNumber.root(9, 5) * 2**65]]))
+@example((9, [[CycNumber.zero(9)] * 3] * 2))
+@example((9, [[0, 0], [CycNumber.root(9, 2), Fraction(1, 3)], [0, 0]]))
 def test_cyclotomic_queries_match_adjugate_echelon_and_realified_rank(case):
     """rank, column_basis and nullspace_basis over Q(zeta) against the Z[zeta]
     adjugate echelon of the oracles and the Fraction rank of the realified
@@ -652,7 +658,9 @@ def test_cyclotomic_queries_match_adjugate_echelon_and_realified_rank(case):
     order, rows = case
     m = ExactMatrix.from_rows(rows)
     phi, ncols = euler_phi(order), m.cols
-    ech, pivots = cyc_echelon((r for _, r in m._integer_rows), ncols, order)
+    # the store's flat rows, cut into the coefficient vectors of their entries
+    cut = ([r[i : i + phi] for i in range(0, len(r), phi)] for _, r in m._integer_rows)
+    ech, pivots = cyc_echelon(cut, ncols, order)
     basis = m.nullspace_basis()
     assert m.rank() == len(pivots)
     assert m.column_basis() == pivots
@@ -762,6 +770,11 @@ def q_matrices(draw):
 # order the pivots were made would read the unset v[1]
 @example([[0, 1, 1], [1, 1, 0]])
 @example([[0, 0], [0, 0]])  # rank 0
+# the ranks read off the store, with no elimination
+@example([[3, Fraction(-1, 2), 0, 2**65]])  # a single row
+@example([[0], [Fraction(2, 3)], [5]])  # a single column
+@example([[0, 0, 0]] * 3)  # all-zero rows
+@example([[0, 0, 0], [0, Fraction(7, 2), 1], [0, 0, 0]])  # one nonzero row
 def test_rational_matrices_match_gaussian_elimination(rows):
     m = ExactMatrix.from_rows(rows)
     rank = gauss_rank(rows)

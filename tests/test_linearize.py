@@ -1058,6 +1058,31 @@ def test_report_path_builds_no_cyclotomic_number(system, monkeypatch):
     assert built and all(type(v) is CycNumber for r in entries for v in r)
 
 
+def test_cyclotomic_spectrum_of_one_long_cycle_runs_no_elimination(monkeypatch):
+    """One T-orbit gives every weighted block sum one row, so each rank over
+    Q(zeta_d) is 0 or 1 and is read off the store: the flat zeta-closure,
+    some phi(d)^3 integer steps for one row, never runs."""
+    widths = []
+    kernel = exact._streaming_echelon
+
+    def counting(rows, width, step=None):
+        widths.append(width)
+        return kernel(rows, width, step)
+
+    monkeypatch.setattr(exact, "_streaming_echelon", counting)
+    n = 60
+    system = FiniteSystem(
+        perm=tuple((i + 1) % n for i in range(n)),
+        period=n,
+        stats=tuple((i % 7, i * i % 11) for i in range(n)),
+    )
+    cyclotomic = spectrum(system, "cyclotomic")
+    assert widths == []
+    assert cyclotomic == spectrum(dataclasses.replace(system), "galois")
+    # one orbit of size n spans at most n dimensions; these statistics span all
+    assert cyclotomic.mults == (1,) * n
+
+
 def counting_rows(monkeypatch) -> list[int]:
     """The number of elements of each `_presenting_rows` call, as it happens."""
     built, make = [], linearize._presenting_rows

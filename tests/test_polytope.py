@@ -150,14 +150,25 @@ MAPS = [
 ]
 
 
+def tied_point(rng):
+    """A point drawn as `random_polytope_point` draws one, but with
+    denominators up to 4 and ties kept."""
+
+    def draw():
+        den = rng.randint(1, 4)
+        return F(rng.randint(0, den), den)
+
+    vals = sorted(draw() for _ in range(4))
+    mid = [vals[1], vals[2]]
+    rng.shuffle(mid)
+    return (vals[0], mid[0], mid[1], vals[3])
+
+
 def polytope_points():
     rng = random.Random(16)
     points = [random_polytope_point(rng) for _ in range(100)]
     # small denominators: x2 = x3 and the other ties come up often
-    points += [
-        random_polytope_point(rng, max_denominator=4, avoid_ties=False)
-        for _ in range(100)
-    ]
+    points += [tied_point(rng) for _ in range(100)]
     points += polytope_vertices()
     # int and str coordinates, inside and outside the polytope
     points += [(0, 1, "1/2", 1), ("1/3", "2/3", "1/2", 1), (1, 1, 1, 1)]

@@ -1,8 +1,9 @@
-"""Every `verify-paper` check of the blocks that read the block sums and the
-orbit averages can fail: each test breaks one library function that a block
-relies on, by monkeypatching, and expects a failed check, not an exception."""
+"""Every `verify-paper` block has checks that can fail: each test breaks one
+library function that a block relies on, by monkeypatching, and expects a
+failed check, not an exception."""
 
-from dynspan import linearize
+from dynspan import linearize, verify
+from dynspan.exact import ExactMatrix
 from dynspan.linearize import PresentingMatrix
 from dynspan.verify import run_checks
 
@@ -56,7 +57,7 @@ def test_a_subtracted_block_fails_rotation_general_and_products(monkeypatch):
 def test_a_wrong_orbit_average_fails_the_chain_orbit_means(monkeypatch):
     real = linearize._common_orbit_average
 
-    def last_element_left_out(values, cycles, scale=1):
+    def last_element_left_out(values, cycles, scale):
         return real(values, tuple(c[:-1] or c for c in cycles), scale)
 
     monkeypatch.setattr(linearize, "_common_orbit_average", last_element_left_out)
@@ -81,3 +82,48 @@ def test_a_dropped_block_fails_products(monkeypatch):
     # the 0-mesic rank, can tell that the invariant span is too large
     break_block_sums(monkeypatch, last_block_dropped)
     assert failed_checks("products")
+
+
+def test_a_lost_orbit_fails_rotation_two_on_both_routes(monkeypatch):
+    # both routes read one row per T-orbit; without the last orbit V shrinks
+    real = linearize._orbit_quotient
+
+    def last_orbit_lost(pm):
+        return PresentingMatrix(pm.system, real(pm).elements[:-1])
+
+    monkeypatch.setattr(linearize, "_orbit_quotient", last_orbit_lost)
+    results = {r.name: r for r in run_checks("rotation-two")}
+    assert not results["n=2 k=2 galois"].passed
+    assert not results["n=2 k=2 cyclotomic"].passed
+    assert results["n=2 k=2 cyclotomic"].got == "(1, 1)"
+
+
+def test_a_wrong_reduction_mod_phi_fails_the_distinct_cyclotomic_route(monkeypatch):
+    # the weighted block sums keep their coefficients past degree phi(d)
+    # unreduced, and the galois route, which never reduces mod Phi_d, holds
+    monkeypatch.setattr(linearize, "_cyc_reduce_int", lambda work, phi, mod: None)
+    results = {r.name: r for r in run_checks("distinct")}
+    assert not results["n=4 k=2 cyclotomic"].passed
+    assert results["n=4 k=2 galois"].passed
+
+
+def test_a_wrong_closed_form_fails_nesw(monkeypatch):
+    real = verify.nesw_det_closed_form
+
+    def off_by_one_at_five(k, *values):
+        return real(k, *values) + (k == 5)
+
+    monkeypatch.setattr(verify, "nesw_det_closed_form", off_by_one_at_five)
+    assert failed_checks("nesw") == ["k=5 closed form = cofactor"]
+
+
+def test_a_perturbed_theta_lift_fails_lift(monkeypatch):
+    real = verify.lifted_theta
+
+    def perturbed():
+        rows = [list(row) for row in real().entries]
+        rows[0][0] += 1
+        return ExactMatrix.from_rows(rows)
+
+    monkeypatch.setattr(verify, "lifted_theta", perturbed)
+    assert failed_checks("lift") == ["(H*D*N)^4 = I", "composite lift at vertices"]
