@@ -12,11 +12,12 @@ memo (`FiniteSystem` lists which module fills which key).  Repeated public
 calls still validate the system, but share that work.  dim V is f(n), the
 rank of the presenting matrix that the galois route computes.
 
-A `PresentingMatrix` is a selection of rows: all of X, or one row per T-orbit
-(`_orbit_quotient`).  Its rows read one integer statistics grid per system
+A `PresentingMatrix` is a selection of rows: all of X, one row per T-orbit
+(`_orbit_quotient`), or the orbits among those whose rows generate them all
+under rotation (`_orbit_selection`).  Its rows read one integer statistics grid per system
 (`_integer_stats`): every statistic times L, the lcm of all their
 denominators.  It builds its rows and each T^d block sum of them once, and
-the orbit-start selection keeps them in the system's memo, so the galois
+the orbit-start selections keep them in the system's memo, so the galois
 table, `zeta_matrix` and `invariant_matrix` of a report share each sum.  The
 stages of a report sum those integers, not Fractions: orbit averages, the
 invariance test, the block sums and the differences of M - M'.  A Fraction
@@ -32,12 +33,28 @@ x with the column blocks rotated by one; so are the rows of each
 T^d-invariant matrix and of M - M'.  The row space of such a matrix is the
 smallest rotation-invariant subspace that contains one row per T-orbit, and
 `_rotation_closure_rank` finds its dimension from those rows alone, in
-integers.  When there are at least as many orbits as columns, most rows lie
-in the span, and each is tested against a fraction-free Gauss-Jordan basis
-with one dot product per column without a pivot; otherwise the rows, most of
-them rotations, are reduced in a streaming echelon.  The weighted block sums
-of the cyclotomic route need no closure: their row at T(x) is a root of unity
+integers.  When the rows are at least 3/4 of the columns, most rows lie in
+the span, and each is tested against a fraction-free Gauss-Jordan basis with
+one dot product per column without a pivot; otherwise the rows, most of them
+rotations, are reduced in a streaming echelon.  The weighted block sums of
+the cyclotomic route need no closure: their row at T(x) is a root of unity
 times their row at x.
+
+Each rank of a report is the rank of a linear image of the orbit-start rows
+that respects the rotation, so it depends only on their rotation closure, not
+on the number of orbits.  A tall system has more orbits than m*k columns, m
+the minimal period, so at least its surplus orbit rows are redundant.  There
+the top closure of the galois route, f(m) = dim V, reads every orbit row, and
+the orbits whose rows lie outside the closure of the orbits before them are
+kept once per system (`_orbit_selection`).  Every other rank reads only
+those: the galois closures for e < m, the 0-mesic closure (the
+`shifted_difference` of the kept rows), every `zeta_matrix` rank of the
+cyclotomic route and the column choice of `invariant_basis`, whose values
+still come from the block sums of every orbit.  dim V alone still reads
+every orbit row, so the routes still check each other: a selection that lost
+a row would give sum phi(d)*r_d < f(n), and `--method both` would find the
+spectra disagree.  `chain(8,6)` keeps one orbit of 246 and `multiset(8,5)`
+six of 99.
 
 Neither route ranks once per exponent.  The statistics are rational, so the
 multiplicity of zeta^j depends only on gcd(j, n) (see `Spectrum`), and each
@@ -59,6 +76,7 @@ from .exact import (
     ExactMatrix,
     _cyc_reduce_int,
     _field,
+    _gauss_jordan_closure,
     _rotation_closure_rank,
     _scale_to_int,
     divisors,
@@ -192,6 +210,40 @@ def _orbit_quotient(pm: PresentingMatrix) -> PresentingMatrix:
     return PresentingMatrix(system, starts, system._memo.setdefault("quotient", {}))
 
 
+def _orbit_selection(quotient: PresentingMatrix) -> PresentingMatrix:
+    """The orbits whose rows generate the rotation closure of every orbit row.
+
+    Every rank that reads the orbit-start rows is the rank of a linear image
+    of them that carries the rotation of a row to a rotation of its image,
+    or to a root of unity times it, so it depends only on the rotation
+    closure of the rows.  On a tall system, one with more orbits than m*k,
+    the width of the top closure (m the minimal period), at least the
+    surplus rows are redundant.  There the top closure of the galois route,
+    f(m) = dim V, runs by Gauss-Jordan and reads every orbit row, in orbit
+    order, each followed by its rotations while they join
+    (`_gauss_jordan_closure`), so it also names the orbits whose rows lie
+    outside the closure of the orbits before them; they are kept, in orbit
+    order.  The result is memoised as `system._memo["selection"]`: the kept
+    starts, their own `_sums`, preset with the quotient's rows and block sums
+    for m at the kept orbits so each block sum of the kept rows is built
+    once, and f(m).  If no row joins, every row is zero, and the first orbit
+    alone gives the rank 0 of every matrix.  On a system that is not tall the
+    selection is `quotient` itself, the same object, at no cost.
+    """
+    system = quotient.system
+    m, k = minimal_period(system), quotient.k
+    if len(quotient.elements) <= m * k:
+        return quotient
+    kept = system._memo.get("selection")
+    if kept is None:
+        rank, index = _gauss_jordan_closure(quotient.block_sums(m), k)
+        index = index or [0]
+        starts = tuple(quotient.elements[i] for i in index)
+        sums = {d: [quotient.block_sums(d)[i] for i in index] for d in (quotient.n, m)}
+        kept = system._memo["selection"] = (starts, sums, rank)
+    return PresentingMatrix(system, *kept[:2])
+
+
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
     """Sum of the n column blocks; its column span is the invariant space.
     The blocks are summed on the integer rows, and each sum divided by L."""
@@ -253,11 +305,14 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
     """Number of independent 0-mesic functions in V (rank of M - M').
 
     The row of M - M' at T(x) is its row at x rotated by k entries, so its
-    row space is the rotation closure of one row per T-orbit.
+    row space is the rotation closure of one row per T-orbit.  M - M' is
+    linear in the presenting rows and commutes with the rotation, so the
+    `shifted_difference` of the selected orbits (`_orbit_selection`) gives
+    it.
     """
-    quotient = _orbit_quotient(presenting_matrix(system))
-    rows = shifted_difference(quotient)._integer_rows
-    return _rotation_closure_rank([row for _, row in rows], quotient.k)
+    selection = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
+    rows = shifted_difference(selection)._integer_rows
+    return _rotation_closure_rank([row for _, row in rows], selection.k)
 
 
 @dataclass(frozen=True)
@@ -314,16 +369,23 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     at x rotated by k entries.  So its row space is the rotation closure of one
     row per T-orbit, and `_rotation_closure_rank` computes it from those
     rows alone.  U^m = I on V for the minimal period m, so closures run only
-    for e | m, and f(d) = f(gcd(d, m)).  f(n) is dim V.
+    for e | m, and f(d) = f(gcd(d, m)).  f(n) = f(m) is dim V, and its
+    closure reads every orbit row; on a tall system it is the closure that
+    picks the selected orbits (`_orbit_selection`).  Each closure for e < m
+    reads only the rows of the selected orbits, which generate the same
+    closure.
     """
     table = system._memo.get("galois")
     if table is None:
         quotient = _orbit_quotient(PresentingMatrix(system, ()))
-        m = minimal_period(system)
+        selection = _orbit_selection(quotient)
+        m, k = minimal_period(system), quotient.k
+        kept = system._memo.get("selection")
         closure = {
-            e: _rotation_closure_rank(quotient.block_sums(e), quotient.k)
-            for e in divisors(m)
+            e: _rotation_closure_rank(selection.block_sums(e), k)
+            for e in divisors(m)[:-1]
         }
+        closure[m] = kept[2] if kept else _rotation_closure_rank(quotient.block_sums(m), k)
         table = {d: closure[math.gcd(d, m)] for d in divisors(system.period)}
         system._memo["galois"] = table
     return table
@@ -334,7 +396,12 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
 
     Both start from the T^d block sums of one row per T-orbit (see the module
     notes), and neither reads the other's ranks, so the two stay independent;
-    they agree on every system with rational statistics.  "galois" works
+    they agree on every system with rational statistics.  On a tall system
+    they share the selected orbits (`_orbit_selection`) as they share the
+    block sums: the cyclotomic ranks and the galois closures below the top
+    read only those, and the top closure, dim V, reads every orbit row, so
+    under `--method both` a selection that lost a row shows as
+    sum phi(d)*r_d < dim V.  "galois" works
     entirely over Q: it recovers the common multiplicity m_e of the
     primitive e-th roots from the table f of `_galois_table` by Moebius
     inversion of sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for
@@ -342,7 +409,7 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     zeta-closure of its flat coefficient rows (`ExactMatrix.rank`), and
     gives that rank to every exponent j with n/gcd(j, n) = d (exact by
     Galois conjugation, see `Spectrum`).  The cyclotomic ranks and the galois
-    closures with fewer rows than columns share the integer loop of
+    closures with rows under 3/4 of the columns share the integer loop of
     `exact._streaming_echelon`, on different matrices in different fields.
     The row of an orbit of length L is L-periodic, so its weighted block sum
     at a primitive d-th root vanishes unless d | L: a d that divides no
@@ -363,7 +430,7 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
             prim_mult[e] = total // phi
         return Spectrum(n, tuple(prim_mult[n // math.gcd(j, n)] for j in range(n)))
     if method == "cyclotomic":
-        pm = _orbit_quotient(presenting_matrix(system))
+        pm = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
         lengths = {len(c) for c in orbits(system)}
         # exponent n/d stands for every j with gcd(j, n) = n/d
         rank = dict.fromkeys(divisors(n), 0)
@@ -377,19 +444,25 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
 def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     """A basis of the invariant space, as value vectors on X.
 
-    The columns are chosen on one row per T-orbit of the invariant matrix,
-    whose rows are constant along orbits, and then read back on all of X.
+    The rows of the invariant matrix are constant along orbits.  Its columns
+    are chosen on the rows of the selected orbits (`_orbit_selection`),
+    whose block sums span its row space, as a row's rotations have the same
+    block sum, and their values are read back on all of X
+    from the block sums of every orbit, each divided by L.
     """
-    cycles = orbits(system)
-    m1 = invariant_matrix(_orbit_quotient(presenting_matrix(system)))
+    quotient = _orbit_quotient(presenting_matrix(system))
+    columns = invariant_matrix(_orbit_selection(quotient)).column_basis()
+    lcm = _integer_stats(system)[0]
+    sums = quotient.block_sums(1)
     orbit_of = [0] * system.size
-    for t, cycle in enumerate(cycles):
+    for t, cycle in enumerate(orbits(system)):
         for x in cycle:
             orbit_of[x] = t
-    return [
-        tuple(m1.entries[orbit_of[x]][c] for x in range(system.size))
-        for c in m1.column_basis()
-    ]
+    basis = []
+    for c in columns:
+        values = [Fraction(row[c], lcm) for row in sums]
+        basis.append(tuple(values[t] for t in orbit_of))
+    return basis
 
 
 def homomesy_value(

@@ -25,14 +25,19 @@ class FiniteSystem:
     statistics over one common denominator, `(L, rows)`: L is the lcm of
     every denominator in the statistics and `rows[x][i]` is g_i(x) * L; read
     by every stage of a report), "quotient" (the `_sums` that every
-    orbit-start `PresentingMatrix` shares: its integer rows at the first
-    element of each T-orbit and each T^d block sum of them, read by both
-    spectrum routes, the invariant basis and the 0-mesic rank) and "galois"
-    (f(d) = dim of the T^d-invariant subspace of V, for d | n).  It holds no
-    object that refers back to the system, so it makes no reference cycle.
-    Each entry is built on first use and lives exactly as long as the
-    instance.  The memo takes no part in equality, hashing or repr, and
-    `dataclasses.replace` starts a new instance with an empty memo.
+    `_orbit_quotient` instance shares: its integer rows at the first element
+    of each T-orbit and each T^d block sum of them, read by both spectrum
+    routes, the invariant basis and the 0-mesic rank), "selection" (only on
+    a tall system, one with more orbits than m*k columns, m the minimal
+    period: the starts of the orbits whose rows generate the rotation
+    closure of every orbit row, their own `_sums`, and f(m) = dim V, from the
+    one closure that reads every orbit row; every other rank reads these rows
+    instead of the quotient's) and "galois" (f(d) = dim of the T^d-invariant
+    subspace of V, for d | n).  It holds no object that refers back to the
+    system, so it makes no reference cycle.  Each entry is built on first use
+    and lives exactly as long as the instance.  The memo takes no part in
+    equality, hashing or repr, and `dataclasses.replace` starts a new
+    instance with an empty memo.
     """
 
     perm: tuple[int, ...]

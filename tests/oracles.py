@@ -98,6 +98,17 @@ def gauss_rank(rows) -> int:
     return len(gauss_pivots(rows))
 
 
+def rotation_closure_rank(rows, shift) -> int:
+    """dim of the smallest rotation-invariant span of the rows: the rank of
+    every rotation r[j*shift:] + r[:j*shift] of every row."""
+    width = len(rows[0]) if rows else 0
+    if not width:
+        return 0
+    return gauss_rank(
+        [r[j * shift :] + r[: j * shift] for r in rows for j in range(width // shift)]
+    )
+
+
 def brute_rank(rows) -> int:
     """Largest r with a nonsingular r x r submatrix."""
     m = len(rows)

@@ -12,6 +12,7 @@ from dynspan.exact import (
     ExactMatrix,
     _cyc_reduce_int,
     _field,
+    _gauss_jordan_closure,
     _rotation_closure_rank,
     _streaming_echelon,
     _times_zeta,
@@ -28,6 +29,7 @@ from oracles import (
     gauss_pivots,
     gauss_rank,
     perm_det,
+    rotation_closure_rank,
 )
 from oracles import cyclotomic_polynomial as oracle_cyclotomic_polynomial
 
@@ -685,11 +687,11 @@ closure_entries = st.one_of(
 def closure_inputs(draw):
     """(rows, shift) of width d*shift, d in 1..6, with 1..width+3 rows.
 
-    The row count falls on either side of the width, so both eliminations
-    of the kernel run.  Each row repeats a block of e*shift entries for a
-    divisor e of d, so its rotations stay in the e*shift-dimensional space
-    of such rows and the closure may have any rank up to the width.  Some
-    rows are then repeated.
+    The row count falls on either side of 3/4 of the width, so both
+    eliminations of the kernel run.  Each row repeats a block of e*shift
+    entries for a divisor e of d, so its rotations stay in the
+    e*shift-dimensional space of such rows and the closure may have any rank
+    up to the width.  Some rows are then repeated.
     """
     shift = draw(st.integers(1, 4))
     d = draw(st.integers(1, 6))
@@ -726,6 +728,25 @@ def test_rotation_closure_rank_matches_rank_of_every_rotation(case):
     assert _rotation_closure_rank(lists, shift) == expected
     assert lists == [list(r) for r in rows]
     assert _rotation_closure_rank([tuple(r) for r in rows], shift) == expected
+
+
+@settings(max_examples=60)
+@given(closure_inputs())
+@example(([[], [], []], 0))  # width 0: no row generates
+@example(([[0, 0, 0, 0]] * 5, 2))  # rank 0
+@example(([[0, 0], [1, 2], [2, 4], [0, 1], [7, 7]], 1))  # full rank at a given row
+@example(([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], 1))  # rotations of row 0
+@example(([[1, 1, 0, 0], [1, 0, 1, 0], [2, 2, 0, 0]], 2))  # row 1 outside, row 2 not
+def test_gauss_jordan_closure_names_the_greedy_generators(case):
+    # a given row generates exactly when it lies outside the rotation closure
+    # of the given rows before it, and the rank is that of every rotation
+    rows, shift = [list(r) for r in case[0]], case[1]
+    rank, generators = _gauss_jordan_closure(rows, shift)
+    closures = [rotation_closure_rank(rows[:i], shift) for i in range(len(rows) + 1)]
+    assert generators == [i for i in range(len(rows)) if closures[i + 1] > closures[i]]
+    kept = [rows[i] for i in generators]
+    assert rank == closures[-1] == rotation_closure_rank(kept, shift)
+    assert rows == [list(r) for r in case[0]]
 
 
 def _q_block(nrows, ncols):

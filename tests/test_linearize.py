@@ -25,6 +25,7 @@ from dynspan.linearize import (
     _galois_table,
     _integer_stats,
     _orbit_quotient,
+    _orbit_selection,
     coboundary_witness,
     dynamical_dimension,
     extend_products,
@@ -47,7 +48,7 @@ from oracles import extend_products as oracle_extend_products
 from oracles import gauss_rank
 from oracles import homomesy_value as oracle_homomesy_value
 from oracles import invariant_matrix as oracle_invariant_matrix
-from oracles import planted_spectra, reference_report
+from oracles import planted_spectra, reference_report, rotation_closure_rank
 from oracles import shifted_difference as oracle_shifted_difference
 from oracles import statistic_report as oracle_statistic_report
 from oracles import zero_mesic_original_combos as oracle_zero_mesic_original_combos
@@ -578,6 +579,32 @@ def random_systems(draw):
     return FiniteSystem(perm=perm, period=period, stats=stats)
 
 
+@st.composite
+def tall_systems(draw):
+    """Systems with more T-orbits than m*k columns (m the minimal period), so
+    each analysis keeps a selection of orbits.  Orbit lengths divide m, one
+    of them is m; the statistics take few values, so rows repeat, and are
+    sometimes all zero, which leaves no row independent."""
+    m = draw(st.sampled_from([1, 2, 3, 4]))
+    k = draw(st.integers(0, 2))
+    count = draw(st.integers(m * k + 1, m * k + 4))
+    lengths = [m] + [draw(st.sampled_from(divisors(m))) for _ in range(count - 1)]
+    labels = draw(st.permutations(range(sum(lengths))))
+    perm = [0] * len(labels)
+    start = 0
+    for length in lengths:
+        cycle = labels[start : start + length]
+        for i, x in enumerate(cycle):
+            perm[x] = cycle[(i + 1) % length]
+        start += length
+    values = st.just(0) if draw(st.booleans()) else st.sampled_from(
+        [0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]
+    )
+    stats = tuple(tuple(draw(values) for _ in range(k)) for _ in labels)
+    period = m * draw(st.sampled_from([1, 2]))
+    return FiniteSystem(perm=tuple(perm), period=period, stats=stats)
+
+
 @settings(max_examples=30)
 @given(random_systems())
 def test_structural_identities_on_random_systems(system):
@@ -718,9 +745,9 @@ def relabelled(system: FiniteSystem, seed: int) -> FiniteSystem:
     return FiniteSystem(perm=tuple(perm), period=system.period, stats=tuple(stats))
 
 
-# 30 orbits, n * k = 28, dim V = 27: each rotation closure of its galois table
-# and 0-mesic rank has at least as many rows as columns, so the kernel runs
-# fraction-free Gauss-Jordan
+# 30 orbits, n * k = 28, dim V = 27: a tall system.  The top closure reads the
+# 30 orbit rows and picks 27 orbits, which every other closure reads, at width
+# at most 28; each closure runs fraction-free Gauss-Jordan
 RELABELLED_MULTISET_7_4 = relabelled(multiset_rotation(7, 4), 7)
 
 
@@ -1083,6 +1110,114 @@ def test_cyclotomic_spectrum_of_one_long_cycle_runs_no_elimination(monkeypatch):
     assert cyclotomic.mults == (1,) * n
 
 
+# -- the orbit selection --------------------------------------------------------
+
+
+# Tall systems whose selection keeps more than one orbit, so that one can be
+# dropped: three 2-cycles with orbit rows (2, 2), (1, 0), (2, 2), where the
+# first row is fixed by the rotation and the second lies outside its closure
+# (the eigenvalue -1); three fixed points with rational rows of rank 2, where
+# the rotation is the identity; multiset(7,4), relabelled, which keeps 4 of
+# its 30 orbits
+SELECTION_MUTANTS = [
+    FiniteSystem(perm=(1, 0, 3, 2, 5, 4), period=2, stats=((2,), (2,), (1,), (0,), (2,), (2,))),
+    FiniteSystem(perm=(0, 1, 2), period=1, stats=(("1/2", 1), (1, 2), ("1/3", "-1/4"))),
+    RELABELLED_MULTISET_7_4,
+]
+
+
+@settings(max_examples=40)
+@given(tall_systems())
+@example(FiniteSystem(perm=(0, 1, 2), period=1, stats=((0,), (0,), (0,))))
+@example(FiniteSystem(perm=(1, 0), period=2, stats=((), ())))
+@example(RELABELLED_MULTISET_7_4)
+@example(SELECTION_MUTANTS[0])
+def test_selected_orbit_rows_generate_every_orbit_row(system):
+    # the rows of the kept orbits generate the rotation closure of all orbit
+    # rows, each outside the closure of those before it; with no row outside
+    # the zero closure the first orbit stands in, its row zero
+    quotient = _orbit_quotient(presenting_matrix(system))
+    selection = _orbit_selection(quotient)
+    m, k = minimal_period(system), system.num_stats
+    assert len(quotient.elements) > m * k
+    starts = list(quotient.elements)
+    kept = [starts.index(x) for x in selection.elements]
+    assert kept == sorted(kept) and kept
+    assert selection.rows == [quotient.rows[i] for i in kept]
+    rows = [list(r) for r in quotient.block_sums(m)]
+    rank = rotation_closure_rank(rows, k)
+    assert system._memo["selection"][2] == rank == dynamical_dimension(system)
+    if rank == 0:
+        assert kept == [0]
+    else:
+        ranks = [
+            rotation_closure_rank([rows[i] for i in kept[:j]], k)
+            for j in range(len(kept) + 1)
+        ]
+        assert ranks == sorted(set(ranks)) and ranks[-1] == rank
+    assert selection.block_sums(1) == [quotient.block_sums(1)[i] for i in kept]
+    assert _orbit_selection(quotient)._sums is selection._sums
+
+
+def test_no_rank_but_dim_v_reads_more_rows_than_the_span_needs(monkeypatch):
+    """On chain(8,6) 246 orbit rows of width 42 span 7 dimensions, and the
+    rotations of one of them span all 7.  Only the top closure of the galois
+    route, dim V, reads every row, and picks that one orbit, which every
+    other rank of a report reads.  Counted, not timed."""
+    closures, ranks = [], []
+
+    def counting_closure(kernel):
+        def wrapped(rows, shift):
+            closures.append((kernel.__name__, len(rows), len(rows[0]) if rows else 0))
+            return kernel(rows, shift)
+
+        return wrapped
+
+    def counting(query):
+        def wrapped(matrix):
+            ranks.append(matrix.rows)
+            return query(matrix)
+
+        return wrapped
+
+    for kernel in ("_rotation_closure_rank", "_gauss_jordan_closure"):
+        monkeypatch.setattr(linearize, kernel, counting_closure(getattr(linearize, kernel)))
+    for name in ("rank", "column_basis", "nullspace_basis"):
+        monkeypatch.setattr(ExactMatrix, name, counting(getattr(ExactMatrix, name)))
+    system = relabelled(chain_rowmotion(8, 6), 4)
+    report = analysis_report(system, "both")
+    n, k = system.period, system.num_stats
+    assert report["dim_V"] == 7 and len(orbits(system)) == 246
+    assert [c for c in closures if c[1] > 1] == [("_gauss_jordan_closure", 246, n * k)]
+    assert len(closures) == len(divisors(n)) + 1
+    assert ranks and max(ranks) == 1
+
+
+@pytest.mark.parametrize("system", SELECTION_MUTANTS, ids=["2-cycles", "fixed-points", "multiset(7,4)"])
+def test_a_selection_that_loses_an_orbit_fails_the_report(system):
+    # the galois top closure still reads every orbit row, and each kept row
+    # lies outside the closure of those before it, so a selection that drops
+    # its last orbit makes the routes disagree, and each route's report
+    # differs from the paper's definitions
+    doc = system_to_document(system)
+    assert len(orbits(system)) > system.period * system.num_stats
+    expected = json.dumps(reference_report(doc))
+
+    def mutant() -> FiniteSystem:
+        mutated = document_to_system(doc)
+        _orbit_selection(_orbit_quotient(presenting_matrix(mutated)))
+        starts, _, rank = mutated._memo["selection"]
+        assert len(starts) > 1
+        mutated._memo["selection"] = (starts[:-1], {}, rank)
+        return mutated
+
+    with pytest.raises(RuntimeError, match="spectrum methods disagree"):
+        analysis_report(mutant(), "both")
+    for method in ("galois", "cyclotomic"):
+        assert json.dumps(analysis_report(mutant(), method)) != expected, method
+    assert json.dumps(analysis_report(document_to_system(doc), "both")) == expected
+
+
 def counting_rows(monkeypatch) -> list[int]:
     """The number of elements of each `_presenting_rows` call, as it happens."""
     built, make = [], linearize._presenting_rows
@@ -1095,43 +1230,70 @@ def counting_rows(monkeypatch) -> list[int]:
     return built
 
 
-class CountingSums(dict):
-    """A `_sums` cache that records the key of each entry built into it."""
+def counting_block_sums(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """(elements, d) of each block sum that a `PresentingMatrix` builds, as it
+    happens: a sum read from `_sums` is not built again."""
+    built, block_sums = [], PresentingMatrix.block_sums
 
-    def __init__(self):
-        super().__init__()
-        self.built = []
+    def counting(pm, d):
+        if d not in pm._sums:
+            built.append((tuple(pm.elements), d))
+        return block_sums(pm, d)
 
-    def __setitem__(self, d, sums):
-        self.built.append(d)
-        super().__setitem__(d, sums)
+    monkeypatch.setattr(PresentingMatrix, "block_sums", counting)
+    return built
 
 
 class TestMemo:
     def test_a_report_builds_no_full_presenting_matrix(self, monkeypatch):
-        # every stage reads the integer rows at the orbit starts, built once
+        # every stage reads the integer rows at the orbit starts, built once;
+        # the rows of the selected orbits are those rows, not built again.
+        # multiset(4,3) has 5 orbits and width n*k = 12; multiset(7,4) is
+        # tall, 30 orbits against 28 columns, and its report keeps a selection
         built = counting_rows(monkeypatch)
-        system = multiset_rotation(4, 3)
-        analysis_report(system, "both")
-        assert set(system._memo) == {"orbits", "integer", "quotient", "galois", "violations"}
-        assert built == [len(orbits(system))]
-        assert len(orbits(system)) < system.size
-        rows = system._memo["quotient"][system.period]
-        full_rank = gauss_rank(presenting_rows(system))
-        assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
-        assert system._memo["quotient"][system.period] is rows
-        assert built == [len(orbits(system))]
+        for n, k, tall in ((4, 3, False), (7, 4, True)):
+            built.clear()
+            system = multiset_rotation(n, k)
+            analysis_report(system, "both")
+            keys = {"orbits", "integer", "quotient", "galois", "violations"}
+            assert set(system._memo) == keys | ({"selection"} if tall else set())
+            assert (len(orbits(system)) > n * k) == tall
+            assert built == [len(orbits(system))]
+            assert len(orbits(system)) < system.size
+            rows = system._memo["quotient"][system.period]
+            selection = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
+            if tall:
+                starts, sums, dim_v = system._memo["selection"]
+                assert selection.elements == starts and selection._sums is sums
+                index = [c[0] for c in orbits(system)]
+                assert all(a is rows[index.index(x)] for a, x in zip(sums[n], starts))
+            else:
+                assert selection._sums is system._memo["quotient"]
+            full_rank = gauss_rank(presenting_rows(system))
+            assert not tall or dim_v == full_rank
+            assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
+            assert system._memo["quotient"][system.period] is rows
+            assert built == [len(orbits(system))]
 
-    def test_a_report_builds_each_block_sum_once(self):
-        # the galois closures, the weighted block sums of the cyclotomic route
-        # and the invariant matrix read one block sum for each d | m; the
-        # sums for d = n are the orbit-start rows
+    def test_a_report_builds_each_block_sum_once(self, monkeypatch):
+        # on a tall system every orbit row is read for dim V, the top closure
+        # of the galois route, whose block sum for d = m = n is the rows, and
+        # for the values of the invariant basis (d = 1).  The other galois
+        # closures, the weighted block sums of the cyclotomic route and the
+        # column choice of the invariant basis read the selected orbits, each
+        # of their block sums built once; their rows are preset
+        built = counting_block_sums(monkeypatch)
         system = relabelled(multiset_rotation(8, 5), 10)
-        sums = system._memo["quotient"] = CountingSums()
         analysis_report(system, "both")
-        assert minimal_period(system) == system.period
-        assert sorted(sums.built) == divisors(system.period)
-        assert len(sums[system.period]) == len(orbits(system))
+        n = system.period
+        assert minimal_period(system) == n
+        starts = tuple(c[0] for c in orbits(system))
+        kept = system._memo["selection"][0]
+        assert (len(starts), len(kept)) == (99, 5)
+        assert sorted(d for e, d in built if e == starts) == [1, n]
+        assert sorted(d for e, d in built if e == kept) == divisors(n)[:-1]
+        assert len(built) == len(set(built)) == 2 + len(divisors(n)) - 1
+        assert len(system._memo["quotient"][n]) == len(orbits(system))
 
     @pytest.mark.parametrize("spectrum_first", [True, False])
     def test_only_the_orbit_starts_are_memoised(self, spectrum_first):
@@ -1235,11 +1397,16 @@ def planted_document(planted):
 
 # k = 0 (V = 0); period 1; fixed points; non-minimal periods, where most roots
 # of the declared period are no eigenvalue; columns whose denominators differ
-# by large factors, so L is far from each column's own lcm
-@settings(max_examples=40)
-@given(random_systems())
+# by large factors, so L is far from each column's own lcm.  Tall systems,
+# which keep a selection of orbits: all-zero statistics, where no orbit row is
+# independent, k = 0 with one orbit or two, and rows that repeat
+@settings(max_examples=60)
+@given(st.one_of(random_systems(), tall_systems()))
 @example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4))
+@example(FiniteSystem(perm=(1, 0), period=2, stats=((), ())))
 @example(FiniteSystem(perm=(1, 0), period=2, stats=((0, 0), (0, 0))))
+@example(FiniteSystem(perm=(1, 0, 2, 3), period=2, stats=((0,), (0,), (0,), (0,))))
+@example(SELECTION_MUTANTS[0])
 @example(FiniteSystem(perm=(0, 1, 2), period=1, stats=((1, "1/2"), (2, 0), ("-1/3", 5))))
 @example(FiniteSystem(perm=(0, 1, 2), period=4, stats=((1,), ("1/2",), (-3,))))
 @example(FiniteSystem(perm=(1, 0), period=12, stats=((1, "1/5"), (0, 2))))
