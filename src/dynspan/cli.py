@@ -18,6 +18,7 @@ what a shell reports for `yes | head -1`; nothing is printed on stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -416,21 +417,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliInputError(str(exc)) from exc
     failed = [r for r in results if not r.passed]
     if args.output == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "block": r.block,
-                        "name": r.name,
-                        "expected": r.expected,
-                        "got": r.got,
-                        "passed": r.passed,
-                    }
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        _emit([dataclasses.asdict(r) for r in results], "json")
     else:
         width = max(len(f"{r.block}: {r.name}") for r in results)
         for r in results:

@@ -555,6 +555,31 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert all(item["passed"] for item in payload)
 
+    def test_json_layout(self, capsys):
+        # the whole text: key order, indent 2, one trailing newline
+        code, out, _ = run_cli(
+            capsys, "verify-paper", "--only", "distinct", "--output", "json"
+        )
+        assert code == 0
+        assert out == (
+            "[\n"
+            "  {\n"
+            '    "block": "distinct",\n'
+            '    "name": "n=4 k=2 galois",\n'
+            '    "expected": "(2, 1, 2, 1)",\n'
+            '    "got": "(2, 1, 2, 1)",\n'
+            '    "passed": true\n'
+            "  },\n"
+            "  {\n"
+            '    "block": "distinct",\n'
+            '    "name": "n=4 k=2 cyclotomic",\n'
+            '    "expected": "(2, 1, 2, 1)",\n'
+            '    "got": "(2, 1, 2, 1)",\n'
+            '    "passed": true\n'
+            "  }\n"
+            "]\n"
+        )
+
 
 def test_long_non_minimal_period_finishes(tmp_path):
     # one 2-cycle under period 55440 (120 divisors, 110880 cells): only the

@@ -4,7 +4,12 @@ failed check, not an exception."""
 
 from dynspan import linearize, verify
 from dynspan.exact import ExactMatrix
-from dynspan.linearize import PresentingMatrix
+from dynspan.linearize import (
+    PresentingMatrix,
+    _orbit_quotient,
+    _orbit_selection,
+    presenting_matrix,
+)
 from dynspan.verify import run_checks
 
 
@@ -127,3 +132,57 @@ def test_a_perturbed_theta_lift_fails_lift(monkeypatch):
 
     monkeypatch.setattr(verify, "lifted_theta", perturbed)
     assert failed_checks("lift") == ["(H*D*N)^4 = I", "composite lift at vertices"]
+
+
+def test_rotation_general_builds_each_system_once(monkeypatch):
+    # both routes read one system, and so share its memo
+    built, real = [], verify.multiset_rotation
+
+    def counting(n, k):
+        built.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(verify, "multiset_rotation", counting)
+    results = run_checks("rotation-general")
+    assert len(results) == 40 and all(r.passed for r in results)
+    assert len(built) == len(set(built)) == 20
+
+
+def test_the_gcd_check_ranks_only_the_kept_orbits(monkeypatch):
+    # one row per kept orbit for each exponent, not one per T-orbit
+    ranked, real = [], verify.zeta_matrix
+
+    def counting(pm, exponent):
+        ranked.append(len(pm.elements))
+        return real(pm, exponent)
+
+    monkeypatch.setattr(verify, "zeta_matrix", counting)
+    results = run_checks("structural")
+    assert all(r.passed for r in results)
+    kept = quotient = 0
+    for _, system in verify._structural_systems():
+        rows = _orbit_quotient(presenting_matrix(system))
+        kept += system.period * len(_orbit_selection(rows).elements)
+        quotient += system.period * len(rows.elements)
+    assert sum(ranked) == kept < quotient
+
+
+def test_a_selection_that_loses_an_orbit_fails_structural(monkeypatch):
+    # the gcd check ranks only the kept orbits, and agrees with a cyclotomic
+    # route that reads them; the full-row rank of X still finds the lost row
+    real = verify.multiset_rotation
+
+    def last_kept_orbit_dropped(n, k):
+        system = real(n, k)
+        if (n, k) == (7, 4):
+            _orbit_selection(_orbit_quotient(presenting_matrix(system)))
+            starts, _, rank = system._memo["selection"]
+            assert len(starts) > 1
+            monkeypatch.setitem(system._memo, "selection", (starts[:-1], {}, rank))
+        return system
+
+    monkeypatch.setattr(verify, "multiset_rotation", last_kept_orbit_dropped)
+    failed = failed_checks("structural")
+    assert "multiset(7,4) methods agree, sum = dim V" in failed
+    assert "multiset(7,4) gcd classes" not in failed
+    assert all(name.startswith("multiset(7,4) ") for name in failed)
