@@ -12,8 +12,10 @@ Rank, column-basis and nullspace computations are fraction-free on the
 store, in one streaming echelon over Z that reduces a row against its basis
 in pivot order and stops once every column has a pivot.  Over Q(zeta_d) it
 ranks the flat rows as they are stored and closes the basis under
-x -> zeta*x: the result is the row space over Q(zeta_d) read over Q, of
-dimension phi times the rank (restriction of scalars).  A rank is at most
+x -> x/zeta, which moves each coefficient down one degree: the result is the
+row space over Q(zeta_d) read over Q, of dimension phi times the rank
+(restriction of scalars; zeta has finite order, so a space closed under
+1/zeta is closed under zeta).  A rank is at most
 the number of nonzero rows and of columns, so with at most one of either it
 is read off the store with no elimination.  Results are deterministic
 across runs and never touch floating point.  The cofactor determinant
@@ -30,8 +32,15 @@ every division in an update is exact by Sylvester's identity.  It reads the
 rotations of each row that joins right after it, so it also names the given
 rows that generate the closure, each outside the closure of those before it.
 With fewer rows, most rows come from rotations and join the basis, and the
-streaming echelon over Z reduces each against it, queueing the rotation of
-each row that joins.  Both stop reading rows once every column has a pivot.
+streaming echelon over Z reduces each against it.  Each row that joins at
+pivot c queues the left rotation of its basis row, whose pivot, if c is at
+least the shift, moves to c - shift, so it is reduced only against the
+pivots from there on; over Q(zeta) the image under 1/zeta begins one column
+earlier, or, from the start of an entry, no earlier than that.  Both stop reading rows once every
+column has a pivot.  On the benchmark's closures Gauss-Jordan is the faster
+kernel from 7/8 of the width on and the streaming echelon below 3/4; between
+them the streaming echelon saves about 1 ms a pass, which no pass shows, so
+the rule stays at 3/4.
 """
 
 from __future__ import annotations
@@ -414,10 +423,12 @@ def _rotation_closure_rank(rows: Sequence[Sequence[int]], shift: int) -> int:
 
     The rotation takes a row r to r[shift:] + r[:shift].  The rows are
     queued, and each one that raises the rank of the basis joins it and
-    queues its rotation.  The final span contains the given rows and the
-    rotation of each row that spans it, so it is that smallest invariant
-    subspace.  A matrix whose row at T(x) is its row at x rotated has that
-    span for its row space, so one row per T-orbit gives its rank.
+    queues the rotation of the vector it adds: the row as read in
+    Gauss-Jordan, its reduced basis row in the streaming echelon.  Those
+    vectors span the final span, which contains the given rows and their
+    rotations, so it is that smallest invariant subspace.  A matrix whose
+    row at T(x) is its row at x rotated has that span for its row space, so
+    one row per T-orbit gives its rank.
 
     Two exact eliminations keep the basis, chosen by the shape of the input.
     With rows at least 3/4 of the width, most rows lie in the span, and
@@ -427,13 +438,16 @@ def _rotation_closure_rank(rows: Sequence[Sequence[int]], shift: int) -> int:
     raise the rank, and `_streaming_echelon` reduces each against its basis.
     Either way no row is read once every column has a pivot.
 
-    The 3/4 is measured on the closures of one pass of each analysis
-    workload of `perfbench`, each closure timed under both kernels (best of
-    5, 2-vCPU VM).  With 3/4 <= rows/width < 1, Gauss-Jordan took 18.9 ms
-    in all against 25.1 ms for the streaming echelon (`multiset(8,5)`'s
-    0-mesic closure, 38 rows of width 40: 4.0 against 6.5 ms); with
-    1/2 <= rows/width < 3/4 it took 37.0 against 34.3 ms, so the streaming
-    echelon keeps those.
+    The 3/4 is measured on the closures of one pass (seed 1) of each
+    analysis workload of `perfbench`, each closure timed under both kernels
+    (best of 5, 2-vCPU VM), the streaming echelon queueing the rotation of
+    each basis row.  With 7/8 <= rows/width < 1, Gauss-Jordan took 8.7 ms in
+    all against 10.6 ms for the streaming echelon; with 3/4 <= rows/width <
+    7/8 it took 7.2 against 5.9 ms, with 1/2 <= rows/width < 3/4 48.2
+    against 38.3 ms, and below 1/2 269 against 114 ms.  Moving the rule to
+    7/8 would save the 1.3 ms of the middle band over three passes of about
+    0.4 s each; the passes of the two rules, alternated in one process,
+    differ by less than their spread, so the rule stays at 3/4.
     """
     width = len(rows[0]) if rows else 0
     if 4 * len(rows) >= 3 * width:
@@ -454,10 +468,16 @@ def _streaming_echelon(
     leading entry passes 512 bits; the basis is the same either way.  The
     tail of a basis row starts at its pivot, its first nonzero entry, so the
     sorted pivots are those of the reduced row echelon form.  With `step`
-    set, each row that joins queues its image under that linear map, read
-    after every given row, and the basis spans the smallest subspace that
-    holds the rows and is closed under the map.  No row is read once every
-    column has a pivot, and no input row is modified.
+    set, each row that joins at pivot c queues the image under that linear
+    map of its basis row, zero-padded to full width ([0]*c + basis[c]), read
+    after every given row.  The final span holds the given rows and the
+    image of each of its basis rows, so the map sends it into itself, and it
+    is the smallest subspace that holds the rows and is closed under the
+    map.  An image that keeps the padding's leading zeros, as the left
+    rotation and x -> x/zeta do but for a shift or one column, is reduced
+    only against the pivots from about c on; the image of the row as read
+    would start from column 0 again.  No row is read once every column has
+    a pivot, and no input row is modified.
     """
     basis: dict[int, Sequence[int]] = {}
     queued: list[Sequence[int]] = []
@@ -470,11 +490,11 @@ def _streaming_echelon(
             pivot_row = basis.get(c)
             if pivot_row is None:
                 g = math.gcd(*tail)
-                basis[c] = [v // g for v in tail] if g > 1 else tail
+                basis[c] = tail = [v // g for v in tail] if g > 1 else tail
                 if len(basis) == width:
                     return basis
                 if step is not None:
-                    queued.append(step(row))
+                    queued.append(step([0] * c + [*tail]))
                 break
             a, p = tail[0], pivot_row[0]
             g = math.gcd(a, p)
@@ -494,17 +514,26 @@ def _streaming_echelon(
     return basis
 
 
-def _times_zeta(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list[int]]:
-    """x -> zeta*x on a row of elements of Q(zeta) laid out flat, phi
-    coefficients per entry: each entry's coefficients move up by one, and
-    the one that reaches degree phi is reduced modulo Phi."""
+def _times_zeta_inverse(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list[int]]:
+    """x -> x/zeta on a row of elements of Q(zeta) laid out flat, phi
+    coefficients per entry: each entry's coefficients move down by one, and
+    a nonzero constant coefficient a wraps as a/zeta.  With Phi = c_0 + c_1 x
+    + ... + x^phi, 1/zeta = -(c_1 + c_2 zeta + ... + zeta^(phi-1)) / c_0, and
+    c_0 = Phi(0) is 1 for every order past 1 (-1 for order 1), so the
+    division is exact.  So an image keeps the row's
+    leading zeros: it begins one column earlier, or, from a pivot at the
+    start of an entry, no earlier than that start."""
+    (_, c0), *terms = mod
+    wrap = [(t - 1, -c // c0) for t, c in terms] + [(phi - 1, -1 // c0)]
 
     def step(row: Sequence[int]) -> list[int]:
-        out: list[int] = []
+        out = [*row[1:], 0]
         for b in range(0, len(row), phi):
-            entry = [0, *row[b : b + phi]]
-            _cyc_reduce_int(entry, phi, mod)
-            out += entry[:phi]
+            a = row[b]
+            out[b + phi - 1] = 0
+            if a:
+                for i, w in wrap:
+                    out[b + i] += a * w
         return out
 
     return step
@@ -729,14 +758,15 @@ class ExactMatrix:
     def _echelon(self) -> tuple[dict[int, Sequence[int]], int, list[int]]:
         """The `_streaming_echelon` basis of the store, phi, its integers per
         entry (1 over Q), and the pivot columns of the matrix.  Over Q(zeta)
-        the basis spans the closure of the flat rows under x -> zeta*x, the
-        row space over Q(zeta) read over Q.  That is zeta-invariant, so each
+        the basis spans the closure of the flat rows under x -> x/zeta
+        (`_times_zeta_inverse`), the row space over Q(zeta) read over Q, as
+        zeta has finite order.  That is zeta-invariant, so each
         pivot block holds phi pivots, and the row with pivot c*phi, cut into
         entries, is a row over Q(zeta) with pivot c.  Pivots and the
         nullspace basis normalised at free columns depend only on the row
         space."""
         phi, mod = _field(self._order) if self.is_cyclotomic else (1, ())
-        step = _times_zeta(phi, mod) if phi > 1 else None
+        step = _times_zeta_inverse(phi, mod) if phi > 1 else None
         basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols * phi, step)
         return basis, phi, sorted(c // phi for c in basis if c % phi == 0)
 

@@ -36,7 +36,9 @@ smallest rotation-invariant subspace that contains one row per T-orbit, and
 integers.  When the rows are at least 3/4 of the columns, most rows lie in
 the span, and each is tested against a fraction-free Gauss-Jordan basis with
 one dot product per column without a pivot; otherwise the rows, most of them
-rotations, are reduced in a streaming echelon.  The weighted block sums of
+rotations, are reduced in a streaming echelon, and each row that joins queues
+the left rotation of its reduced basis row, which keeps all but `shift` of
+its leading zeros.  The weighted block sums of
 the cyclotomic route need no closure: their row at T(x) is a root of unity
 times their row at x.
 
@@ -406,7 +408,8 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     primitive e-th roots from the table f of `_galois_table` by Moebius
     inversion of sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for
     each d | n, the weighted block sum of exponent n/d over Q(zeta_d), as the
-    zeta-closure of its flat coefficient rows (`ExactMatrix.rank`), and
+    closure of its flat coefficient rows under x -> x/zeta
+    (`ExactMatrix.rank`), and
     gives that rank to every exponent j with n/gcd(j, n) = d (exact by
     Galois conjugation, see `Spectrum`).  The cyclotomic ranks and the galois
     closures with rows under 3/4 of the columns share the integer loop of

@@ -22,7 +22,7 @@ integer coordinates).
 `cyc_echelon` is the former Z[zeta] rank kernel of the library: it
 eliminates on integer coefficient vectors and clears each pivot with its
 adjugate, on the library's field helpers (the library now ranks over
-Q(zeta) by the closure of the flat coefficient rows under x -> zeta*x).
+Q(zeta) by the closure of the flat coefficient rows under x -> x/zeta).
 
 The weighted block sums of the cyclotomic route are summed term by term in
 `CycNumber` field arithmetic, which no report path uses (the library adds

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -603,6 +604,26 @@ def test_long_non_minimal_period_finishes(tmp_path):
     galois = run("spectrum", "--method", "galois")
     assert galois == run("spectrum", "--method", "cyclotomic")
     assert json.loads(galois)["spectrum"][27720]["multiplicity"] == 1
+
+
+def test_one_long_cycle_finishes(tmp_path):
+    """One 300-cycle, k = 1, statistics from -9..9: every closure of the
+    galois route and the 0-mesic closure queue the image of each basis row,
+    which keeps its leading zeros, so the report takes about a second."""
+    n, rng = 300, random.Random(300)
+    doc = {"period": n, "perm": [(i + 1) % n for i in range(n)]}
+    doc["stats"] = [[rng.randint(-9, 9)] for _ in range(n)]
+    path = tmp_path / "c300.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynspan.cli", "analyze", str(path), "--method", "both", "--output", "json"],
+        capture_output=True,
+        env=subprocess_env(),
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["dim_V"] == sum(r["multiplicity"] for r in report["spectrum"]) == n
 
 
 class TestClosedStdout:

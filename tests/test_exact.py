@@ -15,7 +15,7 @@ from dynspan.exact import (
     _gauss_jordan_closure,
     _rotation_closure_rank,
     _streaming_echelon,
-    _times_zeta,
+    _times_zeta_inverse,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -595,7 +595,7 @@ def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
             read.append(row)
             yield row
 
-    basis = _streaming_echelon(rows(), m.cols * phi, _times_zeta(phi, mod))
+    basis = _streaming_echelon(rows(), m.cols * phi, _times_zeta_inverse(phi, mod))
     assert sorted(basis) == list(range(8)) and len(read) == 8
     assert m.rank() == 2 and m.column_basis() == [0, 1]
 
@@ -676,6 +676,71 @@ def test_cyclotomic_queries_match_adjugate_echelon_and_realified_rank(case):
     for v in basis:
         flat = [x for value in v for x in value.coeffs]
         assert all(sum(map(operator.mul, r, flat)) == 0 for r in real)
+
+
+@pytest.mark.parametrize("order", WIDE_ORDERS)
+def test_times_zeta_inverse_matches_cyclotomic_arithmetic(order):
+    # entry by entry, the flat image is x * zeta^-1 in Q(zeta): each
+    # coefficient moves down one degree and a nonzero constant wraps
+    phi, mod = _field(order)
+    inverse = CycNumber.root(order, -1)
+    rng = random.Random(order)
+    coeff = lambda: rng.choice((0, rng.randint(-9, 9), rng.randint(2**64, 2**66)))
+    entries = [CycNumber.zero(order), CycNumber.one(order), CycNumber.root(order), inverse]
+    entries += [CycNumber.root(order, phi - 1) * -3]
+    entries += [CycNumber(order, [coeff() for _ in range(phi)]) for _ in range(8)]
+    row = tuple(c for x in entries for c in x.num)
+    assert _times_zeta_inverse(phi, mod)(row) == [c for x in entries for c in (x * inverse).num]
+
+
+def _recording(step):
+    """step, and the list of the rows it is given."""
+    given_rows = []
+
+    def wrapped(row):
+        given_rows.append(list(row))
+        return step(row)
+
+    return wrapped, given_rows
+
+
+def _assert_queues_padded_basis_rows(basis, given_rows, width):
+    # each row that joins, but one that gives the last column its pivot,
+    # queues the image of its basis row zero-padded to full width, in the
+    # order the rows joined
+    joined = list(basis.items())
+    assert len(given_rows) == len(joined) - (len(joined) == width)
+    assert given_rows == [[0] * c + list(tail) for c, tail in joined[: len(given_rows)]]
+
+
+def test_rotation_closure_maps_each_basis_row():
+    # row 0 joins divided by its content 2, row 1 is reduced against it
+    # before it joins, and row 2 joins as it is read, its basis row a tuple
+    rows = [(2, 4, 0, 6, 0, 0), (1, 0, 3, 0, 0, 1), (0, 0, 5, 1, 0, 0)]
+    step, given_rows = _recording(lambda r: r[2:] + r[:2])
+    basis = _streaming_echelon(rows, 6, step)
+    _assert_queues_padded_basis_rows(basis, given_rows, 6)
+    assert given_rows[0] == [1, 2, 0, 3, 0, 0] and given_rows[1][:2] == [0, -2]
+    assert len(basis) == rotation_closure_rank([list(r) for r in rows], 2)
+
+
+def test_cyclotomic_closure_maps_each_basis_row():
+    # over Q(zeta_9), phi = 6: row 0 joins divided by its content 2, and row 1
+    # is reduced against it before it joins
+    z = CycNumber.root(9)
+    m = ExactMatrix.from_rows([[2 * z, 2, 0], [z, 1 + z**4, z**2], [z**3, 0, 1]])
+    phi, mod = _field(9)
+    step, given_rows = _recording(_times_zeta_inverse(phi, mod))
+    width = m.cols * phi
+    basis = _streaming_echelon((r for _, r in m._integer_rows), width, step)
+    _assert_queues_padded_basis_rows(basis, given_rows, width)
+    assert given_rows[0][:2] == [0, 1] and given_rows[1] != list(m._integer_rows[1][1])
+    # the closure is the row space over Q(zeta) read over Q: phi pivots per
+    # pivot of the matrix, as its own echelon finds them
+    cut = ([r[i : i + phi] for i in range(0, len(r), phi)] for _, r in m._integer_rows)
+    pivots = cyc_echelon(cut, m.cols, 9)[1]
+    assert len(basis) == phi * len(pivots) == len(m._echelon()[0])
+    assert m._echelon()[2] == pivots
 
 
 closure_entries = st.one_of(
