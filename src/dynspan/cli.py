@@ -26,6 +26,7 @@ import re
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 
 from .families import (
     chain_rowmotion,
@@ -95,8 +96,10 @@ def _rational_from_json(value: object) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise CliInputError(f'{value!r} does not match the rational pattern "p/q"')
+        # the pattern is checked, so the two integers are read directly
+        num, _, den = value.partition("/")
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den or 1))
         except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
             raise CliInputError(str(exc)) from exc
     raise CliInputError("expected an integer or a rational string")
@@ -113,6 +116,60 @@ def system_to_document(system: FiniteSystem) -> dict:
     if system.stat_names is not None:
         doc["stat_names"] = list(system.stat_names)
     return doc
+
+
+def _parse_stats(
+    rows: list[list], problems: list[str]
+) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, list[tuple[int, ...]]]] | None:
+    """The statistics of a document and their integer grid `(L, rows)`.
+
+    When every cell is a JSON integer or string, each distinct value is
+    parsed once, L is the lcm of their denominators, and both the statistics
+    (one shared Fraction per distinct value) and the grid (each value times
+    L; with every cell an integer, L = 1 and the grid rows are the JSON
+    rows) are read from the two tables by `map`.  Otherwise, or when a value
+    does not parse, every cell is checked on its own and each bad one is
+    added to `problems` at its location, and None is returned: a cell of
+    any other type is never a rational, so that path always finds one.
+    """
+    types = set(map(type, chain.from_iterable(rows)))
+    if types <= {int, str}:
+        values: dict[int | str, Fraction] = {}
+        try:
+            for v in set(chain.from_iterable(rows)):
+                values[v] = _rational_from_json(v)
+        except CliInputError:
+            pass
+        else:
+            stats = tuple(tuple(map(values.__getitem__, row)) for row in rows)
+            if types <= {int}:
+                return stats, (1, list(map(tuple, rows)))
+            lcm = math.lcm(*{q.denominator for q in values.values()})
+            scaled = {v: q.numerator * (lcm // q.denominator) for v, q in values.items()}
+            return stats, (lcm, [tuple(map(scaled.__getitem__, row)) for row in rows])
+    # each distinct int or string is checked once, keyed by type too so that
+    # True is not a checked 1; values of other types are never rationals
+    seen: dict[tuple[type, object], str | None] = {}
+    for x, row in enumerate(rows):
+        for i, v in enumerate(row):
+            key = (type(v), v) if isinstance(v, (int, str)) else None
+            if key in seen:
+                error = seen[key]
+            else:
+                error = _cell_error(v)
+                if key is not None:
+                    seen[key] = error
+            if error is not None:
+                problems.append(f"stats[{x}][{i}]: {error}")
+    return None
+
+
+def _cell_error(value: object) -> str | None:
+    try:
+        _rational_from_json(value)
+    except CliInputError as exc:
+        return str(exc)
+    return None
 
 
 def document_to_system(doc: object) -> FiniteSystem:
@@ -132,27 +189,16 @@ def document_to_system(doc: object) -> FiniteSystem:
     elif not perm:
         problems.append('"perm" must not be empty: X needs at least one element')
     stats_raw = doc.get("stats")
-    stats: list[list[Fraction]] = []
+    parsed = None
     if not isinstance(stats_raw, list) or not all(
         isinstance(r, list) for r in stats_raw
     ):
         problems.append('"stats" must be an array of arrays')
     else:
-        # equal values share one Fraction, keyed by type too so that True is
-        # not a cached 1; values of other types are rejected, never cached
-        seen: dict[tuple[type, object] | None, Fraction] = {}
-        for x, row in enumerate(stats_raw):
-            parsed = []
-            for i, v in enumerate(row):
-                key = (type(v), v) if isinstance(v, (int, str)) else None
-                if key not in seen:
-                    try:
-                        seen[key] = _rational_from_json(v)
-                    except CliInputError as exc:
-                        problems.append(f"stats[{x}][{i}]: {exc}")
-                        continue
-                parsed.append(seen[key])
-            stats.append(parsed)
+        if not problems:
+            # |X|, n and k are known from the shape: reject before any cell is read
+            _check_budget(len(perm), period, len(stats_raw[0]) if stats_raw else 0)
+        parsed = _parse_stats(stats_raw, problems)
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
@@ -168,11 +214,12 @@ def document_to_system(doc: object) -> FiniteSystem:
         stat_names = None
     if problems:
         raise CliInputError("; ".join(problems))
-    _check_budget(len(perm), period, len(stats[0]) if stats else 0)
-    system = FiniteSystem(
+    stats, grid = parsed
+    system = FiniteSystem._with_integer_grid(
+        grid,
         perm=tuple(perm),
         period=period,
-        stats=tuple(tuple(r) for r in stats),
+        stats=stats,
         labels=tuple(labels) if labels is not None else None,
         stat_names=tuple(stat_names) if stat_names is not None else None,
     )

@@ -67,7 +67,15 @@ _Terms = tuple[tuple[int, int], ...]  # the nonzero (t, c_t) of sum c_t x^t
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+    """All positive divisors of n, ascending, in a new list."""
+    return list(_divisors(n))
+
+
+# the Moebius inversion of a spectrum reads these for every pair d | e | n,
+# so each is found once per argument (bounded: a tuple of at most 240
+# divisors for any n up to 10**6)
+@lru_cache(maxsize=1024)
+def _divisors(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     small: list[int] = []
@@ -79,7 +87,7 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return (*small, *large[::-1])
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -95,6 +103,7 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+@lru_cache(maxsize=1024)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
@@ -104,6 +113,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=1024)
 def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")

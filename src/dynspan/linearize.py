@@ -14,14 +14,19 @@ rank of the presenting matrix that the galois route computes.
 
 A `PresentingMatrix` is a selection of rows: all of X, one row per T-orbit
 (`_orbit_quotient`), or the orbits among those whose rows generate them all
-under rotation (`_orbit_selection`).  Its rows read one integer statistics grid per system
-(`_integer_stats`): every statistic times L, the lcm of all their
-denominators.  It builds its rows and each T^d block sum of them once, and
+under rotation (`_orbit_selection`).  Its rows read one integer statistics
+grid per system (`_integer_stats`): every statistic times L, the lcm of all
+their denominators.  A system read from a JSON document gets that grid at
+ingest, from each distinct cell parsed once (`cli.document_to_system`);
+`_integer_stats` builds it from the Fractions of any other system.  A
+`PresentingMatrix` builds its rows and each T^d block sum of them once, and
 the orbit-start selections keep them in the system's memo, so the galois
 table, `zeta_matrix` and `invariant_matrix` of a report share each sum.  The
 stages of a report sum those integers, not Fractions: orbit averages, the
-invariance test, the block sums and the differences of M - M'.  A Fraction
-is built only for a value that is returned, from an integer sum over L.
+invariance test, the block sums and the differences of M - M'.  Orbit
+averages are compared as integer pairs (orbit sum, orbit length), and a
+Fraction is built only for a value that is returned, from an integer sum
+over L, once per distinct value.
 `zeta_matrix` and `shifted_difference` build their `ExactMatrix` from its
 integer rows, their sums over L (a Q(zeta_d) row flat, phi coefficients per
 entry), so the cyclotomic and 0-mesic ranks build no CycNumber and no
@@ -63,7 +68,8 @@ multiplicity of zeta^j depends only on gcd(j, n) (see `Spectrum`), and each
 route computes at most one number per divisor d of n.  On a non-minimal
 period neither ranks past what the orbits carry: the galois route closes
 only for d | m, the minimal period, and the cyclotomic route only for d
-dividing some orbit length.
+dividing some orbit length.  Nor does the 0-mesic closure: its rows repeat
+after m blocks, so it runs at width m*k, not n*k.
 """
 
 from __future__ import annotations
@@ -310,11 +316,15 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
     row space is the rotation closure of one row per T-orbit.  M - M' is
     linear in the presenting rows and commutes with the rotation, so the
     `shifted_difference` of the selected orbits (`_orbit_selection`) gives
-    it.
+    it.  T^m is the identity for the minimal period m, so every row is
+    periodic with m blocks; cutting a row to its first m*k entries commutes
+    with the rotation and loses nothing of an m-periodic row, so the closure
+    runs at width m*k, not n*k.
     """
     selection = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
     rows = shifted_difference(selection)._integer_rows
-    return _rotation_closure_rank([row for _, row in rows], selection.k)
+    width = minimal_period(system) * selection.k
+    return _rotation_closure_rank([row[:width] for _, row in rows], selection.k)
 
 
 @dataclass(frozen=True)
@@ -349,7 +359,9 @@ def _integer_stats(system: FiniteSystem) -> tuple[int, list[tuple[int, ...]]]:
     """The memoised `(L, rows)`: the statistics over one common denominator.
 
     L is the lcm of every denominator in the statistics and rows[x][i] is
-    g_i(x) * L.
+    g_i(x) * L.  A system read from a JSON document already holds it
+    (`FiniteSystem._with_integer_grid`); any other system scales its
+    Fractions here, on first use.
     """
     grid = system._memo.get("integer")
     if grid is None:
@@ -492,20 +504,23 @@ def homomesy_value(
 
 
 def _common_orbit_average(
-    values: Sequence[Fraction | int],
+    values: Sequence[int],
     cycles: tuple[tuple[int, ...], ...],
     scale: int,
 ) -> tuple[tuple[Fraction, ...], Fraction | None]:
     """The average of `values` / `scale` on each orbit, and their common value.
 
-    The common value is None when the averages differ.
+    The common value is None when the averages differ.  Each distinct
+    integer pair (orbit sum, orbit length) is compared with the first by
+    cross-multiplying, and becomes one Fraction.
     """
-    averages = tuple(
-        Fraction(sum(values[x] for x in orbit), len(orbit) * scale)
-        for orbit in cycles
-    )
-    first = averages[0]
-    return averages, first if all(a == first for a in averages) else None
+    pairs = [(sum(map(values.__getitem__, orbit)), len(orbit)) for orbit in cycles]
+    distinct = set(pairs)
+    total, length = pairs[0]
+    common = all(s * length == total * size for s, size in distinct)
+    average = {pair: Fraction(pair[0], pair[1] * scale) for pair in distinct}
+    averages = tuple(map(average.__getitem__, pairs))
+    return averages, averages[0] if common else None
 
 
 @dataclass(frozen=True)
@@ -539,9 +554,8 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
     perm = system.perm
     lcm, ints = _integer_stats(system)
     verdicts = []
-    for i in range(system.num_stats):
-        values = [row[i] for row in ints]
-        invariant = all(values[perm[x]] == values[x] for x in range(system.size))
+    for i, values in enumerate(zip(*ints)):
+        invariant = tuple(map(values.__getitem__, perm)) == values
         averages, homomesy = _common_orbit_average(values, cycles, lcm)
         verdicts.append(
             StatisticVerdict(system.stat_name(i), invariant, homomesy, averages)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 __all__ = ["FiniteSystem", "validate", "orbits", "minimal_period"]
 
@@ -21,10 +22,14 @@ class FiniteSystem:
     `_memo` holds what is derived from the system alone and would otherwise
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
     `orbits`, and so by `validate` too) and "violations" (the tuple of
-    contract violations, by `validate`).  `linearize` fills "integer" (the
-    statistics over one common denominator, `(L, rows)`: L is the lcm of
-    every denominator in the statistics and `rows[x][i]` is g_i(x) * L; read
-    by every stage of a report), "quotient" (the `_sums` that every
+    contract violations, by `validate`).  "integer" is the statistics over
+    one common denominator, `(L, rows)`: L is the lcm of every denominator
+    in the statistics and `rows[x][i]` is g_i(x) * L, read by every stage of
+    a report.  It has two builders: `_with_integer_grid`, for a caller that
+    already holds it (the JSON ingest of `cli`, which scales each distinct
+    cell once), and `linearize._integer_stats`, which scales the Fractions of
+    any other system on first use.  `linearize` fills
+    "quotient" (the `_sums` that every
     `_orbit_quotient` instance shares: its integer rows at the first element
     of each T-orbit and each T^d block sum of them, read by both spectrum
     routes, the invariant basis and the 0-mesic rank), "selection" (only on
@@ -48,21 +53,36 @@ class FiniteSystem:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
-        object.__setattr__(
-            self,
-            "stats",
-            tuple(
+        object.__setattr__(self, "perm", tuple(map(int, self.perm)))
+        stats = tuple(map(tuple, self.stats))
+        # one type scan of every cell; only a cell that is not yet a
+        # Fraction makes the rows convert, cell by cell
+        if not set(map(type, chain.from_iterable(stats))) <= {Fraction}:
+            stats = tuple(
                 tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-                for row in self.stats
-            ),
-        )
+                for row in stats
+            )
+        object.__setattr__(self, "stats", stats)
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         if self.stat_names is not None:
             object.__setattr__(
                 self, "stat_names", tuple(str(s) for s in self.stat_names)
             )
+
+    @classmethod
+    def _with_integer_grid(
+        cls, grid: tuple[int, list[tuple[int, ...]]], **fields: object
+    ) -> "FiniteSystem":
+        """The system of `fields`, its memo holding `grid` as "integer".
+
+        `grid` must be `(L, rows)` of the statistics as the class docstring
+        defines it, what `linearize._integer_stats` would build from them;
+        it is taken as given, not checked.
+        """
+        system = cls(**fields)
+        system._memo["integer"] = grid
+        return system
 
     @property
     def size(self) -> int:

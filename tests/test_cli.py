@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynspan.cli import MAX_CELLS, CliInputError, document_to_system, main
-from dynspan.system import FiniteSystem
+from dynspan.cli import (
+    MAX_CELLS,
+    CliInputError,
+    analysis_report,
+    document_to_system,
+    main,
+)
+from dynspan.linearize import _integer_stats
+from dynspan.system import FiniteSystem, minimal_period
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -221,6 +229,47 @@ class TestAnalyze:
         doc["period"] += 1
         with pytest.raises(CliInputError, match="too large"):
             document_to_system(doc)
+
+    def test_oversized_document_rejected_before_any_cell_is_read(self, monkeypatch):
+        # |X|, n and k are known from the shape, so no cell is parsed, and an
+        # oversized document with bad cells too reports its size
+        size, period = 1000, MAX_CELLS // 1000 + 1
+        doc = {"period": period, "perm": list(range(size)), "stats": [[1.5]] * size}
+        with pytest.raises(CliInputError, match="too large"):
+            document_to_system(doc)
+
+        def never(value):
+            raise AssertionError("a cell was parsed before the size budget")
+
+        monkeypatch.setattr("dynspan.cli._rational_from_json", never)
+        doc["stats"] = [["1/2"]] * size
+        with pytest.raises(CliInputError, match="too large"):
+            document_to_system(doc)
+
+    @pytest.mark.parametrize(
+        "stats, problems",
+        [
+            ([[1, True], [True, 1]], ["[0][1]: booleans", "[1][0]: booleans"]),
+            ([[1.5, "1/2"], ["1/2", 1.5]], ["[0][0]: expected", "[1][1]: expected"]),
+            ([["x", 2], [2, "x"]], ["[0][0]: 'x' does not", "[1][1]: 'x' does not"]),
+            (
+                [[1, True], [1.5, "2/3"], ["x", 1], ["2/3", "x"]],
+                ["[0][1]: booleans", "[1][0]: expected", "[2][0]: 'x' does not",
+                 "[3][1]: 'x' does not"],
+            ),
+        ],
+        ids=["bool", "float", "bad string", "all three"],
+    )
+    def test_every_bad_cell_is_reported_at_its_location(self, stats, problems):
+        # a cell that is not an int or a string, or a string that does not
+        # parse, sends the document through the per-cell check
+        doc = {"period": 1, "perm": list(range(len(stats))), "stats": stats}
+        with pytest.raises(CliInputError) as info:
+            document_to_system(doc)
+        found = str(info.value).split("; ")
+        assert len(found) == len(problems)
+        for message, want in zip(found, problems):
+            assert message.startswith(f"stats{want}")
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
@@ -684,6 +733,48 @@ def assert_accepted_or_rejected(doc):
 @given(json_values)
 def test_document_to_system_fuzz_whole_documents(doc):
     assert_accepted_or_rejected(doc)
+
+
+# JSON cells of rationals: integers, "p/q" and "p" strings, negatives, and
+# one denominator far past a machine word
+json_rationals = (
+    st.integers(-20, 20)
+    | st.integers(-20, 20).map(str)
+    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 20), st.integers(1, 12))
+    | st.just(f"-7/{2**127 - 1}")
+)
+
+
+@st.composite
+def ingest_documents(draw):
+    """A valid document whose cells repeat a few drawn values."""
+    size = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(size)))
+    k = draw(st.integers(0, 3))
+    pool = draw(st.lists(json_rationals, min_size=1, max_size=5))
+    cells = st.sampled_from(pool)
+    stats = [[draw(cells) for _ in range(k)] for _ in range(size)]
+    period = minimal_period(FiniteSystem(perm=tuple(perm), period=1, stats=()))
+    return {"period": period, "perm": perm, "stats": stats}
+
+
+@settings(max_examples=150)
+@given(ingest_documents())
+@example({"period": 1, "perm": [0], "stats": [[]]})
+@example({"period": 2, "perm": [1, 0], "stats": [[3, "3"], ["3", 3]]})
+@example({"period": 2, "perm": [1, 0], "stats": [["1/2", f"-7/{2**127 - 1}"], [0, "-4/6"]]})
+def test_ingest_builds_the_integer_grid_of_its_statistics(doc):
+    system = document_to_system(doc)
+    fresh = dataclasses.replace(system)  # an empty memo: the grid from Fractions
+    assert system._memo["integer"] == _integer_stats(fresh)
+    shared: dict = {}
+    for row, cells in zip(system.stats, doc["stats"]):
+        for value, cell in zip(row, cells):
+            assert type(value) is Fraction
+            assert value == Fraction(cell)
+            # equal JSON values share one Fraction
+            assert shared.setdefault((type(cell), cell), value) is value
+    assert analysis_report(system, "both") == analysis_report(fresh, "both")
 
 
 LONG = "1" * 4301  # one digit past the default sys.get_int_max_str_digits()

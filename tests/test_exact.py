@@ -154,6 +154,22 @@ def test_number_theory_helpers():
     assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
+def test_memoised_divisors_are_a_new_list_each_call():
+    # the divisors of each n are found once, and a caller may change its list
+    first = divisors(55440)
+    assert len(first) == 120 and first == sorted(first)
+    first.clear()
+    assert divisors(55440) is not divisors(55440)
+    assert len(divisors(55440)) == 120
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            divisors(bad)
+        with pytest.raises(ValueError):
+            euler_phi(bad)
+        with pytest.raises(ValueError):
+            mobius(bad)
+
+
 small_fractions = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
 )

@@ -786,6 +786,34 @@ def test_rotation_closure_ranks_match_full_row_ranks(system):
     assert report["zero_mesic_dimension"] == zero_mesic
 
 
+# the period times 2, 3 or 4: every row of M - M' repeats after m blocks, so
+# the 0-mesic closure reads only its first m*k entries
+@settings(max_examples=40)
+@given(random_systems(), st.sampled_from([2, 3, 4]))
+@example(FiniteSystem(perm=(0,), period=1, stats=((Fraction(3, 2),),)), 6)
+@example(FiniteSystem(perm=(1, 2, 0, 3), period=3, stats=((),) * 4), 2)
+@example(chain_rowmotion(3, 3), 2)
+@example(RATIONAL_STATS, 5)
+def test_zero_mesic_closure_runs_at_the_minimal_period(system, factor):
+    m, k = minimal_period(system), system.num_stats
+    system = dataclasses.replace(system, period=m * factor)
+    n = system.period
+    widths = []
+    real = linearize._rotation_closure_rank
+
+    def recording(rows, shift):
+        widths.append({len(row) for row in rows})
+        return real(rows, shift)
+
+    linearize._rotation_closure_rank = recording
+    try:
+        dimension = zero_mesic_dimension(system)
+    finally:
+        linearize._rotation_closure_rank = real
+    assert widths == [{m * k}]
+    assert dimension == gauss_rank(oracle_shifted_difference(presenting_rows(system), n, k))
+
+
 # |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics;
 # multiset(4,3), whose gcd classes have different multiplicities, and chain(4,3)
 @settings(max_examples=40)
