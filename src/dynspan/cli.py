@@ -35,6 +35,7 @@ from .families import (
     negation_system,
 )
 from .linearize import (
+    _orbit_index,
     extend_products,
     flatness_report,
     invariant_basis,
@@ -48,7 +49,7 @@ from .lyness import (
     lyness_orbit_sum_operator,
     lyness_pullback,
 )
-from .system import FiniteSystem, validate
+from .system import FiniteSystem, orbits, validate
 from .verify import BLOCK_NAMES, run_checks
 
 __all__ = ["main", "run"]
@@ -80,11 +81,12 @@ def _too_long() -> CliInputError:
 
 
 def _rational_to_json(q: Fraction) -> int | str:
+    if q.denominator == 1:  # printed, or rejected as too long, by `_emit`
+        return q.numerator
     try:
-        text = str(q)
+        return str(q)
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise _too_long() from exc
-    return q.numerator if q.denominator == 1 else text
 
 
 def _rational_from_json(value: object) -> Fraction:
@@ -106,10 +108,16 @@ def _rational_from_json(value: object) -> Fraction:
 
 
 def system_to_document(system: FiniteSystem) -> dict:
+    """The JSON document of a system, written from its integer grid: each
+    distinct value is converted once, and builds no `stats` view."""
+    lcm, rows = system.grid
+    value = {
+        v: _rational_to_json(Fraction(v, lcm)) for v in set(chain.from_iterable(rows))
+    }
     doc: dict = {
         "period": system.period,
         "perm": list(system.perm),
-        "stats": [[_rational_to_json(v) for v in row] for row in system.stats],
+        "stats": [list(map(value.__getitem__, row)) for row in rows],
     }
     if system.labels is not None:
         doc["labels"] = list(system.labels)
@@ -120,19 +128,20 @@ def system_to_document(system: FiniteSystem) -> dict:
 
 def _parse_stats(
     rows: list[list], problems: list[str]
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, list[tuple[int, ...]]]] | None:
-    """The statistics of a document and their integer grid `(L, rows)`.
+) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """The integer grid `(L, rows)` of a document's statistics.
 
     When every cell is a JSON integer or string, each distinct value is
-    parsed once, L is the lcm of their denominators, and both the statistics
-    (one shared Fraction per distinct value) and the grid (each value times
-    L; with every cell an integer, L = 1 and the grid rows are the JSON
-    rows) are read from the two tables by `map`.  Otherwise, or when a value
-    does not parse, every cell is checked on its own and each bad one is
-    added to `problems` at its location, and None is returned: a cell of
-    any other type is never a rational, so that path always finds one.
+    parsed once, L is the lcm of their reduced denominators, and the grid,
+    each value times L, is read from one table by `map`; with every cell an
+    integer, L = 1 and the grid rows are the JSON rows.  Otherwise, or when
+    a value does not parse, every cell is checked on its own and each bad
+    one is added to `problems` at its location, and None is returned: a cell
+    of any other type is never a rational, so that path always finds one.
     """
     types = set(map(type, chain.from_iterable(rows)))
+    if types <= {int}:
+        return 1, tuple(map(tuple, rows))
     if types <= {int, str}:
         values: dict[int | str, Fraction] = {}
         try:
@@ -141,38 +150,32 @@ def _parse_stats(
         except CliInputError:
             pass
         else:
-            stats = tuple(tuple(map(values.__getitem__, row)) for row in rows)
-            if types <= {int}:
-                return stats, (1, list(map(tuple, rows)))
             lcm = math.lcm(*{q.denominator for q in values.values()})
             scaled = {v: q.numerator * (lcm // q.denominator) for v, q in values.items()}
-            return stats, (lcm, [tuple(map(scaled.__getitem__, row)) for row in rows])
+            return lcm, tuple(tuple(map(scaled.__getitem__, row)) for row in rows)
     # each distinct int or string is checked once, keyed by type too so that
-    # True is not a checked 1; values of other types are never rationals
-    seen: dict[tuple[type, object], str | None] = {}
+    # True is not a checked 1; a value of any other type, never a rational and
+    # perhaps not hashable, is keyed by its location
+    error: dict[tuple, str | None] = {}
     for x, row in enumerate(rows):
         for i, v in enumerate(row):
-            key = (type(v), v) if isinstance(v, (int, str)) else None
-            if key in seen:
-                error = seen[key]
-            else:
-                error = _cell_error(v)
-                if key is not None:
-                    seen[key] = error
-            if error is not None:
-                problems.append(f"stats[{x}][{i}]: {error}")
-    return None
-
-
-def _cell_error(value: object) -> str | None:
-    try:
-        _rational_from_json(value)
-    except CliInputError as exc:
-        return str(exc)
+            key = (type(v), v) if isinstance(v, (int, str)) else (x, i)
+            if key not in error:
+                error[key] = None
+                try:
+                    _rational_from_json(v)
+                except CliInputError as exc:
+                    error[key] = str(exc)
+            if error[key] is not None:
+                problems.append(f"stats[{x}][{i}]: {error[key]}")
     return None
 
 
 def document_to_system(doc: object) -> FiniteSystem:
+    """The system of a JSON document, or CliInputError naming every problem.
+    "perm", "labels" and "stat_names" are checked by one scan of their element
+    types, exactly int or str: it rejects a bool or any other subclass of int
+    or str, which JSON never produces."""
     if not isinstance(doc, dict):
         raise CliInputError("document must be a JSON object")
     problems: list[str] = []
@@ -181,15 +184,13 @@ def document_to_system(doc: object) -> FiniteSystem:
         problems.append('"period" must be an integer')
         period = 1
     perm = doc.get("perm")
-    if not isinstance(perm, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in perm
-    ):
+    if not isinstance(perm, list) or not set(map(type, perm)) <= {int}:
         problems.append('"perm" must be an array of integers')
         perm = []
     elif not perm:
         problems.append('"perm" must not be empty: X needs at least one element')
     stats_raw = doc.get("stats")
-    parsed = None
+    grid = None
     if not isinstance(stats_raw, list) or not all(
         isinstance(r, list) for r in stats_raw
     ):
@@ -198,31 +199,22 @@ def document_to_system(doc: object) -> FiniteSystem:
         if not problems:
             # |X|, n and k are known from the shape: reject before any cell is read
             _check_budget(len(perm), period, len(stats_raw[0]) if stats_raw else 0)
-        parsed = _parse_stats(stats_raw, problems)
+        grid = _parse_stats(stats_raw, problems)
     labels = doc.get("labels")
     if labels is not None and (
-        not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
+        not isinstance(labels, list) or not set(map(type, labels)) <= {str}
     ):
         problems.append('"labels" must be an array of strings')
         labels = None
     stat_names = doc.get("stat_names")
     if stat_names is not None and (
-        not isinstance(stat_names, list)
-        or not all(isinstance(s, str) for s in stat_names)
+        not isinstance(stat_names, list) or not set(map(type, stat_names)) <= {str}
     ):
         problems.append('"stat_names" must be an array of strings')
         stat_names = None
     if problems:
         raise CliInputError("; ".join(problems))
-    stats, grid = parsed
-    system = FiniteSystem._with_integer_grid(
-        grid,
-        perm=tuple(perm),
-        period=period,
-        stats=stats,
-        labels=tuple(labels) if labels is not None else None,
-        stat_names=tuple(stat_names) if stat_names is not None else None,
-    )
+    system = FiniteSystem(perm, period, labels=labels, stat_names=stat_names, grid=grid)
     violations = validate(system)
     if violations:
         raise CliInputError("; ".join(violations))
@@ -336,13 +328,24 @@ def _flatness_payload(system: FiniteSystem) -> dict | None:
     }
 
 
+def _basis_payload(system: FiniteSystem) -> list[list[int | str]]:
+    """The invariant basis as JSON values.  Each basis function is constant
+    on orbits, so each value is converted once per orbit, at its first
+    element, and the result is copied to the orbit's other elements."""
+    starts = [c[0] for c in orbits(system)]
+    orbit_of = _orbit_index(system)
+    return [
+        list(map([_rational_to_json(f[x]) for x in starts].__getitem__, orbit_of))
+        for f in invariant_basis(system)
+    ]
+
+
 def analysis_report(system: FiniteSystem, method: str) -> dict:
     sp, entries = _spectrum_payload(system, method)
-    basis = invariant_basis(system)
     return {
         "dim_V": sp.dimension,
         "spectrum": entries,
-        "invariant_basis": [[_rational_to_json(v) for v in f] for f in basis],
+        "invariant_basis": _basis_payload(system),
         "zero_mesic_dimension": zero_mesic_dimension(system),
         "homomesies": _homomesy_payload(system),
         "flatness": _flatness_payload(system),
@@ -393,12 +396,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
-    system = _read_document(args.input)
-    basis = invariant_basis(system)
-    payload = {
-        "dim_V1": len(basis),
-        "invariant_basis": [[_rational_to_json(v) for v in f] for f in basis],
-    }
+    basis = _basis_payload(_read_document(args.input))
+    payload = {"dim_V1": len(basis), "invariant_basis": basis}
     _emit(payload, args.output)
     return 0
 
@@ -416,7 +415,7 @@ def _cmd_extend_products(args: argparse.Namespace) -> int:
     # fit the budget `analyze` applies to it
     m = system.num_stats * system.period
     _check_budget(system.size, system.period, m * (m + 3) // 2)
-    print(json.dumps(system_to_document(extend_products(system)), indent=2))
+    _emit(system_to_document(extend_products(system)), "json")
     return 0
 
 

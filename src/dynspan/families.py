@@ -9,7 +9,6 @@ system.  Statistics are always the sorted entries g_1 <= ... <= g_k.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import NamedTuple
 
@@ -52,7 +51,7 @@ def _entry_system(
     return FiniteSystem(
         perm=tuple(index[image[x]] for x in elements),
         period=period,
-        stats=tuple(tuple(Fraction(v) for v in x) for x in elements),
+        stats=elements,
         labels=tuple(_label(x, n) for x in elements),
         stat_names=tuple(f"g{i + 1}" for i in range(k)),
     )
@@ -121,7 +120,7 @@ def negation_system() -> FiniteSystem:
     return FiniteSystem(
         perm=(1, 0),
         period=2,
-        stats=((Fraction(1),), (Fraction(-1),)),
+        stats=((1,), (-1,)),
         labels=("1", "-1"),
         stat_names=("x",),
     )

@@ -14,19 +14,16 @@ rank of the presenting matrix that the galois route computes.
 
 A `PresentingMatrix` is a selection of rows: all of X, one row per T-orbit
 (`_orbit_quotient`), or the orbits among those whose rows generate them all
-under rotation (`_orbit_selection`).  Its rows read one integer statistics
-grid per system (`_integer_stats`): every statistic times L, the lcm of all
-their denominators.  A system read from a JSON document gets that grid at
-ingest, from each distinct cell parsed once (`cli.document_to_system`);
-`_integer_stats` builds it from the Fractions of any other system.  A
-`PresentingMatrix` builds its rows and each T^d block sum of them once, and
-the orbit-start selections keep them in the system's memo, so the galois
-table, `zeta_matrix` and `invariant_matrix` of a report share each sum.  The
-stages of a report sum those integers, not Fractions: orbit averages, the
-invariance test, the block sums and the differences of M - M'.  Orbit
-averages are compared as integer pairs (orbit sum, orbit length), and a
-Fraction is built only for a value that is returned, from an integer sum
-over L, once per distinct value.
+under rotation (`_orbit_selection`).  Its rows read the one store of the
+statistics, the integer grid `system.grid`: every statistic times L, the lcm
+of all their denominators.  A `PresentingMatrix` builds its rows and each
+T^d block sum of them once, and the orbit-start selections keep them in the
+system's memo, so the galois table, `zeta_matrix`, `invariant_matrix` and
+the orbit averages of a report share each sum.  The stages of a report sum those integers, not Fractions:
+orbit averages, the invariance test, the block sums and the differences of
+M - M'.  Every orbit average is an integer over one denominator, n*L times
+that of any weights, read off the d = 1 block sums, and a Fraction is built
+only for a value that is returned, once per distinct value.
 `zeta_matrix` and `shifted_difference` build their `ExactMatrix` from its
 integer rows, their sums over L (a Q(zeta_d) row flat, phi coefficients per
 entry), so the cyclotomic and 0-mesic ranks build no CycNumber and no
@@ -182,11 +179,11 @@ def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tupl
     """Integer rows of the presenting matrix at `elements`.
 
     The row at x concatenates the rows of x, T(x), ..., T^(n-1)(x) of the
-    integer statistics grid (`_integer_stats`), each statistic times L.
+    integer statistics grid (`system.grid`), each statistic times L.
     Scaling the matrix by a nonzero constant changes no rank of any block-sum
     matrix, and a value read from it is divided by L once.
     """
-    grid = _integer_stats(system)[1]
+    grid = system.grid[1]
     n, perm = system.period, system.perm
     rows = []
     for x in elements:
@@ -255,7 +252,7 @@ def _orbit_selection(quotient: PresentingMatrix) -> PresentingMatrix:
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
     """Sum of the n column blocks; its column span is the invariant space.
     The blocks are summed on the integer rows, and each sum divided by L."""
-    lcm = _integer_stats(pm.system)[0]
+    lcm = pm.system.grid[0]
     sums = pm.block_sums(1)
     return ExactMatrix.from_rows([[Fraction(v, lcm) for v in row] for row in sums])
 
@@ -269,7 +266,7 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     Z[x]/(x^d - 1), block m at slot (-s*m) mod d, and is reduced mod Phi_d.
     The matrix is built as integer rows, with no scalars: each row is those
     sums, phi per entry and flat, over L, the common denominator of
-    `_integer_stats`.
+    `system.grid`.
     """
     n, k = pm.n, pm.k
     if not 0 <= exponent < n:
@@ -282,7 +279,7 @@ def zeta_matrix(pm: PresentingMatrix, exponent: int) -> ExactMatrix:
     offsets = [0] * d
     for r in range(d):
         offsets[(-s * r) % d] = r * k
-    lcm = _integer_stats(pm.system)[0]
+    lcm = pm.system.grid[0]
     rows = []
     for sums in pm.block_sums(d):
         out: list[int] = []
@@ -300,9 +297,9 @@ def shifted_difference(pm: PresentingMatrix) -> ExactMatrix:
     Each row is its presenting row minus that row rotated by k entries:
     entry (x, j*k + i) is g_i(T^j x) - g_i(T^(j-1) x), with T^-1 = T^(n-1).
     The matrix is built as integer rows, with no scalars: each difference of
-    integer rows, over L, the common denominator of `_integer_stats`.
+    integer rows, over L, the common denominator of `system.grid`.
     """
-    lcm, k = _integer_stats(pm.system)[0], pm.k
+    lcm, k = pm.system.grid[0], pm.k
     rows = [
         (lcm, [a - b for a, b in zip(row, row[-k:] + row[:-k])]) for row in pm.rows
     ]
@@ -353,26 +350,6 @@ class Spectrum:
             d: self.mults[(self.order // d) % self.order]
             for d in divisors(self.order)
         }
-
-
-def _integer_stats(system: FiniteSystem) -> tuple[int, list[tuple[int, ...]]]:
-    """The memoised `(L, rows)`: the statistics over one common denominator.
-
-    L is the lcm of every denominator in the statistics and rows[x][i] is
-    g_i(x) * L.  A system read from a JSON document already holds it
-    (`FiniteSystem._with_integer_grid`); any other system scales its
-    Fractions here, on first use.
-    """
-    grid = system._memo.get("integer")
-    if grid is None:
-        stats = system.stats
-        lcm = math.lcm(*{v.denominator for row in stats for v in row})
-        # tuple of a list, not of a generator, so each row is allocated exactly
-        rows = [
-            tuple([v.numerator * (lcm // v.denominator) for v in row]) for row in stats
-        ]
-        grid = system._memo["integer"] = (lcm, rows)
-    return grid
 
 
 def _galois_table(system: FiniteSystem) -> dict[int, int]:
@@ -467,17 +444,23 @@ def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     """
     quotient = _orbit_quotient(presenting_matrix(system))
     columns = invariant_matrix(_orbit_selection(quotient)).column_basis()
-    lcm = _integer_stats(system)[0]
+    lcm = system.grid[0]
     sums = quotient.block_sums(1)
+    orbit_of = _orbit_index(system)
+    basis = []
+    for c in columns:
+        values = [Fraction(row[c], lcm) for row in sums]
+        basis.append(tuple(map(values.__getitem__, orbit_of)))
+    return basis
+
+
+def _orbit_index(system: FiniteSystem) -> list[int]:
+    """orbit_of[x] = t for x in the t-th orbit of `orbits(system)`."""
     orbit_of = [0] * system.size
     for t, cycle in enumerate(orbits(system)):
         for x in cycle:
             orbit_of[x] = t
-    basis = []
-    for c in columns:
-        values = [Fraction(row[c], lcm) for row in sums]
-        basis.append(tuple(values[t] for t in orbit_of))
-    return basis
+    return orbit_of
 
 
 def homomesy_value(
@@ -490,37 +473,31 @@ def homomesy_value(
     g_i o T^j has the orbit averages of g_i, and the combination averages
     sum_i a_i * g_i on each orbit, with a_i = sum_j coeffs[j*k + i].  That
     is summed on the integer statistics, with the weights a_i scaled once to
-    integers over a common denominator, and divided by it and L once.
+    integers over a common denominator, and each orbit sum times n/|O| is
+    divided by it, L and n once (`_orbit_averages`).
     """
     pm = presenting_matrix(system)
     n, k = pm.n, pm.k
     if len(coeffs) != n * k:
         raise ValueError(f"need {n * k} coefficients, got {len(coeffs)}")
     coeffs = [Fraction(c) for c in coeffs]
-    lcm, ints = _integer_stats(system)
+    lcm, ints = system.grid
     den, weights = _scale_to_int([sum(coeffs[i::k]) for i in range(k)])
     values = [sum(map(mul, row, weights)) for row in ints]
-    return _common_orbit_average(values, orbits(system), den * lcm)[1]
+    sums = [n // len(c) * sum(map(values.__getitem__, c)) for c in orbits(system)]
+    return _orbit_averages(sums, n * den * lcm)[1]
 
 
-def _common_orbit_average(
-    values: Sequence[int],
-    cycles: tuple[tuple[int, ...], ...],
-    scale: int,
-) -> tuple[tuple[Fraction, ...], Fraction | None]:
-    """The average of `values` / `scale` on each orbit, and their common value.
+def _orbit_averages(sums: Sequence[int], scale: int) -> tuple[tuple, Fraction | None]:
+    """The average `sums[t] / scale` on each orbit t, and their common value.
 
-    The common value is None when the averages differ.  Each distinct
-    integer pair (orbit sum, orbit length) is compared with the first by
-    cross-multiplying, and becomes one Fraction.
+    Every average is over the one denominator `scale`, so equal averages are
+    equal integers: each distinct one becomes one Fraction, and the common
+    value is None unless there is only one.
     """
-    pairs = [(sum(map(values.__getitem__, orbit)), len(orbit)) for orbit in cycles]
-    distinct = set(pairs)
-    total, length = pairs[0]
-    common = all(s * length == total * size for s, size in distinct)
-    average = {pair: Fraction(pair[0], pair[1] * scale) for pair in distinct}
-    averages = tuple(map(average.__getitem__, pairs))
-    return averages, averages[0] if common else None
+    average = {v: Fraction(v, scale) for v in set(sums)}
+    averages = tuple(map(average.__getitem__, sums))
+    return averages, averages[0] if len(average) == 1 else None
 
 
 @dataclass(frozen=True)
@@ -548,15 +525,23 @@ class HomomesyReport:
 
 
 def statistic_report(system: FiniteSystem) -> HomomesyReport:
-    """Classify each original statistic and record its exact orbit averages."""
+    """Classify each original statistic and record its exact orbit averages.
+
+    The averages are read off the d = 1 block sums of the orbit-start rows,
+    which the invariant basis reads too: entry i of the row of an orbit O is
+    n/|O| times the sum of g_i * L over O, so the average of g_i on O is that
+    integer over n*L (`_orbit_averages`).  The invariance test compares each
+    column of the integer grid with its image under T.
+    """
     _require_valid(system)
     cycles = orbits(system)
     perm = system.perm
-    lcm, ints = _integer_stats(system)
+    lcm, ints = system.grid
+    sums = _orbit_quotient(PresentingMatrix(system, ())).block_sums(1)
     verdicts = []
-    for i, values in enumerate(zip(*ints)):
+    for i, (values, column) in enumerate(zip(zip(*ints), zip(*sums))):
         invariant = tuple(map(values.__getitem__, perm)) == values
-        averages, homomesy = _common_orbit_average(values, cycles, lcm)
+        averages, homomesy = _orbit_averages(column, system.period * lcm)
         verdicts.append(
             StatisticVerdict(system.stat_name(i), invariant, homomesy, averages)
         )

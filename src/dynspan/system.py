@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -10,79 +11,98 @@ from itertools import chain
 __all__ = ["FiniteSystem", "validate", "orbits", "minimal_period"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteSystem:
     """A finite set X with a map T of declared period n and k statistics.
 
     `perm[x]` is the index of T(x).  The declared period need not be minimal;
-    it only has to satisfy T^period = identity.  `stats` holds one row per
-    element, one column per statistic; all values are exact rationals.
-    Instances are immutable and freely shareable.
+    it only has to satisfy T^period = identity.  The statistics live once, as
+    the integer grid `(L, rows)`: L is the lcm of their reduced denominators
+    and `rows[x][i]` is the int g_i(x) * L.  The constructor takes them as
+    `stats`, one row per element, each cell an int, a Fraction or a string
+    that `Fraction` reads, and scales them once; or as a `grid`, which
+    `cli.document_to_system` passes, reduced by any factor that L shares
+    with every entry.  So L is canonical, and equality, hashing and repr,
+    which read the grid, are those of the rationals.  Given both, `stats`
+    wins, as in `dataclasses.replace(system, stats=...)`.  `stats` is a
+    read-only Fraction view of the grid, built on first read; no stage of a
+    report reads it.  Instances are immutable and freely shareable.
 
     `_memo` holds what is derived from the system alone and would otherwise
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
-    `orbits`, and so by `validate` too) and "violations" (the tuple of
-    contract violations, by `validate`).  "integer" is the statistics over
-    one common denominator, `(L, rows)`: L is the lcm of every denominator
-    in the statistics and `rows[x][i]` is g_i(x) * L, read by every stage of
-    a report.  It has two builders: `_with_integer_grid`, for a caller that
-    already holds it (the JSON ingest of `cli`, which scales each distinct
-    cell once), and `linearize._integer_stats`, which scales the Fractions of
-    any other system on first use.  `linearize` fills
-    "quotient" (the `_sums` that every
-    `_orbit_quotient` instance shares: its integer rows at the first element
-    of each T-orbit and each T^d block sum of them, read by both spectrum
-    routes, the invariant basis and the 0-mesic rank), "selection" (only on
-    a tall system, one with more orbits than m*k columns, m the minimal
-    period: the starts of the orbits whose rows generate the rotation
-    closure of every orbit row, their own `_sums`, and f(m) = dim V, from the
-    one closure that reads every orbit row; every other rank reads these rows
-    instead of the quotient's) and "galois" (f(d) = dim of the T^d-invariant
-    subspace of V, for d | n).  It holds no object that refers back to the
-    system, so it makes no reference cycle.  Each entry is built on first use
-    and lives exactly as long as the instance.  The memo takes no part in
-    equality, hashing or repr, and `dataclasses.replace` starts a new
-    instance with an empty memo.
+    `orbits`, and so by `validate` too), "violations" (the tuple of contract
+    violations, by `validate`) and "stats" (the view).  `linearize` fills
+    "quotient" (the `_sums` that every `_orbit_quotient` instance shares:
+    its integer rows at the first element of each T-orbit and each T^d block
+    sum of them, read by both spectrum routes, the invariant basis, the
+    0-mesic rank and the orbit averages), "selection" (only on a tall
+    system, one with more orbits than m*k columns, m the minimal period: the
+    starts of the orbits whose rows generate the rotation closure of every
+    orbit row, their own `_sums`, and f(m) = dim V, from the one closure
+    that reads every orbit row; every other rank reads these rows instead of
+    the quotient's) and "galois" (f(d) = dim of the T^d-invariant subspace
+    of V, for d | n).  It holds no object that refers back to the system, so
+    it makes no reference cycle.  Each entry is built on first use and lives
+    exactly as long as the instance.  The memo takes no part in equality,
+    hashing or repr, and `dataclasses.replace` starts a new instance with an
+    empty memo.
     """
 
     perm: tuple[int, ...]
     period: int
-    stats: tuple[tuple[Fraction, ...], ...]
+    grid: tuple[int, tuple[tuple[int, ...], ...]]
     labels: tuple[str, ...] | None = None
     stat_names: tuple[str, ...] | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(map(int, self.perm)))
-        stats = tuple(map(tuple, self.stats))
-        # one type scan of every cell; only a cell that is not yet a
-        # Fraction makes the rows convert, cell by cell
-        if not set(map(type, chain.from_iterable(stats))) <= {Fraction}:
-            stats = tuple(
-                tuple(v if type(v) is Fraction else Fraction(v) for v in row)
-                for row in stats
-            )
-        object.__setattr__(self, "stats", stats)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        if self.stat_names is not None:
-            object.__setattr__(
-                self, "stat_names", tuple(str(s) for s in self.stat_names)
-            )
+    def __init__(
+        self,
+        perm: Sequence[int],
+        period: int,
+        stats: Sequence[Sequence[object]] | None = None,
+        labels: Sequence[str] | None = None,
+        stat_names: Sequence[str] | None = None,
+        *,
+        grid: tuple[int, Sequence[Sequence[int]]] | None = None,
+    ) -> None:
+        if stats is not None:
+            # one type scan of every cell: int cells are the grid over L = 1
+            lcm, rows = 1, tuple(map(tuple, stats))
+            if not set(map(type, chain.from_iterable(rows))) <= {int}:
+                cells = [[Fraction(v) for v in row] for row in rows]
+                lcm = math.lcm(*{v.denominator for row in cells for v in row})
+                rows = tuple(
+                    tuple([v.numerator * (lcm // v.denominator) for v in row])
+                    for row in cells
+                )
+        elif grid is None:
+            raise TypeError("FiniteSystem needs stats or grid")
+        else:
+            lcm, rows = grid[0], tuple(map(tuple, grid[1]))
+            common = math.gcd(lcm, *chain.from_iterable(rows)) if lcm != 1 else 1
+            if common > 1:
+                lcm //= common
+                rows = tuple(tuple([v // common for v in row]) for row in rows)
+        init = object.__setattr__
+        init(self, "perm", tuple(map(int, perm)))
+        init(self, "period", period)
+        init(self, "grid", (lcm, rows))
+        init(self, "labels", None if labels is None else tuple(map(str, labels)))
+        init(self, "stat_names", None if stat_names is None else tuple(map(str, stat_names)))
+        init(self, "_memo", {})
 
-    @classmethod
-    def _with_integer_grid(
-        cls, grid: tuple[int, list[tuple[int, ...]]], **fields: object
-    ) -> "FiniteSystem":
-        """The system of `fields`, its memo holding `grid` as "integer".
-
-        `grid` must be `(L, rows)` of the statistics as the class docstring
-        defines it, what `linearize._integer_stats` would build from them;
-        it is taken as given, not checked.
-        """
-        system = cls(**fields)
-        system._memo["integer"] = grid
-        return system
+    @property
+    def stats(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The statistics as Fractions, `stats[x][i]` = g_i(x), built on
+        first read; equal values share one Fraction."""
+        view = self._memo.get("stats")
+        if view is None:
+            lcm, rows = self.grid
+            value = {v: Fraction(v, lcm) for v in set(chain.from_iterable(rows))}
+            view = self._memo["stats"] = tuple(
+                tuple(map(value.__getitem__, row)) for row in rows
+            )
+        return view
 
     @property
     def size(self) -> int:
@@ -90,7 +110,8 @@ class FiniteSystem:
 
     @property
     def num_stats(self) -> int:
-        return len(self.stats[0]) if self.stats else 0
+        rows = self.grid[1]
+        return len(rows[0]) if rows else 0
 
     def stat_name(self, i: int) -> str:
         if self.stat_names is not None and i < len(self.stat_names):
@@ -133,17 +154,14 @@ def _violations(system: FiniteSystem) -> list[str]:
     if bijective and system.period >= 1 and system.period % minimal_period(system):
         violations.append(f"T^{system.period} != identity")
 
-    if len(system.stats) != n:
-        violations.append(
-            f"stats has {len(system.stats)} rows, expected {n}"
-        )
+    rows = system.grid[1]
+    if len(rows) != n:
+        violations.append(f"stats has {len(rows)} rows, expected {n}")
     else:
         k = system.num_stats
-        for x, row in enumerate(system.stats):
+        for x, row in enumerate(rows):
             if len(row) != k:
-                violations.append(
-                    f"stats row {x} has length {len(row)}, expected {k}"
-                )
+                violations.append(f"stats row {x} has length {len(row)}, expected {k}")
 
     if system.labels is not None and len(system.labels) != n:
         violations.append(f"labels has length {len(system.labels)}, expected {n}")

@@ -29,7 +29,6 @@ from .families import (
 )
 from .linearize import (
     PresentingMatrix,
-    _integer_stats,
     _orbit_quotient,
     _orbit_selection,
     coboundary_witness,
@@ -255,7 +254,7 @@ def _block_coboundary() -> list[CheckResult]:
         perm = system.perm
         n, k = system.period, system.num_stats
         # column j*k + i of the integer rows is g_i o T^j times L
-        lcm = _integer_stats(system)[0]
+        lcm = system.grid[0]
         good = 0
         for trial in range(100):
             coeffs = [_random_fraction(rng) for _ in range(n * k)]

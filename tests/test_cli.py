@@ -1,6 +1,6 @@
-import dataclasses
 import io
 import json
+import math
 import os
 import random
 import runpy
@@ -20,8 +20,8 @@ from dynspan.cli import (
     analysis_report,
     document_to_system,
     main,
+    system_to_document,
 )
-from dynspan.linearize import _integer_stats
 from dynspan.system import FiniteSystem, minimal_period
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -271,6 +271,23 @@ class TestAnalyze:
         for message, want in zip(found, problems):
             assert message.startswith(f"stats{want}")
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("perm", [1, True, 0], '"perm" must be an array of integers'),
+            ("perm", [1, 0, 2.0], '"perm" must be an array of integers'),
+            ("labels", ["a", 1, "c"], '"labels" must be an array of strings'),
+            ("stat_names", ["g", None], '"stat_names" must be an array of strings'),
+        ],
+        ids=["bool in perm", "float in perm", "int label", "null name"],
+    )
+    def test_each_array_is_checked_by_one_type_scan(self, key, value, message):
+        # the scan accepts exactly int (or str) elements: a bool is rejected
+        doc = dict(VALID, **{key: value})
+        with pytest.raises(CliInputError) as info:
+            document_to_system(doc)
+        assert str(info.value) == message
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
     )
@@ -410,6 +427,20 @@ class TestSubReports:
         assert code == 2
         assert out == ""
         assert err.startswith("error: system too large") and err.count("\n") == 1
+
+
+    def test_extend_products_value_too_long_to_print_exit_2(self, capsys, tmp_path):
+        # each input is under the digit limit; its square, a product
+        # statistic, is over it, and is an integer, which `_emit` rejects
+        big = 10 ** (sys.get_int_max_str_digits() // 2 + 10)
+        doc = {"period": 2, "perm": [1, 0], "stats": [[big], [1]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "extend-products", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sys.get_int_max_str_digits()" in err
 
 
 class TestLynessCommand:
@@ -583,9 +614,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify-paper", "--only", "coboundary")
         assert code == 0, out
         assert "rational roundtrips" in out
-        # L replaced by 1 forms another function of V: the first trial fails
-        real = verify._integer_stats
-        monkeypatch.setattr(verify, "_integer_stats", lambda s: (1, real(s)[1]))
+        # rows doubled, as if L were halved, form another function of V: the
+        # first trial fails
+        real = verify.presenting_matrix
+        monkeypatch.setattr(
+            verify,
+            "presenting_matrix",
+            lambda s: SimpleNamespace(rows=[[2 * v for v in row] for row in real(s).rows]),
+        )
         code, out, _ = run_cli(
             capsys, "verify-paper", "--only", "coboundary", "--output", "json"
         )
@@ -765,8 +801,11 @@ def ingest_documents(draw):
 @example({"period": 2, "perm": [1, 0], "stats": [["1/2", f"-7/{2**127 - 1}"], [0, "-4/6"]]})
 def test_ingest_builds_the_integer_grid_of_its_statistics(doc):
     system = document_to_system(doc)
-    fresh = dataclasses.replace(system)  # an empty memo: the grid from Fractions
-    assert system._memo["integer"] == _integer_stats(fresh)
+    # the same statistics as Fractions, scaled by the constructor
+    stats = [[Fraction(cell) for cell in row] for row in doc["stats"]]
+    fresh = FiniteSystem(perm=doc["perm"], period=doc["period"], stats=stats)
+    assert system.grid == fresh.grid
+    assert all(type(v) is int for row in system.grid[1] for v in row)
     shared: dict = {}
     for row, cells in zip(system.stats, doc["stats"]):
         for value, cell in zip(row, cells):
@@ -775,6 +814,37 @@ def test_ingest_builds_the_integer_grid_of_its_statistics(doc):
             # equal JSON values share one Fraction
             assert shared.setdefault((type(cell), cell), value) is value
     assert analysis_report(system, "both") == analysis_report(fresh, "both")
+
+
+@settings(max_examples=150)
+@given(ingest_documents(), st.booleans())
+@example({"period": 1, "perm": [0, 1], "stats": [["2/2", "4/6"], ["-3/9", "0/5"]]}, True)
+@example({"period": 2, "perm": [1, 0], "stats": [["6/4", 3], ["3/2", "-9/6"]]}, False)
+def test_fraction_and_document_systems_are_one_system(doc, named):
+    # a document (ints, "p/q" strings, non-reduced and repeated values) and
+    # the same system built from Fractions have one grid, over the canonical
+    # L, and so one stats view, equality, hash and repr
+    if named:
+        doc = dict(doc, labels=[str(x) for x in doc["perm"]])
+    read = document_to_system(doc)
+    built = FiniteSystem(
+        perm=tuple(doc["perm"]),
+        period=doc["period"],
+        stats=tuple(tuple(Fraction(cell) for cell in row) for row in doc["stats"]),
+        labels=doc.get("labels"),
+    )
+    # neither the ingest nor the document written back builds the view
+    assert system_to_document(read) == system_to_document(built)
+    assert "stats" not in read._memo
+    assert read.grid == built.grid
+    lcm, rows = read.grid
+    assert lcm == math.lcm(*(Fraction(c).denominator for r in doc["stats"] for c in r))
+    assert read.stats == built.stats
+    assert all(type(v) is Fraction for row in read.stats for v in row)
+    assert read == built and hash(read) == hash(built) and repr(read) == repr(built)
+    # a grid passed in with a common factor is reduced to the same system
+    tripled = (3 * lcm, [[3 * v for v in row] for row in rows])
+    assert FiniteSystem(read.perm, read.period, labels=read.labels, grid=tripled) == read
 
 
 LONG = "1" * 4301  # one digit past the default sys.get_int_max_str_digits()

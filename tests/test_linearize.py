@@ -23,7 +23,6 @@ from dynspan.families import (
 from dynspan.linearize import (
     PresentingMatrix,
     _galois_table,
-    _integer_stats,
     _orbit_quotient,
     _orbit_selection,
     coboundary_witness,
@@ -110,7 +109,7 @@ class TestPresentingMatrix:
         # entry i of a row is g_i(x) times L, the lcm of every denominator
         for system in (multiset_rotation(3, 3), RATIONAL_STATS):
             pm = presenting_matrix(system)
-            lcm = _integer_stats(system)[0]
+            lcm = system.grid[0]
             k = system.num_stats
             for x in range(system.size):
                 assert all(type(v) is int for v in pm.rows[x])
@@ -120,7 +119,7 @@ class TestPresentingMatrix:
     def test_block_j_is_block_0_composed_with_t_power(self):
         for system in (chain_rowmotion(3, 2), RATIONAL_STATS):
             pm = presenting_matrix(system)
-            lcm = _integer_stats(system)[0]
+            lcm = system.grid[0]
             k, n = system.num_stats, system.period
             image = list(range(system.size))
             for j in range(n):
@@ -373,7 +372,7 @@ class TestHomomesyValue:
         # orbit sums of the integer statistics, not presenting rows
         system = chain_rowmotion(3, 3)
         assert homomesy_value(system, unit_coeffs(system, 1)) == 1
-        assert set(system._memo) == {"orbits", "integer", "violations"}
+        assert set(system._memo) == {"orbits", "violations"}
 
 
 class TestStatisticReport:
@@ -885,6 +884,31 @@ def all_fractions(values) -> bool:
     return all(type(v) is Fraction for v in values)
 
 
+# non-minimal periods, fixed points, rational statistics and k = 0
+@settings(max_examples=60)
+@given(random_systems())
+@example(FiniteSystem(perm=(0, 2, 1), period=4, stats=(("1/3",), ("-1/2",), ("5/6",))))
+@example(FiniteSystem(perm=(0, 1, 2), period=3, stats=((1, "1/2"), (1, "-1/2"), (1, 0))))
+@example(FiniteSystem(perm=(1, 0, 2), period=6, stats=((),) * 3))
+@example(FiniteSystem(perm=(1, 2, 0, 4, 3), period=12, stats=RATIONAL_STATS.stats))
+def test_statistic_report_reads_the_orbit_block_sums(system):
+    # the orbit averages come from the d = 1 block sums of the orbit starts,
+    # each an integer over n*L; the oracle adds the Fractions along each orbit
+    report = statistic_report(system)
+    sums = system._memo["quotient"][1]
+    assert len(sums) == len(orbits(system))
+    assert "stats" not in system._memo
+    expected = oracle_statistic_report(system.perm, system.stats)
+    got = [(v.invariant, v.homomesy, v.orbit_averages) for v in report.verdicts]
+    assert got == expected
+    assert report.orbit_sizes == tuple(map(len, orbits(system)))
+    for verdict in report.verdicts:
+        # one Fraction per distinct average
+        assert all_fractions(verdict.orbit_averages)
+        distinct = {id(a) for a in verdict.orbit_averages}
+        assert len(distinct) == len(set(verdict.orbit_averages))
+
+
 # |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
 # whose columns have different denominators, all over their one lcm L
 @settings(max_examples=60)
@@ -1002,7 +1026,7 @@ def test_homomesy_value_matches_fraction_oracle(case):
     got = homomesy_value(system, coeffs)
     assert got == oracle_homomesy_value(system.perm, system.period, system.stats, coeffs)
     assert got is None or type(got) is Fraction
-    assert set(system._memo) <= {"orbits", "integer", "violations"}
+    assert set(system._memo) <= {"orbits", "violations", "stats"}
 
 
 # rational statistics whose columns have different denominators, k = 0,
@@ -1283,7 +1307,7 @@ class TestMemo:
             built.clear()
             system = multiset_rotation(n, k)
             analysis_report(system, "both")
-            keys = {"orbits", "integer", "quotient", "galois", "violations"}
+            keys = {"orbits", "quotient", "galois", "violations"}
             assert set(system._memo) == keys | ({"selection"} if tall else set())
             assert (len(orbits(system)) > n * k) == tall
             assert built == [len(orbits(system))]
@@ -1367,21 +1391,27 @@ class TestMemo:
     def test_replace_starts_with_an_empty_memo(self):
         system = multiset_rotation(3, 2)
         analysis_report(system, "both")
-        assert "integer" in system._memo
+        assert system.stats and "stats" in system._memo
         assert dataclasses.replace(system)._memo == {}
         assert dataclasses.replace(system, period=6)._memo == {}
-        assert "integer" not in dataclasses.replace(system)._memo
+        assert dataclasses.replace(system) == system
+        # stats, when given, replace the grid
+        halves = [[v / 2 for v in row] for row in system.stats]
+        halved = dataclasses.replace(system, stats=halves)
+        assert halved.grid == (2, system.grid[1]) and halved.perm == system.perm
 
     def test_repeat_calls_share_the_integer_statistics(self):
+        # the grid is the one store: the stages read it and build no view
         stats = [[1, "1/2"], [3, "1/3"], [0, 0]]
         system = FiniteSystem(perm=(1, 0, 2), period=2, stats=stats)
+        grid = system.grid
+        assert grid == (6, ((6, 3), (18, 2), (0, 0)))
         report = statistic_report(system)
-        lcm, rows = grid = system._memo["integer"]
-        assert lcm == 6 and rows == [(6, 3), (18, 2), (0, 0)]
         assert statistic_report(system) == report
         shifted_difference(presenting_matrix(system))
         spectrum(system)
-        assert system._memo["integer"] is grid
+        assert system.grid is grid
+        assert "stats" not in system._memo
 
     def test_mixed_stats_are_stored_as_fractions(self):
         system = FiniteSystem(perm=(0,), period=1, stats=[[1, "1/2"]])
@@ -1393,7 +1423,7 @@ class TestMemo:
         try:
             system = multiset_rotation(3, 2)
             analysis_report(system, "both")
-            assert "integer" in system._memo
+            assert system.stats and "quotient" in system._memo
             ref = weakref.ref(system)
             del system
             assert ref() is None

@@ -60,12 +60,12 @@ def test_a_subtracted_block_fails_rotation_general_and_products(monkeypatch):
 
 
 def test_a_wrong_orbit_average_fails_the_chain_orbit_means(monkeypatch):
-    real = linearize._common_orbit_average
+    real = linearize._orbit_averages
 
-    def last_element_left_out(values, cycles, scale):
-        return real(values, tuple(c[:-1] or c for c in cycles), scale)
+    def last_orbit_sum_off_by_one(sums, scale):
+        return real([*sums[:-1], sums[-1] + 1], scale)
 
-    monkeypatch.setattr(linearize, "_common_orbit_average", last_element_left_out)
+    monkeypatch.setattr(linearize, "_orbit_averages", last_orbit_sum_off_by_one)
     failed = failed_checks("chain")
     assert failed and all(name.endswith("orbit means") for name in failed)
 
