@@ -378,7 +378,7 @@ def _cmd_builtin(args: argparse.Namespace) -> int:
             system = builder(n, k)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-    print(json.dumps(system_to_document(system), indent=2))
+    _emit(system_to_document(system), "json")
     return 0
 
 

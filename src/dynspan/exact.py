@@ -8,7 +8,7 @@ and immutable, carry a single scalar kind and are built from one store,
 their rows as integers over positive denominators: one integer per entry
 over Q, and over Q(zeta_d) of degree phi the phi coefficients of each entry
 laid out flat.  Scalars are a view cut from that store when they are read.
-Rank, column-basis and nullspace computations are fraction-free on the
+Rank and column-basis computations are fraction-free on the
 store, in one streaming echelon over Z that reduces a row against its basis
 in pivot order and stops once every column has a pivot.  Over Q(zeta_d) it
 ranks the flat rows as they are stored and closes the basis under
@@ -692,9 +692,6 @@ class ExactMatrix:
     def _one_scalar(self) -> Scalar:
         return CycNumber.one(self._order) if self.is_cyclotomic else Fraction(1)
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.entries)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_shape(other)
         return ExactMatrix.from_rows(
@@ -765,20 +762,18 @@ class ExactMatrix:
 
     # -- elimination-backed queries ------------------------------------
 
-    def _echelon(self) -> tuple[dict[int, Sequence[int]], int, list[int]]:
-        """The `_streaming_echelon` basis of the store, phi, its integers per
-        entry (1 over Q), and the pivot columns of the matrix.  Over Q(zeta)
-        the basis spans the closure of the flat rows under x -> x/zeta
-        (`_times_zeta_inverse`), the row space over Q(zeta) read over Q, as
-        zeta has finite order.  That is zeta-invariant, so each
+    def _echelon(self) -> list[int]:
+        """The pivot columns of the `_streaming_echelon` basis of the store.
+        Over Q(zeta) the basis spans the closure of the flat rows under
+        x -> x/zeta (`_times_zeta_inverse`), the row space over Q(zeta) read
+        over Q, as zeta has finite order.  That is zeta-invariant, so each
         pivot block holds phi pivots, and the row with pivot c*phi, cut into
-        entries, is a row over Q(zeta) with pivot c.  Pivots and the
-        nullspace basis normalised at free columns depend only on the row
-        space."""
+        entries, is a row over Q(zeta) with pivot c.  The pivots depend only
+        on the row space."""
         phi, mod = _field(self._order) if self.is_cyclotomic else (1, ())
         step = _times_zeta_inverse(phi, mod) if phi > 1 else None
         basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols * phi, step)
-        return basis, phi, sorted(c // phi for c in basis if c % phi == 0)
+        return sorted(c // phi for c in basis if c % phi == 0)
 
     def rank(self) -> int:
         """Exact rank over the matrix's scalar field.
@@ -792,35 +787,11 @@ class ExactMatrix:
             return 0
         if self.cols == 1 or next(nonzero, None) is None:
             return 1
-        return len(self._echelon()[2])
+        return len(self._echelon())
 
     def column_basis(self) -> list[int]:
         """Indices of the greedy left-to-right maximal independent column set."""
-        return self._echelon()[2]
-
-    def nullspace_basis(self) -> list[tuple[Scalar, ...]]:
-        """cols - rank linearly independent vectors v with self * v = 0."""
-        basis, phi, pivot_cols = self._echelon()
-        ncols = self.cols
-        # the echelon row of each pivot, zero-padded: ints over Q, which act
-        # on Fractions as they are, and CycNumbers over Q(zeta)
-        ech = [[0] * (c * phi) + list(basis[c * phi]) for c in pivot_cols]
-        if self.is_cyclotomic:
-            ech = [self._scalars(r) for r in ech]
-        zero, one = self._zero_scalar(), self._one_scalar()
-        pivset = set(pivot_cols)
-        out: list[tuple[Scalar, ...]] = []
-        for fc in (c for c in range(ncols) if c not in pivset):
-            v: list[Scalar] = [zero] * ncols
-            v[fc] = one
-            for row, pc in zip(reversed(ech), reversed(pivot_cols)):
-                acc = zero
-                for c2 in range(pc + 1, ncols):
-                    if v[c2]:
-                        acc = acc + row[c2] * v[c2]
-                v[pc] = -acc / row[pc] if acc else zero
-            out.append(tuple(v))
-        return out
+        return self._echelon()
 
     def det_cofactor(self) -> Scalar:
         """Determinant by cofactor expansion (the brute-force route).

@@ -97,7 +97,6 @@ __all__ = [
     "Spectrum",
     "StatisticVerdict",
     "coboundary_witness",
-    "dynamical_dimension",
     "extend_products",
     "flatness_report",
     "homomesy_value",
@@ -108,7 +107,6 @@ __all__ = [
     "spectrum",
     "statistic_report",
     "zero_mesic_dimension",
-    "zero_mesic_original_combos",
     "zeta_matrix",
 ]
 
@@ -117,14 +115,6 @@ def _require_valid(system: FiniteSystem) -> None:
     problems = validate(system)
     if problems:
         raise ValueError("invalid system: " + "; ".join(problems))
-
-
-def _power_tables(perm: tuple[int, ...], count: int) -> list[list[int]]:
-    """tables[j][x] = index of T^j(x), for j = 0..count-1."""
-    tables = [list(range(len(perm)))]
-    for _ in range(1, count):
-        tables.append([perm[x] for x in tables[-1]])
-    return tables
 
 
 @dataclass(frozen=True)
@@ -181,29 +171,27 @@ def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tupl
     The row at x concatenates the rows of x, T(x), ..., T^(n-1)(x) of the
     integer statistics grid (`system.grid`), each statistic times L.
     Scaling the matrix by a nonzero constant changes no rank of any block-sum
-    matrix, and a value read from it is divided by L once.
+    matrix, and a value read from it is divided by L once.  The orbit of x
+    is walked once, and its l grid rows are repeated n/l times (l divides n
+    on a valid system).  `orbits` raises unless T is a bijection, so every
+    walk returns to its start.
     """
     grid = system.grid[1]
-    n, perm = system.period, system.perm
+    n, k, perm = system.period, system.num_stats, system.perm
+    orbits(system)
     rows = []
     for x in elements:
-        row: list = []
-        for _ in range(n):
-            row += grid[x]
-            x = perm[x]
-        rows.append(tuple(row))
+        row, y = [*grid[x]], perm[x]
+        while y != x:
+            row += grid[y]
+            y = perm[y]
+        rows.append(tuple(row * (n * k // len(row))) if k else ())
     return rows
 
 
 def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
     _require_valid(system)
     return PresentingMatrix(system, range(system.size))
-
-
-def dynamical_dimension(system: FiniteSystem) -> int:
-    """dim V: the rank of the presenting matrix, f(n) of the galois table."""
-    presenting_matrix(system)
-    return _galois_table(system)[system.period]
 
 
 def _orbit_quotient(pm: PresentingMatrix) -> PresentingMatrix:
@@ -548,32 +536,25 @@ def statistic_report(system: FiniteSystem) -> HomomesyReport:
     return HomomesyReport(tuple(verdicts), tuple(len(o) for o in cycles))
 
 
-def zero_mesic_original_combos(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
-    """Basis of {a in Q^k : sum a_i g_i has zero average on every orbit}.
-
-    The kernel of the invariant matrix at the orbit starts: its row at the
-    start of an orbit O is n/|O| times the orbit sums of the statistics, so
-    it has the kernel of the (orbit count x k) matrix of orbit sums.
-    """
-    quotient = _orbit_quotient(presenting_matrix(system))
-    return invariant_matrix(quotient).nullspace_basis()
-
-
 def coboundary_witness(
     system: FiniteSystem, values: list[Fraction | int]
 ) -> tuple[Fraction, ...]:
     """A function g with f = g - g o T, for a 0-mesic value vector f.
 
-    Uses the weighted sum h = 1*f + 2*(f o T) + ... + n*(f o T^(n-1)) and
-    returns g = -h/n.  Rejects inputs whose orbit sums are nonzero.  f is
-    scaled once to integers over the lcm of its denominators, so the orbit
-    sums and h are integer sums, and each g(x) is one Fraction.
+    Returns g = -h/n for the weighted sum h = 1*f + 2*(f o T) + ... +
+    n*(f o T^(n-1)).  Rejects inputs whose orbit sums are nonzero.  On an
+    orbit of length l, whose sum of f is 0, that is g = -(1/l) * sum over
+    s < l of (s+1)*f(T^s x) at its first element x, and g(T y) = g(y) - f(y)
+    along it, so each orbit is read once.  f is scaled once to integers over
+    the lcm of its denominators, so these are integer sums, and each g(y) is
+    one Fraction.
     """
     _require_valid(system)
     f = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     if len(f) != system.size:
         raise ValueError(f"value vector must have length {system.size}")
     den, ints = _scale_to_int(f)
+    g: list = [None] * system.size
     for orbit in orbits(system):
         total = sum(ints[x] for x in orbit)
         if total:
@@ -581,12 +562,13 @@ def coboundary_witness(
                 f"not 0-mesic: orbit starting at {orbit[0]} has sum "
                 f"{Fraction(total, den)}"
             )
-    n = system.period
-    tables = _power_tables(system.perm, n)
-    return tuple(
-        Fraction(-sum((j + 1) * ints[tables[j][x]] for j in range(n)), n * den)
-        for x in range(system.size)
-    )
+        length = len(orbit)
+        # l*den*g, in integers, at each element of the orbit in turn
+        value = -sum(s * ints[x] for s, x in enumerate(orbit, 1))
+        for x in orbit:
+            g[x] = Fraction(value, length * den)
+            value -= length * ints[x]
+    return tuple(g)
 
 
 def extend_products(system: FiniteSystem) -> FiniteSystem:
@@ -601,11 +583,13 @@ def extend_products(system: FiniteSystem) -> FiniteSystem:
     n, k = pm.n, pm.k
     grid = system.stats
     named: list[tuple[str, tuple[Fraction, ...]]] = []
-    for j, image in enumerate(_power_tables(system.perm, n)):
+    image = list(range(system.size))  # T^j(x) at x
+    for j in range(n):
         for i in range(k):
             base = system.stat_name(i)
             name = base if j == 0 else f"U^{j} {base}"
             named.append((name, tuple(grid[y][i] for y in image)))
+        image = [system.perm[x] for x in image]
     count = len(named)
     for a in range(count):
         for b in range(a, count):

@@ -118,11 +118,6 @@ class FiniteSystem:
             return self.stat_names[i]
         return f"g{i + 1}"
 
-    def label(self, x: int) -> str:
-        if self.labels is not None and x < len(self.labels):
-            return self.labels[x]
-        return str(x)
-
 
 def validate(system: FiniteSystem) -> list[str]:
     """Return every contract violation (empty list means the system is valid).
@@ -172,8 +167,8 @@ def _violations(system: FiniteSystem) -> list[str]:
     return violations
 
 
-def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the permutation, each in forward T-order, by smallest member.
+def orbits(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
+    """The T-orbits, each in forward T-order, sorted by smallest member.
 
     Memoised as `system._memo["orbits"]`, which is set only once the
     permutation is known to be a bijection.
@@ -202,11 +197,6 @@ def _cycles(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
     return cycles
 
 
-def orbits(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
-    """The T-orbits, each in forward T-order, sorted by smallest member."""
-    return _cycles(system)
-
-
 def minimal_period(system: FiniteSystem) -> int:
     """The least m >= 1 with T^m = identity (lcm of the orbit sizes)."""
-    return math.lcm(*(len(c) for c in _cycles(system)))
+    return math.lcm(*(len(c) for c in orbits(system)))

@@ -11,13 +11,11 @@ common denominator), and M - M' subtracts whole column blocks of Fraction
 presenting rows (the library subtracts the rotated integer rows over L, the
 common denominator of the statistics).  The block sums and orbit averages
 add Fractions one by one, as the library did before its report stages moved
-to integer statistics; so do the orbit sums behind `homomesy_value` and
-`zero_mesic_original_combos`, whose nullspace comes from a reduced row
-echelon form over Fraction.  The degree-2 product extension steps along T
-from each element for every shifted statistic (the library reads a table of
-the powers of T).  The maps of the order polytope are the library's
-former Fraction definitions (the library now runs them on homogeneous
-integer coordinates).
+to integer statistics; so do the orbit sums behind `homomesy_value`.  The
+degree-2 product extension steps along T from each element for every shifted
+statistic (the library maps all of X by T once per shift).  The maps of the
+order polytope are the library's former Fraction definitions (the library
+now runs them on homogeneous integer coordinates).
 
 `cyc_echelon` is the former Z[zeta] rank kernel of the library: it
 eliminates on integer coefficient vectors and clears each pivot with its
@@ -190,32 +188,6 @@ def cyc_echelon(rows, ncols, order):
     return [[[0] * phi] * c + basis[c] for c in pivots], pivots
 
 
-def cyc_nullspace(rows, pivots, ncols, order):
-    """The nullspace basis, normalised at the free columns, of echelon rows
-    of integer coefficient vectors (`cyc_echelon`): each row is reduced to
-    reduced row echelon form in `CycNumber` arithmetic, and the vector of
-    free column f holds 1 at f and minus column f of that form at the pivots.
-    """
-    rref = []
-    for row, p in zip(rows, pivots):
-        entries = [CycNumber(order, e) for e in row]
-        rref.append([x / entries[p] for x in entries])
-    for t in range(len(rref) - 1, -1, -1):
-        for u in range(t):
-            factor = rref[u][pivots[t]]
-            if factor:
-                rref[u] = [a - factor * b for a, b in zip(rref[u], rref[t])]
-    zero, one = CycNumber.zero(order), CycNumber.one(order)
-    out = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[f] = one
-        for t, p in enumerate(pivots):
-            v[p] = -rref[t][f]
-        out.append(tuple(v))
-    return out
-
-
 def shifted_difference(rows, n, k):
     """Rows of M - M' for presenting rows with n blocks of k columns.
 
@@ -343,29 +315,6 @@ def rref(rows, ncols):
                 work[i] = [a - row[c] * b for a, b in zip(row, work[r])]
         pivots.append(c)
     return work, pivots
-
-
-def nullspace(rows, ncols):
-    """Basis of {v : rows * v = 0}: one vector per free column of the reduced
-    row echelon form, 1 there and 0 at every other free column."""
-    work, pivots = rref(rows, ncols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, c in zip(work, pivots):
-            v[c] = -row[free]
-        basis.append(tuple(v))
-    return basis
-
-
-def zero_mesic_original_combos(perm, stats, k):
-    """Basis of {a in Q^k : sum a_i g_i sums to zero on every orbit}."""
-    sums = [
-        [sum((stats[x][i] for x in cycle), Fraction(0)) for i in range(k)]
-        for cycle in _cycles(perm)
-    ]
-    return nullspace(sums, k)
 
 
 def extend_products(perm, period, stats, names):

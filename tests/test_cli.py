@@ -714,12 +714,12 @@ def test_one_long_cycle_finishes(tmp_path):
 class TestClosedStdout:
     """A reader that closes stdout early gets exit 141 and an empty stderr."""
 
-    def start(self):
-        # about 150 KB of JSON, more than a pipe buffers
+    def start(self, stdout=subprocess.PIPE):
+        # about 150 KB of JSON, printed in one write
         argv = ["builtin", "multiset", "--n", "8", "--k", "6"]
         return subprocess.Popen(
             [sys.executable, "-m", "dynspan.cli", *argv],
-            stdout=subprocess.PIPE,
+            stdout=stdout,
             stderr=subprocess.PIPE,
             env=subprocess_env(),
         )
@@ -731,9 +731,14 @@ class TestClosedStdout:
         assert err == b""
 
     def test_reader_stops_after_one_line(self):
-        proc = self.start()
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
+        # the output is one write, so a reader that wants only its first line
+        # may close while that write runs.  A write cut short that way returns
+        # the bytes it wrote, which unbuffered stdout does not retry, so the
+        # read end is closed before the writer starts: its one write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self.start(write_end)
+        os.close(write_end)
         self.finish(proc)
 
     def test_reader_closed_at_once(self):

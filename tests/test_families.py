@@ -20,7 +20,7 @@ from dynspan.families import (
     nesw_matrix,
     nesw_recurrence_check,
 )
-from dynspan.linearize import dynamical_dimension, spectrum, zero_mesic_dimension
+from dynspan.linearize import spectrum, zero_mesic_dimension
 from dynspan.system import minimal_period, orbits, validate
 from oracles import perm_det
 
@@ -153,7 +153,7 @@ class TestDistinctRotation:
 class TestNegation:
     def test_dimensions(self):
         system = negation_system()
-        assert dynamical_dimension(system) == 1
+        assert spectrum(system).dimension == 1
         assert spectrum(system).mults == (0, 1)
         assert zero_mesic_dimension(system) == 1
 
