@@ -245,7 +245,12 @@ def _read_document(path: str) -> FiniteSystem:
 
 
 def _emit(payload: dict | list, output: str) -> None:
-    """Print the payload, rendered whole first, so a failure prints nothing."""
+    """Print the payload, rendered whole first, so a failure prints nothing.
+    Its bytes go to stdout's binary layer until all are taken: unbuffered
+    (PYTHONUNBUFFERED), a write that a closing reader cuts short takes a
+    part, and the next raises BrokenPipeError; one that a full non-blocking
+    stdout refuses raises BlockingIOError.  A stdout with no binary layer,
+    such as a caller's StringIO, is written as text."""
     try:
         if output == "json":
             text = json.dumps(payload, indent=2) + "\n"
@@ -253,7 +258,17 @@ def _emit(payload: dict | list, output: str) -> None:
             text = "".join(f"{line}\n" for line in _table_lines(payload))
     except ValueError as exc:  # an int past sys.get_int_max_str_digits()
         raise _too_long() from exc
-    print(text, end="")
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        print(text, end="")
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        written = out.write(data)
+        if written is None:
+            raise BlockingIOError("stdout is non-blocking and full")
+        data = data[written:]
 
 
 def _table_lines(payload: dict | list, indent: int = 0) -> Iterator[str]:

@@ -8,39 +8,36 @@ and immutable, carry a single scalar kind and are built from one store,
 their rows as integers over positive denominators: one integer per entry
 over Q, and over Q(zeta_d) of degree phi the phi coefficients of each entry
 laid out flat.  Scalars are a view cut from that store when they are read.
-Rank and column-basis computations are fraction-free on the
-store, in one streaming echelon over Z that reduces a row against its basis
-in pivot order and stops once every column has a pivot.  Over Q(zeta_d) it
-ranks the flat rows as they are stored and closes the basis under
-x -> x/zeta, which moves each coefficient down one degree: the result is the
-row space over Q(zeta_d) read over Q, of dimension phi times the rank
-(restriction of scalars; zeta has finite order, so a space closed under
-1/zeta is closed under zeta).  A rank is at most
-the number of nonzero rows and of columns, so with at most one of either it
-is read off the store with no elimination.  Results are deterministic
-across runs and never touch floating point.  The cofactor determinant
+Rank and column-basis computations are fraction-free on the store, in one
+streaming echelon over Z that reduces a row against its basis in pivot order
+and stops once every column has a pivot.  Over Q(zeta_d) it ranks the flat
+rows as they are stored and closes the basis under x -> x/zeta, which moves
+each coefficient down one degree: the result is the row space over
+Q(zeta_d) read over Q, of dimension phi times the rank (restriction of
+scalars; zeta has finite order, so a space closed under 1/zeta is closed
+under zeta).  With at most one nonzero row or one column, the rank is read
+off the store.  Results are deterministic across runs and never touch
+floating point.  The cofactor determinant
 expands the same integer rows, row i scaled by s_i, the lcm of its
 denominators, and divides by the product of the s_i once.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
-two exact kernels, chosen by the shape of the input.  With rows at least 3/4
-of the columns, a fraction-free Gauss-Jordan basis tests each row with one
-dot product per column that has no pivot: every entry of the basis is a minor
-of the rows that joined it, so the sizes stay under the Hadamard bound, and
-every division in an update is exact by Sylvester's identity.  It reads the
-rotations of each row that joins right after it, so it also names the given
-rows that generate the closure, each outside the closure of those before it.
+two exact kernels, chosen by the shape of the input.  Both read the given
+rows in order, each row that joins followed by the rotation of what it adds
+while those join, so both name the same given rows as generating the
+closure: each outside the closure of those before it.  With rows at least
+3/4 of the columns, a fraction-free Gauss-Jordan basis tests each row with
+one dot product per column that has no pivot: every entry of the basis is a
+minor of the rows that joined it, so the sizes stay under the Hadamard
+bound, and every division in an update is exact by Sylvester's identity.
 With fewer rows, most rows come from rotations and join the basis, and the
-streaming echelon over Z reduces each against it.  Each row that joins at
-pivot c queues the left rotation of its basis row, whose pivot, if c is at
+streaming echelon reduces each against it.  There a row that joins at pivot
+c is followed by the left rotation of its basis row, whose pivot, if c is at
 least the shift, moves to c - shift, so it is reduced only against the
 pivots from there on; over Q(zeta) the image under 1/zeta begins one column
-earlier, or, from the start of an entry, no earlier than that.  Both stop reading rows once every
-column has a pivot.  On the benchmark's closures Gauss-Jordan is the faster
-kernel from 7/8 of the width on and the streaming echelon below 3/4; between
-them the streaming echelon saves about 1 ms a pass, which no pass shows, so
-the rule stays at 3/4.
+earlier, or, from the start of an entry, no earlier than that.  Both stop
+reading rows once every column has a pivot.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
@@ -428,100 +424,96 @@ def _scale_to_int(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _rotation_closure_rank(rows: Sequence[Sequence[int]], shift: int) -> int:
-    """dim of the smallest rotation-invariant subspace containing `rows`.
+def _rotation_closure_rank(
+    rows: Sequence[Sequence[int]], shift: int
+) -> tuple[int, list[int]]:
+    """(dim, generators) of the smallest rotation-invariant subspace that
+    contains `rows`, the rotation taking r to r[shift:] + r[:shift].
 
-    The rotation takes a row r to r[shift:] + r[:shift].  The rows are
-    queued, and each one that raises the rank of the basis joins it and
-    queues the rotation of the vector it adds: the row as read in
-    Gauss-Jordan, its reduced basis row in the streaming echelon.  Those
-    vectors span the final span, which contains the given rows and their
-    rotations, so it is that smallest invariant subspace.  A matrix whose
-    row at T(x) is its row at x rotated has that span for its row space, so
-    one row per T-orbit gives its rank.
+    Each given row that raises the rank is followed by the rotations of the
+    vectors it adds while they join (see the module notes), so a given row
+    joins exactly when it lies outside the closure of the rows before it,
+    and both kernels name the same generators, with none to spare.  A matrix
+    whose row at T(x) is its row at x rotated has that closure for its row
+    space, so one row per T-orbit gives its rank.
 
-    Two exact eliminations keep the basis, chosen by the shape of the input.
     With rows at least 3/4 of the width, most rows lie in the span, and
     `_gauss_jordan_closure` tests each with one dot product per free column;
-    its entries are minors of the rows that joined, and each of its
-    divisions is exact.  With fewer rows, most rows come from rotations and
-    raise the rank, and `_streaming_echelon` reduces each against its basis.
-    Either way no row is read once every column has a pivot.
-
-    The 3/4 is measured on the closures of one pass (seed 1) of each
-    analysis workload of `perfbench`, each closure timed under both kernels
-    (best of 5, 2-vCPU VM), the streaming echelon queueing the rotation of
-    each basis row.  With 7/8 <= rows/width < 1, Gauss-Jordan took 8.7 ms in
-    all against 10.6 ms for the streaming echelon; with 3/4 <= rows/width <
-    7/8 it took 7.2 against 5.9 ms, with 1/2 <= rows/width < 3/4 48.2
-    against 38.3 ms, and below 1/2 269 against 114 ms.  Moving the rule to
-    7/8 would save the 1.3 ms of the middle band over three passes of about
-    0.4 s each; the passes of the two rules, alternated in one process,
-    differ by less than their spread, so the rule stays at 3/4.
+    with fewer, most rows come from rotations and raise the rank, and
+    `_streaming_echelon` reduces each against its basis.  On the closures of
+    one pass (seed 1) of each analysis workload of `perfbench`, timed under
+    both kernels (best of 5, 2-vCPU VM), Gauss-Jordan took 2.3 ms in all
+    against 2.7 ms for the streaming echelon with 7/8 <= rows/width < 1,
+    2.3 against 2.0 ms from 3/4 to 7/8, 14.6 against 10.9 ms from 1/2 to
+    3/4, and 155 against 66 ms below 1/2: a rule at 7/8 would save 0.3 ms
+    over three passes, which no pass shows, so the rule stays at 3/4.
     """
     width = len(rows[0]) if rows else 0
     if 4 * len(rows) >= 3 * width:
-        return _gauss_jordan_closure(rows, shift)[0]
-    return len(_streaming_echelon(rows, width, lambda r: r[shift:] + r[:shift]))
+        return _gauss_jordan_closure(rows, shift)
+    basis, generators = _streaming_echelon(rows, width, lambda r: r[shift:] + r[:shift])
+    return len(basis), generators
 
 
 def _streaming_echelon(
     rows: Iterable[Sequence[int]],
     width: int,
     step: Callable[[Sequence[int]], Sequence[int]] | None = None,
-) -> dict[int, Sequence[int]]:
-    """Fraction-free echelon basis of integer rows: {pivot: tail}.
+) -> tuple[dict[int, Sequence[int]], list[int]]:
+    """Fraction-free echelon basis of integer rows, {pivot: tail}, and the
+    indices of the given rows that joined it.
 
     Each row is reduced against the basis in pivot order, and joins it at
     the first column without a pivot where it is nonzero, divided by its
-    content.  A row being reduced is also divided by its content once its
-    leading entry passes 512 bits; the basis is the same either way.  The
-    tail of a basis row starts at its pivot, its first nonzero entry, so the
-    sorted pivots are those of the reduced row echelon form.  With `step`
-    set, each row that joins at pivot c queues the image under that linear
-    map of its basis row, zero-padded to full width ([0]*c + basis[c]), read
-    after every given row.  The final span holds the given rows and the
-    image of each of its basis rows, so the map sends it into itself, and it
-    is the smallest subspace that holds the rows and is closed under the
-    map.  An image that keeps the padding's leading zeros, as the left
-    rotation and x -> x/zeta do but for a shift or one column, is reduced
-    only against the pivots from about c on; the image of the row as read
-    would start from column 0 again.  No row is read once every column has
-    a pivot, and no input row is modified.
+    content; a row being reduced is also divided by its content once its
+    leading entry passes 512 bits.  The tail of a basis row starts at its
+    pivot, so the sorted pivots are those of the reduced row echelon form.
+    With `step` set, a row that joins at pivot c is followed, before the
+    next given row, by the image under that linear map of its basis row
+    zero-padded to full width ([0]*c + basis[c]), and so on while the images
+    join.  Once a given row is done the span holds the image of each of its
+    basis rows, so it is the closure under the map of the rows read so far.
+    An image that keeps the padding's leading zeros, as the left rotation
+    and x -> x/zeta do but for a shift or one column, is reduced only
+    against the pivots from about c on.  No row is read once every column
+    has a pivot, and no input row is modified.
     """
     basis: dict[int, Sequence[int]] = {}
-    queued: list[Sequence[int]] = []
-    for row in chain(rows, queued) if width else ():
-        c = 0
-        while c < width and not row[c]:
-            c += 1
-        tail = row[c:]
-        while c < width:
-            pivot_row = basis.get(c)
-            if pivot_row is None:
-                g = math.gcd(*tail)
-                basis[c] = tail = [v // g for v in tail] if g > 1 else tail
-                if len(basis) == width:
-                    return basis
-                if step is not None:
-                    queued.append(step([0] * c + [*tail]))
-                break
-            a, p = tail[0], pivot_row[0]
-            g = math.gcd(a, p)
-            a, p = a // g, p // g
-            tail = [p * v - a * w for v, w in zip(tail, pivot_row)]
-            skip = 1
-            while skip < len(tail) and not tail[skip]:
-                skip += 1
-            tail = tail[skip:]
-            c += skip
-            # each step multiplies the row by a pivot, and past a few hundred
-            # bits every later step pays for that size: divide out the content
-            if tail and tail[0].bit_length() > 512:
-                g = math.gcd(*tail)
-                if g > 1:
-                    tail = [v // g for v in tail]
-    return basis
+    generators: list[int] = []
+    for i, row in enumerate(rows) if width else ():
+        while row is not None:
+            c = 0
+            while c < width and not row[c]:
+                c += 1
+            tail, row = row[c:], None
+            while c < width:
+                pivot_row = basis.get(c)
+                if pivot_row is None:
+                    g = math.gcd(*tail)
+                    basis[c] = tail = [v // g for v in tail] if g > 1 else tail
+                    if generators[-1:] != [i]:
+                        generators.append(i)
+                    if len(basis) == width:
+                        return basis, generators
+                    if step is not None:
+                        row = step([0] * c + [*tail])
+                    break
+                a, p = tail[0], pivot_row[0]
+                g = math.gcd(a, p)
+                a, p = a // g, p // g
+                tail = [p * v - a * w for v, w in zip(tail, pivot_row)]
+                skip = 1
+                while skip < len(tail) and not tail[skip]:
+                    skip += 1
+                tail = tail[skip:]
+                c += skip
+                # each step multiplies the row by a pivot: past a few hundred
+                # bits, divide out the content before later steps pay for it
+                if tail and tail[0].bit_length() > 512:
+                    g = math.gcd(*tail)
+                    if g > 1:
+                        tail = [v // g for v in tail]
+    return basis, generators
 
 
 def _times_zeta_inverse(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list[int]]:
@@ -552,16 +544,9 @@ def _times_zeta_inverse(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list
 def _gauss_jordan_closure(
     rows: Sequence[Sequence[int]], shift: int
 ) -> tuple[int, list[int]]:
-    """`_rotation_closure_rank` by fraction-free Gauss-Jordan elimination,
-    and the indices of the given rows that generate the closure.
-
-    The given rows are read in order, and while a row joins the basis its
-    rotation r[shift:] + r[:shift] is read next.  So once a given row is
-    done the span is the closure of the rows read so far, and a given row
-    joins exactly when it lies outside the closure of the rows before it.
-    Those rows generate the closure with none to spare; each row that joins
-    reads one rotation, as when every rotation is queued after the given
-    rows, so the order costs no extra test.
+    """`_rotation_closure_rank` by fraction-free Gauss-Jordan elimination.
+    While a row joins the basis its rotation r[shift:] + r[:shift] is read
+    next, as in `_streaming_echelon`.
 
     The basis is kept in fraction-free reduced echelon form (Bareiss, in its
     Gauss-Jordan form): at its pivot columns p_i the basis rows B_i are D
@@ -772,7 +757,7 @@ class ExactMatrix:
         on the row space."""
         phi, mod = _field(self._order) if self.is_cyclotomic else (1, ())
         step = _times_zeta_inverse(phi, mod) if phi > 1 else None
-        basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols * phi, step)
+        basis = _streaming_echelon((r for _, r in self._integer_rows), self.cols * phi, step)[0]
         return sorted(c // phi for c in basis if c % phi == 0)
 
     def rank(self) -> int:

@@ -19,15 +19,15 @@ statistics, the integer grid `system.grid`: every statistic times L, the lcm
 of all their denominators.  A `PresentingMatrix` builds its rows and each
 T^d block sum of them once, and the orbit-start selections keep them in the
 system's memo, so the galois table, `zeta_matrix`, `invariant_matrix` and
-the orbit averages of a report share each sum.  The stages of a report sum those integers, not Fractions:
-orbit averages, the invariance test, the block sums and the differences of
-M - M'.  Every orbit average is an integer over one denominator, n*L times
-that of any weights, read off the d = 1 block sums, and a Fraction is built
-only for a value that is returned, once per distinct value.
-`zeta_matrix` and `shifted_difference` build their `ExactMatrix` from its
-integer rows, their sums over L (a Q(zeta_d) row flat, phi coefficients per
-entry), so the cyclotomic and 0-mesic ranks build no CycNumber and no
-Fraction.
+the orbit averages of a report share each sum.  The stages of a report sum
+those integers, not Fractions: orbit averages, the invariance test, the
+block sums and the differences of M - M'.  Every orbit average is an integer
+over one denominator, n*L times that of any weights, read off the d = 1
+block sums, and a Fraction is built only for a value that is returned, once
+per distinct value.  `zeta_matrix` and `shifted_difference` build their
+`ExactMatrix` from its integer rows, their sums over L (a Q(zeta_d) row
+flat, phi coefficients per entry), so the cyclotomic and 0-mesic ranks build
+no CycNumber and no Fraction.
 
 No rank here reads a row for every element of X.  V is closed under
 composition with T, so the row of the presenting matrix at T(x) is its row at
@@ -35,30 +35,24 @@ x with the column blocks rotated by one; so are the rows of each
 T^d-invariant matrix and of M - M'.  The row space of such a matrix is the
 smallest rotation-invariant subspace that contains one row per T-orbit, and
 `_rotation_closure_rank` finds its dimension from those rows alone, in
-integers.  When the rows are at least 3/4 of the columns, most rows lie in
-the span, and each is tested against a fraction-free Gauss-Jordan basis with
-one dot product per column without a pivot; otherwise the rows, most of them
-rotations, are reduced in a streaming echelon, and each row that joins queues
-the left rotation of its reduced basis row, which keeps all but `shift` of
-its leading zeros.  The weighted block sums of
-the cyclotomic route need no closure: their row at T(x) is a root of unity
-times their row at x.
+integers, by one of two kernels chosen by shape (see `exact`).  The weighted
+block sums of the cyclotomic route need no closure: their row at T(x) is a
+root of unity times their row at x.
 
 Each rank of a report is the rank of a linear image of the orbit-start rows
 that respects the rotation, so it depends only on their rotation closure, not
-on the number of orbits.  A tall system has more orbits than m*k columns, m
-the minimal period, so at least its surplus orbit rows are redundant.  There
-the top closure of the galois route, f(m) = dim V, reads every orbit row, and
-the orbits whose rows lie outside the closure of the orbits before them are
-kept once per system (`_orbit_selection`).  Every other rank reads only
-those: the galois closures for e < m, the 0-mesic closure (the
+on the number of orbits.  The top closure of the galois route, f(m) = dim V
+(m the minimal period), reads every orbit row, and names the orbits whose
+rows lie outside the closure of the orbits before them; they are kept once
+per system (`_orbit_selection`).  Once it has run, every other rank reads
+only those: the galois closures for e < m, the 0-mesic closure (the
 `shifted_difference` of the kept rows), every `zeta_matrix` rank of the
 cyclotomic route and the column choice of `invariant_basis`, whose values
 still come from the block sums of every orbit.  dim V alone still reads
 every orbit row, so the routes still check each other: a selection that lost
 a row would give sum phi(d)*r_d < f(n), and `--method both` would find the
-spectra disagree.  `chain(8,6)` keeps one orbit of 246 and `multiset(8,5)`
-six of 99.
+spectra disagree.  `chain(8,6)` keeps one orbit of 246, `multiset(8,5)` six
+of 99 and `multiset(7,3)` three of 12.
 
 Neither route ranks once per exponent.  The statistics are rational, so the
 multiplicity of zeta^j depends only on gcd(j, n) (see `Spectrum`), and each
@@ -81,7 +75,6 @@ from .exact import (
     ExactMatrix,
     _cyc_reduce_int,
     _field,
-    _gauss_jordan_closure,
     _rotation_closure_rank,
     _scale_to_int,
     divisors,
@@ -150,43 +143,54 @@ class PresentingMatrix:
     def block_sums(self, d: int) -> list[Sequence[int]]:
         """Rows of the T^d-invariant matrix at `elements`, for d | n: entry
         r*k + i of the row at x sums g_{i+1}(T^(r + m*d) x) * L over m < n/d.
-        d = 1 gives the invariant matrix; d = n gives the rows.  An empty
-        selection has no matrix, and raises ValueError."""
+        d = n gives the rows and d = 1 the invariant matrix, both read off one
+        walk of each orbit (`_walk_orbits`), the d = 1 sums also when it builds
+        the rows.  An empty selection has no matrix, and raises ValueError."""
         sums = self._sums.get(d)
         if sums is None:
             if not self.elements:
                 raise ValueError("a presenting matrix needs at least one element")
-            if d == self.n:
-                sums = _presenting_rows(self.system, self.elements)
-            else:
-                w = d * self.k
-                sums = [[sum(row[c::w]) for c in range(w)] for row in self.rows]
+            if d in (1, self.n):
+                rows, ones = _walk_orbits(self.system, self.elements, d == self.n)
+                self._sums.setdefault(1, ones)
+                if rows is not None:
+                    self._sums[d] = rows
+                return self._sums[d]
+            w = d * self.k
+            sums = [[sum(row[c::w]) for c in range(w)] for row in self.rows]
             self._sums[d] = sums
         return sums
 
 
-def _presenting_rows(system: FiniteSystem, elements: Sequence[int]) -> list[tuple]:
-    """Integer rows of the presenting matrix at `elements`.
+def _walk_orbits(
+    system: FiniteSystem, elements: Sequence[int], rows: bool
+) -> tuple[list[tuple] | None, list[list[int]]]:
+    """The d = 1 block sums at `elements` and, with `rows`, the integer rows
+    of the presenting matrix there, from one walk of each orbit (with `rows`
+    and n = 1 the rows are the d = 1 sums, and no other list is built).
 
     The row at x concatenates the rows of x, T(x), ..., T^(n-1)(x) of the
     integer statistics grid (`system.grid`), each statistic times L.
     Scaling the matrix by a nonzero constant changes no rank of any block-sum
-    matrix, and a value read from it is divided by L once.  The orbit of x
-    is walked once, and its l grid rows are repeated n/l times (l divides n
-    on a valid system).  `orbits` raises unless T is a bijection, so every
-    walk returns to its start.
-    """
-    grid = system.grid[1]
-    n, k, perm = system.period, system.num_stats, system.perm
+    matrix, and a value read from it is divided by L once.  The orbit O of x
+    has l elements, l | n on a valid system, so the row repeats the l grid
+    rows along O n/l times, and its d = 1 sum is n/l times their sum, l*k
+    cells.  `orbits` raises unless T is a bijection, so each walk returns to x."""
+    grid, perm = system.grid[1], system.perm
+    n, k = system.period, system.num_stats
     orbits(system)
-    rows = []
+    built, ones = [] if rows else None, []
     for x in elements:
-        row, y = [*grid[x]], perm[x]
+        walk, y = [*grid[x]], perm[x]
         while y != x:
-            row += grid[y]
+            walk += grid[y]
             y = perm[y]
-        rows.append(tuple(row * (n * k // len(row))) if k else ())
-    return rows
+        r = n * k // len(walk) if k else 0
+        if rows:
+            built.append(tuple(walk * r))
+        if n > 1 or not rows:
+            ones.append([r * sum(walk[i::k]) for i in range(k)])
+    return built, ones
 
 
 def presenting_matrix(system: FiniteSystem) -> PresentingMatrix:
@@ -204,37 +208,36 @@ def _orbit_quotient(pm: PresentingMatrix) -> PresentingMatrix:
 
 
 def _orbit_selection(quotient: PresentingMatrix) -> PresentingMatrix:
-    """The orbits whose rows generate the rotation closure of every orbit row.
-
-    Every rank that reads the orbit-start rows is the rank of a linear image
-    of them that carries the rotation of a row to a rotation of its image,
-    or to a root of unity times it, so it depends only on the rotation
-    closure of the rows.  On a tall system, one with more orbits than m*k,
-    the width of the top closure (m the minimal period), at least the
-    surplus rows are redundant.  There the top closure of the galois route,
-    f(m) = dim V, runs by Gauss-Jordan and reads every orbit row, in orbit
-    order, each followed by its rotations while they join
-    (`_gauss_jordan_closure`), so it also names the orbits whose rows lie
-    outside the closure of the orbits before them; they are kept, in orbit
-    order.  The result is memoised as `system._memo["selection"]`: the kept
-    starts, their own `_sums`, preset with the quotient's rows and block sums
-    for m at the kept orbits so each block sum of the kept rows is built
-    once, and f(m).  If no row joins, every row is zero, and the first orbit
-    alone gives the rank 0 of every matrix.  On a system that is not tall the
-    selection is `quotient` itself, the same object, at no cost.
-    """
+    """The orbits whose rows generate the rotation closure of every orbit
+    row, as the galois top closure names them (`_top_closure`).  Until that
+    has run the selection is `quotient` itself, so a cyclotomic spectrum runs
+    no closure, unless the system is tall, with more orbits than m*k columns
+    (m the minimal period), so some rows are redundant: there it runs here."""
     system = quotient.system
-    m, k = minimal_period(system), quotient.k
-    if len(quotient.elements) <= m * k:
+    tall = len(quotient.elements) > minimal_period(system) * quotient.k
+    if not tall and "selection" not in system._memo:
         return quotient
+    return _top_closure(quotient)[0]
+
+
+def _top_closure(quotient: PresentingMatrix) -> tuple[PresentingMatrix, int]:
+    """The orbits that the closure of every orbit row names, and its rank
+    f(m) = dim V, memoised as `system._memo["selection"]`: their starts,
+    their `_sums` (the quotient's rows and m-block sums at them, or its own
+    if every orbit is kept), and f(m).  If no row joins, every row is zero,
+    and the first orbit gives the rank 0 of every matrix."""
+    system = quotient.system
     kept = system._memo.get("selection")
     if kept is None:
-        rank, index = _gauss_jordan_closure(quotient.block_sums(m), k)
+        m, n = minimal_period(system), quotient.n
+        rank, index = _rotation_closure_rank(quotient.block_sums(m), quotient.k)
         index = index or [0]
-        starts = tuple(quotient.elements[i] for i in index)
-        sums = {d: [quotient.block_sums(d)[i] for i in index] for d in (quotient.n, m)}
+        starts, sums = quotient.elements, quotient._sums
+        if len(index) < len(starts):
+            starts = tuple(starts[i] for i in index)
+            sums = {d: [quotient.block_sums(d)[i] for i in index] for d in (n, m)}
         kept = system._memo["selection"] = (starts, sums, rank)
-    return PresentingMatrix(system, *kept[:2])
+    return PresentingMatrix(system, *kept[:2]), kept[2]
 
 
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
@@ -309,7 +312,7 @@ def zero_mesic_dimension(system: FiniteSystem) -> int:
     selection = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
     rows = shifted_difference(selection)._integer_rows
     width = minimal_period(system) * selection.k
-    return _rotation_closure_rank([row[:width] for _, row in rows], selection.k)
+    return _rotation_closure_rank([row[:width] for _, row in rows], selection.k)[0]
 
 
 @dataclass(frozen=True)
@@ -348,23 +351,20 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     at x rotated by k entries.  So its row space is the rotation closure of one
     row per T-orbit, and `_rotation_closure_rank` computes it from those
     rows alone.  U^m = I on V for the minimal period m, so closures run only
-    for e | m, and f(d) = f(gcd(d, m)).  f(n) = f(m) is dim V, and its
-    closure reads every orbit row; on a tall system it is the closure that
-    picks the selected orbits (`_orbit_selection`).  Each closure for e < m
-    reads only the rows of the selected orbits, which generate the same
-    closure.
+    for e | m, and f(d) = f(gcd(d, m)).  f(n) = f(m) is dim V, whose closure
+    reads every orbit row and names the selected orbits (`_top_closure`);
+    each closure for e < m reads only their rows.
     """
     table = system._memo.get("galois")
     if table is None:
         quotient = _orbit_quotient(PresentingMatrix(system, ()))
-        selection = _orbit_selection(quotient)
+        selection, dim_v = _top_closure(quotient)
         m, k = minimal_period(system), quotient.k
-        kept = system._memo.get("selection")
         closure = {
-            e: _rotation_closure_rank(selection.block_sums(e), k)
+            e: _rotation_closure_rank(selection.block_sums(e), k)[0]
             for e in divisors(m)[:-1]
         }
-        closure[m] = kept[2] if kept else _rotation_closure_rank(quotient.block_sums(m), k)
+        closure[m] = dim_v
         table = {d: closure[math.gcd(d, m)] for d in divisors(system.period)}
         system._memo["galois"] = table
     return table
@@ -374,26 +374,25 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     """Spectral multiplicity function of U, by one of two independent routes.
 
     Both start from the T^d block sums of one row per T-orbit (see the module
-    notes), and neither reads the other's ranks, so the two stay independent;
-    they agree on every system with rational statistics.  On a tall system
-    they share the selected orbits (`_orbit_selection`) as they share the
-    block sums: the cyclotomic ranks and the galois closures below the top
-    read only those, and the top closure, dim V, reads every orbit row, so
-    under `--method both` a selection that lost a row shows as
-    sum phi(d)*r_d < dim V.  "galois" works
-    entirely over Q: it recovers the common multiplicity m_e of the
-    primitive e-th roots from the table f of `_galois_table` by Moebius
-    inversion of sum_{e | d} phi(e) m_e = f(d).  "cyclotomic" ranks, for
-    each d | n, the weighted block sum of exponent n/d over Q(zeta_d), as the
-    closure of its flat coefficient rows under x -> x/zeta
-    (`ExactMatrix.rank`), and
-    gives that rank to every exponent j with n/gcd(j, n) = d (exact by
-    Galois conjugation, see `Spectrum`).  The cyclotomic ranks and the galois
-    closures with rows under 3/4 of the columns share the integer loop of
-    `exact._streaming_echelon`, on different matrices in different fields.
-    The row of an orbit of length L is L-periodic, so its weighted block sum
-    at a primitive d-th root vanishes unless d | L: a d that divides no
-    orbit length has rank 0, with no matrix and no Phi_d.
+    notes), and neither reads the other's ranks, so the two stay
+    independent; they agree on every system with rational statistics.  They
+    share the selected orbits (`_orbit_selection`) as they share the block
+    sums: once the galois top closure, dim V, has read every orbit row, the
+    cyclotomic ranks and the galois closures below the top read only those,
+    so under `--method both` a selection that lost a row shows as sum
+    phi(d)*r_d < dim V.  "galois" works entirely over Q: it recovers the
+    common multiplicity m_e of the primitive e-th roots from the table f of
+    `_galois_table` by Moebius inversion of sum_{e | d} phi(e) m_e = f(d).
+    "cyclotomic" ranks, for each d | n, the weighted block sum of exponent
+    n/d over Q(zeta_d), as the closure of its flat coefficient rows under
+    x -> x/zeta (`ExactMatrix.rank`), and gives that rank to every exponent
+    j with n/gcd(j, n) = d (exact by Galois conjugation, see `Spectrum`).
+    The cyclotomic ranks and the galois closures with rows under 3/4 of the
+    columns share the integer loop of `exact._streaming_echelon`, on
+    different matrices in different fields.  The row of an orbit of length L
+    is L-periodic, so its weighted block sum at a primitive d-th root
+    vanishes unless d | L: a d that divides no orbit length has rank 0, with
+    no matrix and no Phi_d.
     """
     _require_valid(system)
     n = system.period
@@ -427,8 +426,8 @@ def invariant_basis(system: FiniteSystem) -> list[tuple[Fraction, ...]]:
     The rows of the invariant matrix are constant along orbits.  Its columns
     are chosen on the rows of the selected orbits (`_orbit_selection`),
     whose block sums span its row space, as a row's rotations have the same
-    block sum, and their values are read back on all of X
-    from the block sums of every orbit, each divided by L.
+    block sum, and their values are read back on all of X from the block
+    sums of every orbit, each divided by L.
     """
     quotient = _orbit_quotient(presenting_matrix(system))
     columns = invariant_matrix(_orbit_selection(quotient)).column_basis()

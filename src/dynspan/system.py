@@ -35,13 +35,13 @@ class FiniteSystem:
     "quotient" (the `_sums` that every `_orbit_quotient` instance shares:
     its integer rows at the first element of each T-orbit and each T^d block
     sum of them, read by both spectrum routes, the invariant basis, the
-    0-mesic rank and the orbit averages), "selection" (only on a tall
-    system, one with more orbits than m*k columns, m the minimal period: the
-    starts of the orbits whose rows generate the rotation closure of every
-    orbit row, their own `_sums`, and f(m) = dim V, from the one closure
-    that reads every orbit row; every other rank reads these rows instead of
-    the quotient's) and "galois" (f(d) = dim of the T^d-invariant subspace
-    of V, for d | n).  It holds no object that refers back to the system, so
+    0-mesic rank and the orbit averages), "selection" (by the galois top
+    closure, or on a tall system, one with more orbits than m*k columns, by
+    the first rank that reads the orbits: the starts of the orbits whose
+    rows generate the rotation closure of every orbit row, their `_sums`,
+    and f(m) = dim V; every later rank reads these rows instead of the
+    quotient's) and "galois" (f(d) = dim of the T^d-invariant subspace of V,
+    for d | n).  It holds no object that refers back to the system, so
     it makes no reference cycle.  Each entry is built on first use and lives
     exactly as long as the instance.  The memo takes no part in equality,
     hashing or repr, and `dataclasses.replace` starts a new instance with an

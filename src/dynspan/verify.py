@@ -178,7 +178,7 @@ def _full_row_rank(rows: Sequence[Sequence[int]]) -> int:
     `structural` sweep, the transposes take 0.5-0.6 s against 1.4 s for the
     rows (2-vCPU VM).
     """
-    return len(_streaming_echelon(zip(*rows), len(rows)))
+    return len(_streaming_echelon(zip(*rows), len(rows))[0])
 
 
 def _full_row_ranks(pm: PresentingMatrix) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -13,6 +14,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+try:
+    import fcntl
+except ImportError:  # not on every platform
+    fcntl = None
 
 from dynspan.cli import (
     MAX_CELLS,
@@ -50,6 +56,14 @@ def run_json(capsys, *argv):
 
 
 class TestBuiltin:
+    def test_a_text_stdout_gets_the_same_text(self, capsys):
+        argv = ["builtin", "multiset", "--n", "3", "--k", "3"]
+        code, expected, _ = run_cli(capsys, *argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == code == 0
+        assert out.getvalue() == expected
+
     def test_multiset_3_3(self, capsys):
         doc = run_json(capsys, "builtin", "multiset", "--n", "3", "--k", "3")
         assert doc["period"] == 3
@@ -714,14 +728,14 @@ def test_one_long_cycle_finishes(tmp_path):
 class TestClosedStdout:
     """A reader that closes stdout early gets exit 141 and an empty stderr."""
 
-    def start(self, stdout=subprocess.PIPE):
+    def start(self, stdout=subprocess.PIPE, env=None):
         # about 150 KB of JSON, printed in one write
         argv = ["builtin", "multiset", "--n", "8", "--k", "6"]
         return subprocess.Popen(
             [sys.executable, "-m", "dynspan.cli", *argv],
             stdout=stdout,
             stderr=subprocess.PIPE,
-            env=subprocess_env(),
+            env={**subprocess_env(), **(env or {})},
         )
 
     def finish(self, proc):
@@ -741,9 +755,37 @@ class TestClosedStdout:
         os.close(write_end)
         self.finish(proc)
 
+    def test_full_non_blocking_stdout_is_an_error(self):
+        # unbuffered, a write to a full non-blocking pipe takes nothing and
+        # returns None: the command fails instead of retrying it forever
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        proc = self.start(write_end, {"PYTHONUNBUFFERED": "1"})
+        os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 3
+        assert err.startswith(b"internal error: BlockingIOError")
+        os.close(read_end)
+
     def test_reader_closed_at_once(self):
         proc = self.start()
         proc.stdout.close()
+        self.finish(proc)
+
+    @pytest.mark.skipif(
+        not hasattr(fcntl, "F_SETPIPE_SZ"), reason="the pipe size cannot be set here"
+    )
+    def test_unbuffered_reader_stops_after_one_line(self):
+        # unbuffered, stdout writes straight to the pipe, whose 4096 bytes
+        # take only a part of the output; the reader closes after one line,
+        # so a later write of the rest fails instead of being dropped
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = self.start(write_end, {"PYTHONUNBUFFERED": "1"})
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            assert reader.readline() == b"{\n"
         self.finish(proc)
 
 

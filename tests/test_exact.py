@@ -548,8 +548,10 @@ def test_cyclotomic_kernel_matches_realified_rank(case):
 
 
 def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
-    # over Q(zeta_8), phi = 4: the first eight rows, zeta^j times a unit row,
-    # already span all of Q^8 flat, so the closure reads no later row
+    # over Q(zeta_8), phi = 4: rows 0 and 4, a unit row each, and the images
+    # under 1/zeta read right after each of them span all of Q^8 flat, so the
+    # closure reads no row past row 4; rows 1-3, zeta^j times row 0, lie in
+    # the closure of row 0
     phi, mod = _field(8)
     units = [[1, 0], [0, 1]]
     m = ExactMatrix.from_rows(
@@ -563,8 +565,9 @@ def test_cyclotomic_echelon_reads_no_row_past_full_column_rank():
             read.append(row)
             yield row
 
-    basis = _streaming_echelon(rows(), m.cols * phi, _times_zeta_inverse(phi, mod))
-    assert sorted(basis) == list(range(8)) and len(read) == 8
+    basis, generators = _streaming_echelon(rows(), m.cols * phi, _times_zeta_inverse(phi, mod))
+    assert sorted(basis) == list(range(8)) and len(read) == 5
+    assert generators == [0, 4]
     assert m.rank() == 2 and m.column_basis() == [0, 1]
 
 
@@ -677,14 +680,17 @@ def _assert_queues_padded_basis_rows(basis, given_rows, width):
 
 
 def test_rotation_closure_maps_each_basis_row():
-    # row 0 joins divided by its content 2, row 1 is reduced against it
-    # before it joins, and row 2 joins as it is read, its basis row a tuple
+    # row 0 joins divided by its content 2, and its rotations join before
+    # row 1 is read, up to rank 3; row 1 is reduced against them before it
+    # joins, and its rotations fill every column, so row 2 is never read
     rows = [(2, 4, 0, 6, 0, 0), (1, 0, 3, 0, 0, 1), (0, 0, 5, 1, 0, 0)]
     step, given_rows = _recording(lambda r: r[2:] + r[:2])
-    basis = _streaming_echelon(rows, 6, step)
+    basis, generators = _streaming_echelon(iter(rows), 6, step)
     _assert_queues_padded_basis_rows(basis, given_rows, 6)
-    assert given_rows[0] == [1, 2, 0, 3, 0, 0] and given_rows[1][:2] == [0, -2]
-    assert len(basis) == rotation_closure_rank([list(r) for r in rows], 2)
+    assert given_rows[:3] == [[1, 2, 0, 3, 0, 0], [0, 3, 0, 0, 1, 2], [0, 0, 1, 2, 0, 3]]
+    assert given_rows[3][:4] == [0, 0, 0, -27] and generators == [0, 1]
+    assert len(basis) == 6 == rotation_closure_rank([list(r) for r in rows], 2)
+    assert rotation_closure_rank([list(rows[0])], 2) == 3
 
 
 def test_cyclotomic_closure_maps_each_basis_row():
@@ -695,7 +701,7 @@ def test_cyclotomic_closure_maps_each_basis_row():
     phi, mod = _field(9)
     step, given_rows = _recording(_times_zeta_inverse(phi, mod))
     width = m.cols * phi
-    basis = _streaming_echelon((r for _, r in m._integer_rows), width, step)
+    basis = _streaming_echelon((r for _, r in m._integer_rows), width, step)[0]
     _assert_queues_padded_basis_rows(basis, given_rows, width)
     assert given_rows[0][:2] == [0, 1] and given_rows[1] != list(m._integer_rows[1][1])
     # the closure is the row space over Q(zeta) read over Q: phi pivots per
@@ -753,9 +759,9 @@ def test_rotation_closure_rank_matches_rank_of_every_rotation(case):
         expected = 0
     # lists and tuples alike, and neither is modified
     lists = [list(r) for r in rows]
-    assert _rotation_closure_rank(lists, shift) == expected
+    assert _rotation_closure_rank(lists, shift)[0] == expected
     assert lists == [list(r) for r in rows]
-    assert _rotation_closure_rank([tuple(r) for r in rows], shift) == expected
+    assert _rotation_closure_rank([tuple(r) for r in rows], shift)[0] == expected
 
 
 @settings(max_examples=60)
@@ -774,6 +780,27 @@ def test_gauss_jordan_closure_names_the_greedy_generators(case):
     assert generators == [i for i in range(len(rows)) if closures[i + 1] > closures[i]]
     kept = [rows[i] for i in generators]
     assert rank == closures[-1] == rotation_closure_rank(kept, shift)
+    assert rows == [list(r) for r in case[0]]
+
+
+@settings(max_examples=60)
+@given(closure_inputs())
+@example(([[], [], []], 0))  # width 0: no row generates
+@example(([[0, 0, 0, 0]] * 5, 2))  # rank 0
+@example(([[0, 0], [1, 2], [2, 4], [0, 1], [7, 7]], 1))  # full rank at a given row
+@example(([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], 1))  # rotations of row 0
+@example(([[1, 1, 0, 0], [1, 0, 1, 0], [2, 2, 0, 0]], 2))  # row 1 outside, row 2 not
+@example(([[1, 0, 2, 0, 3, 0], [0, 1, 0, 0, 0, 0]], 2))  # rows < width
+def test_both_closure_kernels_name_the_same_generators(case):
+    # the streaming echelon reads each row followed by the rotations of what
+    # it adds, as Gauss-Jordan does, so on any shape the two kernels give the
+    # same rank and name the same rows, and the rank is that of every rotation
+    rows, shift = [list(r) for r in case[0]], case[1]
+    rotate = lambda r: r[shift:] + r[:shift]
+    basis, generators = _streaming_echelon(rows, len(rows[0]), rotate)
+    assert _gauss_jordan_closure(rows, shift) == (len(basis), generators)
+    assert _rotation_closure_rank(rows, shift) == (len(basis), generators)
+    assert len(basis) == rotation_closure_rank(rows, shift)
     assert rows == [list(r) for r in case[0]]
 
 
@@ -835,7 +862,7 @@ def test_rational_matrices_match_gaussian_elimination(rows):
             expected.append(c)
     assert m.column_basis() == expected
     # each basis row of the kernel starts at its pivot, and is primitive
-    echelon = _streaming_echelon([r for _, r in m._integer_rows], m.cols)
+    echelon = _streaming_echelon([r for _, r in m._integer_rows], m.cols)[0]
     assert sorted(echelon) == expected
     for pivot, tail in echelon.items():
         assert len(tail) == m.cols - pivot and tail[0]

@@ -789,7 +789,9 @@ def test_zero_mesic_closure_runs_at_the_minimal_period(system, factor):
         dimension = zero_mesic_dimension(system)
     finally:
         linearize._rotation_closure_rank = real
-    assert widths == [{m * k}]
+    # on a tall system the top closure, at width m*k too, names the orbits first
+    tall = len(orbits(system)) > m * k
+    assert widths == [{m * k}] * (2 if tall else 1)
     assert dimension == gauss_rank(oracle_shifted_difference(presenting_rows(system), n, k))
 
 
@@ -908,6 +910,21 @@ def test_statistic_report_walks_each_orbit_once():
     report = statistic_report(system)
     assert [v.verdict for v in report.verdicts] == ["invariant"]
     assert perm.reads <= 2 * system.size
+
+
+def test_statistic_report_builds_no_presenting_rows(monkeypatch):
+    # the orbit averages sum the grid along each orbit, l*k cells, so 1000
+    # fixed points under the period 1000 build no row of width n*k; the rows
+    # built later keep those sums and fold to them
+    built = counting_rows(monkeypatch)
+    system = FiniteSystem(perm=range(1000), period=1000, stats=[[x % 7] for x in range(1000)])
+    report = statistic_report(system)
+    assert built == []
+    assert report.verdicts[0].orbit_averages == tuple(Fraction(x % 7) for x in range(1000))
+    sums = system._memo["quotient"][1]
+    rows = _orbit_quotient(presenting_matrix(system)).rows
+    assert built == [1000] and sums == [[1000 * (x % 7)] for x in range(1000)]
+    assert system._memo["quotient"][1] is sums == [[sum(row)] for row in rows]
 
 
 # |X| = 1; k = 0; fixed points with a non-minimal period; rational statistics
@@ -1188,19 +1205,15 @@ def test_selected_orbit_rows_generate_every_orbit_row(system):
     assert _orbit_selection(quotient)._sums is selection._sums
 
 
-def test_no_rank_but_dim_v_reads_more_rows_than_the_span_needs(monkeypatch):
-    """On chain(8,6) 246 orbit rows of width 42 span 7 dimensions, and the
-    rotations of one of them span all 7.  Only the top closure of the galois
-    route, dim V, reads every row, and picks that one orbit, which every
-    other rank of a report reads.  Counted, not timed."""
+def counting_ranks(monkeypatch) -> tuple[list, list]:
+    """(rows, width) of each rotation closure that `linearize` runs, and the
+    row count of each `rank` or `column_basis` query, as they happen."""
     closures, ranks = [], []
+    closure = linearize._rotation_closure_rank
 
-    def counting_closure(kernel):
-        def wrapped(rows, shift):
-            closures.append((kernel.__name__, len(rows), len(rows[0]) if rows else 0))
-            return kernel(rows, shift)
-
-        return wrapped
+    def counting_closure(rows, shift):
+        closures.append((len(rows), len(rows[0]) if rows else 0))
+        return closure(rows, shift)
 
     def counting(query):
         def wrapped(matrix):
@@ -1209,17 +1222,55 @@ def test_no_rank_but_dim_v_reads_more_rows_than_the_span_needs(monkeypatch):
 
         return wrapped
 
-    for kernel in ("_rotation_closure_rank", "_gauss_jordan_closure"):
-        monkeypatch.setattr(linearize, kernel, counting_closure(getattr(linearize, kernel)))
+    monkeypatch.setattr(linearize, "_rotation_closure_rank", counting_closure)
     for name in ("rank", "column_basis"):
         monkeypatch.setattr(ExactMatrix, name, counting(getattr(ExactMatrix, name)))
+    return closures, ranks
+
+
+def test_no_rank_but_dim_v_reads_more_rows_than_the_span_needs(monkeypatch):
+    """On chain(8,6) 246 orbit rows of width 42 span 7 dimensions, and the
+    rotations of one of them span all 7.  Only the top closure of the galois
+    route, dim V, reads every row, and picks that one orbit, which every
+    other rank of a report reads.  Counted, not timed."""
+    closures, ranks = counting_ranks(monkeypatch)
     system = relabelled(chain_rowmotion(8, 6), 4)
     report = analysis_report(system, "both")
     n, k = system.period, system.num_stats
     assert report["dim_V"] == 7 and len(orbits(system)) == 246
-    assert [c for c in closures if c[1] > 1] == [("_gauss_jordan_closure", 246, n * k)]
+    assert [c for c in closures if c[0] > 1] == [(246, n * k)]
     assert len(closures) == len(divisors(n)) + 1
     assert ranks and max(ranks) == 1
+
+
+def test_a_system_that_is_not_tall_ranks_only_the_orbits_its_top_closure_names(monkeypatch):
+    """multiset(7,3) has 12 orbits against 21 columns, and the rotations of
+    3 of their rows span all 20 dimensions of V.  Once the galois spectrum
+    has run, which reads all 12 rows for dim V, every later rank of a report
+    reads only those 3: the galois closures for e < n, the weighted block
+    sums of the cyclotomic route, the 0-mesic closure and the column choice
+    of the invariant basis.  Counted, not timed."""
+    expected = analysis_report(relabelled(multiset_rotation(7, 3), 3), "cyclotomic")
+    closures, ranks = counting_ranks(monkeypatch)
+    system = relabelled(multiset_rotation(7, 3), 3)
+    n, k = system.period, system.num_stats
+    assert len(orbits(system)) == 12 < n * k
+    assert spectrum(system, "galois").dimension == 20
+    assert closures[0] == (12, n * k) and len(system._memo["selection"][0]) == 3
+    assert analysis_report(system, "both") == expected
+    assert {rows for rows, _ in closures[1:]} == {3} and len(closures) == len(divisors(n)) + 1
+    assert ranks and set(ranks) == {3}
+
+
+def test_a_cyclotomic_spectrum_runs_no_rotation_closure(monkeypatch):
+    # the cyclotomic route never triggers the galois top closure: on a
+    # system that is not tall it reads every orbit row, as no selection exists
+    expected = spectrum(multiset_rotation(7, 3), "galois")
+    closures, ranks = counting_ranks(monkeypatch)
+    system = relabelled(multiset_rotation(7, 3), 3)
+    assert spectrum(system, "cyclotomic") == expected
+    assert closures == [] and "selection" not in system._memo
+    assert ranks and set(ranks) == {12}
 
 
 @pytest.mark.parametrize("system", SELECTION_MUTANTS, ids=["2-cycles", "fixed-points", "multiset(7,4)"])
@@ -1248,14 +1299,16 @@ def test_a_selection_that_loses_an_orbit_fails_the_report(system):
 
 
 def counting_rows(monkeypatch) -> list[int]:
-    """The number of elements of each `_presenting_rows` call, as it happens."""
-    built, make = [], linearize._presenting_rows
+    """The number of elements of each `_walk_orbits` call that builds rows,
+    as it happens."""
+    built, walk = [], linearize._walk_orbits
 
-    def counting(system, elements):
-        built.append(len(elements))
-        return make(system, elements)
+    def counting(system, elements, rows):
+        if rows:
+            built.append(len(elements))
+        return walk(system, elements, rows)
 
-    monkeypatch.setattr(linearize, "_presenting_rows", counting)
+    monkeypatch.setattr(linearize, "_walk_orbits", counting)
     return built
 
 
@@ -1277,40 +1330,49 @@ class TestMemo:
     def test_a_report_builds_no_full_presenting_matrix(self, monkeypatch):
         # every stage reads the integer rows at the orbit starts, built once;
         # the rows of the selected orbits are those rows, not built again.
-        # multiset(4,3) has 5 orbits and width n*k = 12; multiset(7,4) is
-        # tall, 30 orbits against 28 columns, and its report keeps a selection
+        # multiset(4,3) has 5 orbits and width n*k = 12, and keeps 4 of them;
+        # multiset(7,4) is tall, 30 orbits against 28 columns.  The report of
+        # either keeps the selection that its top closure names
         built = counting_rows(monkeypatch)
         for n, k, tall in ((4, 3, False), (7, 4, True)):
             built.clear()
             system = multiset_rotation(n, k)
             analysis_report(system, "both")
-            keys = {"orbits", "quotient", "galois", "violations"}
-            assert set(system._memo) == keys | ({"selection"} if tall else set())
+            keys = {"orbits", "quotient", "galois", "violations", "selection"}
+            assert set(system._memo) == keys
             assert (len(orbits(system)) > n * k) == tall
             assert built == [len(orbits(system))]
             assert len(orbits(system)) < system.size
             rows = system._memo["quotient"][system.period]
             selection = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
-            if tall:
-                starts, sums, dim_v = system._memo["selection"]
-                assert selection.elements == starts and selection._sums is sums
-                index = [c[0] for c in orbits(system)]
-                assert all(a is rows[index.index(x)] for a, x in zip(sums[n], starts))
-            else:
-                assert selection._sums is system._memo["quotient"]
+            starts, sums, dim_v = system._memo["selection"]
+            assert selection.elements == starts and selection._sums is sums
+            assert len(starts) < len(orbits(system))
+            index = [c[0] for c in orbits(system)]
+            assert all(a is rows[index.index(x)] for a, x in zip(sums[n], starts))
             full_rank = gauss_rank(presenting_rows(system))
-            assert not tall or dim_v == full_rank
+            assert dim_v == full_rank
             assert full_rank == len(invariant_basis(system)) + zero_mesic_dimension(system)
             assert system._memo["quotient"][system.period] is rows
             assert built == [len(orbits(system))]
 
+    def test_a_selection_of_every_orbit_shares_the_quotient_sums(self):
+        # two fixed points whose rows (1, 0) and (0, 1) are both needed: the
+        # top closure keeps every orbit, and their sums are the quotient's own
+        system = FiniteSystem(perm=(0, 1), period=1, stats=[[1, 0], [0, 1]])
+        assert spectrum(system).dimension == 2
+        selection = _orbit_selection(_orbit_quotient(presenting_matrix(system)))
+        assert selection.elements == (0, 1)
+        assert selection._sums is system._memo["selection"][1] is system._memo["quotient"]
+
     def test_a_report_builds_each_block_sum_once(self, monkeypatch):
         # on a tall system every orbit row is read for dim V, the top closure
         # of the galois route, whose block sum for d = m = n is the rows, and
-        # for the values of the invariant basis (d = 1).  The other galois
-        # closures, the weighted block sums of the cyclotomic route and the
-        # column choice of the invariant basis read the selected orbits, each
-        # of their block sums built once; their rows are preset
+        # for the values of the invariant basis (d = 1, read off the same
+        # walk of each orbit as the rows, so built with them).  The other
+        # galois closures, the weighted block sums of the cyclotomic route and
+        # the column choice of the invariant basis read the selected orbits,
+        # each of their block sums built once; their rows are preset
         built = counting_block_sums(monkeypatch)
         system = relabelled(multiset_rotation(8, 5), 10)
         analysis_report(system, "both")
@@ -1319,9 +1381,10 @@ class TestMemo:
         starts = tuple(c[0] for c in orbits(system))
         kept = system._memo["selection"][0]
         assert (len(starts), len(kept)) == (99, 5)
-        assert sorted(d for e, d in built if e == starts) == [1, n]
+        assert [d for e, d in built if e == starts] == [n]
+        assert 1 in system._memo["quotient"]
         assert sorted(d for e, d in built if e == kept) == divisors(n)[:-1]
-        assert len(built) == len(set(built)) == 2 + len(divisors(n)) - 1
+        assert len(built) == len(set(built)) == len(divisors(n))
         assert len(system._memo["quotient"][n]) == len(orbits(system))
 
     @pytest.mark.parametrize("spectrum_first", [True, False])

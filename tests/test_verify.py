@@ -9,6 +9,7 @@ from dynspan.linearize import (
     _orbit_quotient,
     _orbit_selection,
     presenting_matrix,
+    spectrum,
 )
 from dynspan.verify import run_checks
 
@@ -149,7 +150,8 @@ def test_rotation_general_builds_each_system_once(monkeypatch):
 
 
 def test_the_gcd_check_ranks_only_the_kept_orbits(monkeypatch):
-    # one row per kept orbit for each exponent, not one per T-orbit
+    # one row per kept orbit for each exponent, not one per T-orbit: the
+    # orbits that the galois top closure of each system names
     ranked, real = [], verify.zeta_matrix
 
     def counting(pm, exponent):
@@ -162,6 +164,7 @@ def test_the_gcd_check_ranks_only_the_kept_orbits(monkeypatch):
     kept = quotient = 0
     for _, system in verify._structural_systems():
         rows = _orbit_quotient(presenting_matrix(system))
+        spectrum(system, "galois")
         kept += system.period * len(_orbit_selection(rows).elements)
         quotient += system.period * len(rows.elements)
     assert sum(ranked) == kept < quotient
