@@ -356,6 +356,10 @@ def _basis_payload(system: FiniteSystem) -> list[list[int | str]]:
 
 
 def analysis_report(system: FiniteSystem, method: str) -> dict:
+    """The `analyze` report.  The flatness payload runs first: its galois
+    spectrum has the top closure name the orbits that every later rank reads
+    (`linearize._orbit_selection`), under any method."""
+    flatness = _flatness_payload(system)
     sp, entries = _spectrum_payload(system, method)
     return {
         "dim_V": sp.dimension,
@@ -363,7 +367,7 @@ def analysis_report(system: FiniteSystem, method: str) -> dict:
         "invariant_basis": _basis_payload(system),
         "zero_mesic_dimension": zero_mesic_dimension(system),
         "homomesies": _homomesy_payload(system),
-        "flatness": _flatness_payload(system),
+        "flatness": flatness,
     }
 
 

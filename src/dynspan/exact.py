@@ -451,7 +451,10 @@ def _rotation_closure_rank(
     width = len(rows[0]) if rows else 0
     if 4 * len(rows) >= 3 * width:
         return _gauss_jordan_closure(rows, shift)
-    basis, generators = _streaming_echelon(rows, width, lambda r: r[shift:] + r[:shift])
+    # a shift by a multiple of the width, as in every closure of f(1), is
+    # the identity: no row is followed by its image
+    step = (lambda r: r[shift:] + r[:shift]) if shift % width else None
+    basis, generators = _streaming_echelon(rows, width, step)
     return len(basis), generators
 
 
@@ -546,7 +549,7 @@ def _gauss_jordan_closure(
 ) -> tuple[int, list[int]]:
     """`_rotation_closure_rank` by fraction-free Gauss-Jordan elimination.
     While a row joins the basis its rotation r[shift:] + r[:shift] is read
-    next, as in `_streaming_echelon`.
+    next, as in `_streaming_echelon`, unless the rotation is the identity.
 
     The basis is kept in fraction-free reduced echelon form (Bareiss, in its
     Gauss-Jordan form): at its pivot columns p_i the basis rows B_i are D
@@ -564,6 +567,8 @@ def _gauss_jordan_closure(
     det = 1
     # columns[j] is column free[j] of the basis; free lists the non-pivots
     free = list(range(len(rows[0]) if rows else 0))
+    # a shift by a multiple of the width is the identity: no image is read
+    rotates = bool(free) and shift % len(free) != 0
     columns: list[list[int]] = [[] for _ in free]
     for i, row in enumerate(rows):
         image, joined = row, False
@@ -583,7 +588,10 @@ def _gauss_jordan_closure(
                 column[:] = [(new_det * b - a * r) // det for b, a in zip(column, lead)]
                 column.append(r)
             det = new_det
-            image, joined = image[shift:] + image[:shift], True
+            joined = True
+            if not rotates:
+                break
+            image = image[shift:] + image[:shift]
         if joined:
             generators.append(i)
         if not free:

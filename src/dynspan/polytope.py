@@ -15,6 +15,7 @@ A Fraction is built only for a returned coordinate.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -119,13 +120,18 @@ def _returns_after(p, steps: int) -> bool:
     False as soon as an iterate leaves the polytope, where pl_rowmotion
     raises.  Every iterate stays in the homogeneous coordinates of p.
     """
-    x, den = _homogeneous(p)
+    return _returns(*_homogeneous(p), steps)
+
+
+def _returns(x: Ints, den: int, steps: int) -> bool:
+    """`_returns_after` at the point x / den, for any den > 0: every map and
+    the polytope test commute with scaling, so den need not be the lcm."""
     q = x
     for _ in range(steps):
         if not _inside(q, den):
             return False
         q = _theta(_delta_inv(_nabla(q)), den)
-    return list(q) == x
+    return list(q) == list(x)
 
 
 def lifted_nabla() -> ExactMatrix:
@@ -188,34 +194,51 @@ def polytope_vertices() -> list[Point]:
     return out
 
 
+def _draw_point(rng: random.Random) -> tuple[list[int], int]:
+    """(x, den): the point of `random_polytope_point`, as x / den.
+
+    Makes the same rng calls as drawing Fraction(randint(0, d), d) with
+    d = randint(1, 1000) four times, sorting and shuffling the middle pair,
+    but in integers: each value num / d is scaled to num * (L // d), L the
+    lcm of the four d, whose order is that of the Fractions, and the stable
+    sort keeps tied values in their order, as `sorted` keeps the Fractions.
+    L is not reduced, so den is a multiple of the lcm of the point's
+    denominators.
+    """
+    randint = rng.randint
+    while True:
+        draws = []
+        for _ in range(4):
+            d = randint(1, 1000)
+            draws.append((randint(0, d), d))
+        den = math.lcm(*(d for _, d in draws))
+        vals = sorted(num * (den // d) for num, d in draws)
+        mid = [vals[1], vals[2]]
+        rng.shuffle(mid)
+        if mid[0] != mid[1]:
+            return [vals[0], mid[0], mid[1], vals[3]], den
+
+
 def random_polytope_point(rng: random.Random) -> Point:
     """A random rational point of the polytope, with no tie x2 = x3.
 
     Draws four rationals with denominators up to 1000, sorts them, and uses
     the extremes as x1, x4 and the middle pair (in random order) as x2, x3.
     It resamples until x2 != x3, so both branches of every max() get
-    exercised.
+    exercised.  The draw runs in integers (`_draw_point`); only the four
+    returned coordinates are Fractions.
     """
-
-    def draw() -> Fraction:
-        den = rng.randint(1, 1000)
-        return Fraction(rng.randint(0, den), den)
-
-    while True:
-        vals = sorted(draw() for _ in range(4))
-        mid = [vals[1], vals[2]]
-        rng.shuffle(mid)
-        if mid[0] != mid[1]:
-            return (vals[0], mid[0], mid[1], vals[3])
+    return _point(*_draw_point(rng))
 
 
 def lift_consistency_check(samples: int, seed: int = 0) -> bool:
     """Check extend o map = lift * extend for all three factors and the composite.
 
-    Runs on `samples` random tie-free rational points; exact equality
-    throughout.  Each point is scaled once to homogeneous integer coordinates,
-    and the lifts, being linear, act on the extended integer vector: the whole
-    chain sums integers.
+    Runs on the `samples` random tie-free rational points that
+    `random_polytope_point` draws from Random(seed); exact equality
+    throughout.  Each point is drawn in homogeneous integer coordinates
+    (`_draw_point`), and the lifts, being linear, act on the extended integer
+    vector: the whole chain sums integers, and no Fraction is built.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -233,7 +256,7 @@ def lift_consistency_check(samples: int, seed: int = 0) -> bool:
         return tuple(sum(map(mul, row, v)) for row in rows)
 
     for _ in range(samples):
-        x, den = _homogeneous(random_polytope_point(rng))
+        x, den = _draw_point(rng)
         y = _nabla(x)
         z = _delta_inv(y)
         ex, ey, ez, ew = (_extend(v, den) for v in (x, y, z, _theta(z, den)))

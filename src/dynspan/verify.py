@@ -48,6 +48,8 @@ from .lyness import (
     lyness_orbit_sum_operator,
 )
 from .polytope import (
+    _draw_point,
+    _returns,
     _returns_after,
     extend_point,
     lift_consistency_check,
@@ -56,7 +58,6 @@ from .polytope import (
     lifted_theta,
     pl_rowmotion,
     polytope_vertices,
-    random_polytope_point,
 )
 from .system import FiniteSystem, minimal_period, orbits
 
@@ -76,8 +77,22 @@ def _check(block: str, name: str, expected, got) -> CheckResult:
     return CheckResult(block, name, str(expected), str(got), expected == got)
 
 
+def _random_pair(rng: random.Random) -> tuple[int, int]:
+    """(num, den) of a random rational num / den, num in -9..9, den in 1..5."""
+    return rng.randint(-9, 9), rng.randint(1, 5)
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return Fraction(*_random_pair(rng))
+
+
+def _integer_weights(pairs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(den, weights) with num / d = weight / den for each (num, d) of `pairs`,
+    den the lcm of the d.  The pairs need not be in lowest terms, so den is a
+    positive multiple c of the scale of `_scale_to_int` on their Fractions,
+    and each weight c times its integer."""
+    den = math.lcm(*(d for _, d in pairs))
+    return den, [num * (den // d) for num, d in pairs]
 
 
 def _mults(system: FiniteSystem, method: str) -> tuple[int, ...] | str:
@@ -246,6 +261,14 @@ def _coboundary_cases():
 
 
 def _block_coboundary() -> list[CheckResult]:
+    """f = g - g o T for 0-mesic f: 100 random f of V per system, each
+    witnessed by `coboundary_witness` and checked exactly.
+
+    Each coefficient is drawn as an integer pair (`_random_pair`), and the
+    pairs of a trial are scaled once to integer weights (`_integer_weights`);
+    Fractions of the coefficients are built only for the first trial's
+    check against the sum over the statistics.
+    """
     out = []
     rng = random.Random(20240)
     for name, system in _coboundary_cases():
@@ -257,18 +280,21 @@ def _block_coboundary() -> list[CheckResult]:
         lcm = system.grid[0]
         good = 0
         for trial in range(100):
-            coeffs = [_random_fraction(rng) for _ in range(n * k)]
-            # the coeffs are scaled once to integer weights; the combination
-            # at x is (rows[x] . weights) / den, den that scale times L
-            den, weights = _scale_to_int(coeffs)
+            pairs = [_random_pair(rng) for _ in range(n * k)]
+            # the coefficients are scaled once to integer weights; the
+            # combination at x is (rows[x] . weights) / den, den that scale times L
+            den, weights = _integer_weights(pairs)
             den *= lcm
             ints = [sum(map(mul, row, weights)) for row in rows]
-            # the first trial checks that this is the function
-            # sum c_{j,i} g_i o T^j of V, summed in Fractions from the statistics
-            in_v = trial > 0 or all(
-                Fraction(v, den) == _shifted_combination(system, coeffs, x)
-                for x, v in enumerate(ints)
-            )
+            in_v = True
+            if trial == 0:
+                # the first trial checks that this is the function sum
+                # c_{j,i} g_i o T^j of V, summed in Fractions from the statistics
+                coeffs = [Fraction(*c) for c in pairs]
+                in_v = all(
+                    Fraction(v, den) == _shifted_combination(system, coeffs, x)
+                    for x, v in enumerate(ints)
+                )
             # less their orbit means, the values are f / (n * den), f integers:
             # each orbit length divides n
             f = [n * v for v in ints]
@@ -340,6 +366,13 @@ def _block_nesw() -> list[CheckResult]:
 
 
 def _block_lyness() -> list[CheckResult]:
+    """The period-5 monomial action of the Lyness map.
+
+    The numeric check keeps the first 100 random seeds whose orbit stays in
+    the domain, each orbit computed once: a seed is kept when
+    `lyness_numeric_orbit_sum` does not raise the domain ValueError, and so
+    is its sum.
+    """
     out = []
     m = lyness_matrix()
     identity = ExactMatrix.identity(5)
@@ -393,16 +426,15 @@ def _block_lyness() -> list[CheckResult]:
     )
 
     rng = random.Random(55)
-    seeds = []
-    while len(seeds) < 100:
+    sums = []
+    while len(sums) < 100:
         x = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
         y = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
         try:
-            lyness_orbit(x, y)
-        except ValueError:
+            sums.append(lyness_numeric_orbit_sum(log_stat, (x, y)))
+        except ValueError:  # a seed whose orbit leaves the domain
             continue
-        seeds.append((x, y))
-    worst = max(abs(lyness_numeric_orbit_sum(log_stat, s)) for s in seeds)
+    worst = max(map(abs, sums))
     out.append(
         _check("lyness", "numeric orbit sums < 1e-9 (100 seeds)", True, worst < 1e-9)
     )
@@ -430,6 +462,13 @@ def _block_lyness() -> list[CheckResult]:
 
 
 def _block_lift() -> list[CheckResult]:
+    """The 6x6 lifts of piecewise-linear rowmotion (Einstein-Propp).
+
+    The 1000 random points are drawn and iterated in homogeneous integer
+    coordinates (`_draw_point`, `_returns`), the points of
+    `random_polytope_point`; the vertices, and the composite lift at them,
+    go through the public maps.
+    """
     out = []
     n_mat = lifted_nabla()
     d_mat = lifted_delta_inv()
@@ -439,9 +478,10 @@ def _block_lift() -> list[CheckResult]:
         _check("lift", "(H*D*N)^4 = I", True, full**4 == ExactMatrix.identity(6))
     )
     rng = random.Random(777)
-    points = [random_polytope_point(rng) for _ in range(1000)]
-    points.extend(polytope_vertices())
-    order_ok = all(_returns_after(p, 4) for p in points)
+    points = [_draw_point(rng) for _ in range(1000)]
+    order_ok = all(_returns(x, den, 4) for x, den in points) and all(
+        _returns_after(p, 4) for p in polytope_vertices()
+    )
     out.append(
         _check("lift", "rowmotion^4 = id (1000 random + vertices)", True, order_ok)
     )

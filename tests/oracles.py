@@ -15,7 +15,9 @@ to integer statistics; so do the orbit sums behind `homomesy_value`.  The
 degree-2 product extension steps along T from each element for every shifted
 statistic (the library maps all of X by T once per shift).  The maps of the
 order polytope are the library's former Fraction definitions (the library
-now runs them on homogeneous integer coordinates).
+now runs them on homogeneous integer coordinates), and so is its random draw
+of a point (the library draws and sorts the values as integers over the lcm
+of their denominators).
 
 `cyc_echelon` is the former Z[zeta] rank kernel of the library: it
 eliminates on integer coefficient vectors and clears each pivot with its
@@ -388,6 +390,24 @@ def pl_rowmotion(p):
 def extend_point(p):
     v = _frac4(p)
     return v + (max(v[1], v[2]), Fraction(1))
+
+
+def polytope_draw(rng):
+    """(point, tries): the library's former `random_polytope_point` draw, four
+    Fractions num / den with den up to 1000, sorted, the middle pair shuffled,
+    redrawn while x2 = x3; `tries` counts the draws it took."""
+    tries = 0
+    while True:
+        tries += 1
+        vals = []
+        for _ in range(4):
+            den = rng.randint(1, 1000)
+            vals.append(Fraction(rng.randint(0, den), den))
+        vals.sort()
+        mid = [vals[1], vals[2]]
+        rng.shuffle(mid)
+        if mid[0] != mid[1]:
+            return (vals[0], mid[0], mid[1], vals[3]), tries
 
 
 def _divide_exactly(num, den):

@@ -598,15 +598,13 @@ class TestVerifyCommand:
         # comparison with the Fraction sum over the statistics can fail
         from dynspan import verify
 
-        real = verify._scale_to_int
+        real = verify._integer_weights
 
-        def mutated(values):
-            den, ints = real(values)
-            if isinstance(values, list):  # the weights, not the witness tuple
-                ints = [v + 7 for v in reversed(ints)]
-            return den, ints
+        def mutated(pairs):
+            den, ints = real(pairs)
+            return den, [v + 7 for v in reversed(ints)]
 
-        monkeypatch.setattr(verify, "_scale_to_int", mutated)
+        monkeypatch.setattr(verify, "_integer_weights", mutated)
         code, out, _ = run_cli(
             capsys, "verify-paper", "--only", "coboundary", "--output", "json"
         )

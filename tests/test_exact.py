@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dynspan import exact
 from dynspan.exact import (
     CycNumber,
     ExactMatrix,
@@ -802,6 +803,46 @@ def test_both_closure_kernels_name_the_same_generators(case):
     assert _rotation_closure_rank(rows, shift) == (len(basis), generators)
     assert len(basis) == rotation_closure_rank(rows, shift)
     assert rows == [list(r) for r in case[0]]
+
+
+class SliceCountingRow(list):
+    """A row that counts the slices read from it: each rotation of a given
+    row, and each tail the streaming echelon cuts from it, is one."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.slices = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.slices += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize(
+    "nrows, width", [(6, 6), (9, 6), (5, 6), (2, 6), (3, 8), (1, 5)]
+)
+def test_an_identity_rotation_reads_each_row_once(nrows, width, monkeypatch):
+    # a shift by the width, as in every closure of f(1), leaves each row as
+    # it is: no row is followed by its image, on either kernel
+    rng = random.Random(nrows * 10 + width)
+    values = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(nrows - nrows // 3)]
+    values += [[a + b for a, b in zip(values[0], values[-1])] for _ in range(nrows // 3)]
+    rows = [SliceCountingRow(r) for r in values]
+    steps, real = [], exact._streaming_echelon
+
+    def recording(rows, width, step=None):
+        steps.append(step)
+        return real(rows, width, step)
+
+    monkeypatch.setattr(exact, "_streaming_echelon", recording)
+    rank, generators = _rotation_closure_rank(rows, width)
+    assert steps in ([], [None]) and all(r.slices <= 1 for r in rows)
+    assert steps or not any(r.slices for r in rows)
+    prefix = [gauss_rank(values[: i + 1]) for i in range(nrows)]
+    assert rank == rotation_closure_rank(values, width) == prefix[-1]
+    assert generators == [i for i in range(nrows) if prefix[i] > (prefix[i - 1] if i else 0)]
+    assert _gauss_jordan_closure(values, width) == (rank, generators)
 
 
 def _q_block(nrows, ncols):

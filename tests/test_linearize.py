@@ -1262,6 +1262,21 @@ def test_a_system_that_is_not_tall_ranks_only_the_orbits_its_top_closure_names(m
     assert ranks and set(ranks) == {3}
 
 
+def test_a_cyclotomic_report_ranks_only_the_orbits_its_top_closure_names(monkeypatch):
+    """The report runs its flatness payload, and so the galois top closure,
+    before the cyclotomic spectrum: on multiset(7,3) every zeta_matrix rank,
+    the 0-mesic closure and the column choice read the 3 named orbits, not
+    all 12.  Counted, not timed."""
+    expected = analysis_report(relabelled(multiset_rotation(7, 3), 3), "galois")
+    closures, ranks = counting_ranks(monkeypatch)
+    system = relabelled(multiset_rotation(7, 3), 3)
+    n, k = system.period, system.num_stats
+    assert analysis_report(system, "cyclotomic") == expected
+    assert closures[0] == (12, n * k) and len(system._memo["selection"][0]) == 3
+    assert {rows for rows, _ in closures[1:]} == {3} and len(closures) == len(divisors(n)) + 1
+    assert ranks and set(ranks) == {3}
+
+
 def test_a_cyclotomic_spectrum_runs_no_rotation_closure(monkeypatch):
     # the cyclotomic route never triggers the galois top closure: on a
     # system that is not tall it reads every orbit row, as no selection exists

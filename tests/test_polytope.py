@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ import oracles
 import dynspan.polytope
 from dynspan.exact import ExactMatrix
 from dynspan.polytope import (
+    _draw_point,
+    _returns,
     _returns_after,
     delta_inv,
     extend_point,
@@ -139,6 +142,54 @@ def test_random_points_avoid_ties_and_stay_inside():
         p = random_polytope_point(rng)
         assert in_order_polytope(p)
         assert p[1] != p[2]
+
+
+def test_integer_draw_gives_the_fraction_draws_points():
+    # the same rng calls in the same order, so the same points, Fractions all;
+    # seed 778 is the draw of lift_consistency_check in verify-paper
+    redraws = 0
+    for seed in (0, 13, 777, 778):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            want, tries = oracles.polytope_draw(theirs)
+            assert_same_point(random_polytope_point(ours), want)
+            redraws += tries > 1
+        assert ours.getstate() == theirs.getstate()
+    assert redraws > 0
+
+
+def test_integer_draw_is_the_point_over_any_multiple_of_its_lcm():
+    # den is the lcm of the four drawn denominators, not of the point's
+    # reduced ones; the iterates at x / den are those of the point
+    rng, theirs = random.Random(21), random.Random(21)
+    reduced = 0
+    for _ in range(300):
+        x, den = _draw_point(rng)
+        p, _ = oracles.polytope_draw(theirs)
+        assert tuple(F(v, den) for v in x) == p
+        assert all(type(v) is int for v in (*x, den))
+        reduced += den != math.lcm(*(v.denominator for v in p))
+        for c in (1, 3):
+            for steps in (1, 2, 4):
+                scaled = [c * v for v in x]
+                assert _returns(scaled, c * den, steps) is oracle_returns_after(p, steps)
+    assert reduced
+
+
+def test_consistency_check_reads_the_drawn_points(monkeypatch):
+    # lift_consistency_check(samples, seed) runs on the points that
+    # random_polytope_point draws from Random(seed)
+    drawn = []
+
+    def recording(rng):
+        x, den = _draw_point(rng)
+        drawn.append(tuple(F(v, den) for v in x))
+        return x, den
+
+    monkeypatch.setattr(dynspan.polytope, "_draw_point", recording)
+    assert lift_consistency_check(40, seed=778)
+    theirs = random.Random(778)
+    assert drawn == [oracles.polytope_draw(theirs)[0] for _ in range(40)]
 
 
 # each map on homogeneous integer coordinates against its Fraction definition

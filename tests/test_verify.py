@@ -2,8 +2,11 @@
 library function that a block relies on, by monkeypatching, and expects a
 failed check, not an exception."""
 
-from dynspan import linearize, verify
-from dynspan.exact import ExactMatrix
+import random
+from fractions import Fraction
+
+from dynspan import linearize, lyness, verify
+from dynspan.exact import ExactMatrix, _scale_to_int
 from dynspan.linearize import (
     PresentingMatrix,
     _orbit_quotient,
@@ -11,6 +14,7 @@ from dynspan.linearize import (
     presenting_matrix,
     spectrum,
 )
+from dynspan.system import orbits
 from dynspan.verify import run_checks
 
 
@@ -189,3 +193,94 @@ def test_a_selection_that_loses_an_orbit_fails_structural(monkeypatch):
     assert "multiset(7,4) methods agree, sum = dim V" in failed
     assert "multiset(7,4) gcd classes" not in failed
     assert all(name.startswith("multiset(7,4) ") for name in failed)
+
+
+def two_pass_lyness_seeds(vector):
+    """The lyness block's former loop: draw seeds from Random(55) until 100
+    have an orbit in the domain, tested by computing it, then compute each
+    orbit again for its sum.  (seeds, sums, draws)."""
+    rng = random.Random(55)
+    seeds, draws = [], 0
+    while len(seeds) < 100:
+        draws += 1
+        x = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        y = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        try:
+            lyness.lyness_orbit(x, y)
+        except ValueError:
+            continue
+        seeds.append((x, y))
+    return seeds, [lyness.lyness_numeric_orbit_sum(vector, s) for s in seeds], draws
+
+
+def test_lyness_sums_the_seeds_of_the_two_pass_loop_once_each(monkeypatch):
+    want_seeds, want_sums, draws = two_pass_lyness_seeds((-2, 0, 1, 0, 0))
+    assert draws > 100  # some seeds leave the domain
+    kept, sums, orbits_run = [], [], []
+    real_sum, real_orbit = verify.lyness_numeric_orbit_sum, lyness.lyness_orbit
+
+    def recording_sum(vector, seed):
+        total = real_sum(vector, seed)
+        kept.append(seed)
+        sums.append(total)
+        return total
+
+    def counting_orbit(x, y):
+        orbits_run.append((x, y))
+        return real_orbit(x, y)
+
+    monkeypatch.setattr(verify, "lyness_numeric_orbit_sum", recording_sum)
+    monkeypatch.setattr(lyness, "lyness_orbit", counting_orbit)
+    assert not failed_checks("lyness")
+    assert kept == want_seeds and sums == want_sums
+    assert len(orbits_run) == draws
+
+
+def test_coboundary_weights_are_a_multiple_of_the_fraction_scaling():
+    # the pairs are the draws of the former Fraction coefficients, and the
+    # weights c times the integers of _scale_to_int over den = c * its scale
+    ours, theirs = random.Random(20240), random.Random(20240)
+    multiples = set()
+    for count in (1, 2, 5, 12, 40) * 20:
+        pairs = [verify._random_pair(ours) for _ in range(count)]
+        coeffs = [Fraction(theirs.randint(-9, 9), theirs.randint(1, 5)) for _ in range(count)]
+        assert [Fraction(*pair) for pair in pairs] == coeffs
+        den, weights = verify._integer_weights(pairs)
+        scale, ints = _scale_to_int(coeffs)
+        c, rest = divmod(den, scale)
+        assert rest == 0 and c > 0 and weights == [c * v for v in ints]
+        multiples.add(c)
+    assert multiples != {1}
+
+
+def test_coboundary_witnesses_the_centred_fraction_combinations(monkeypatch):
+    # every trial hands coboundary_witness the function of the former block:
+    # sum c_{j,i} g_i o T^j, the c drawn as Fractions in the same order, less
+    # its orbit means, summed here in Fractions
+    seen, real = [], verify.coboundary_witness
+
+    def recording(system, values):
+        seen.append(tuple(values))
+        return real(system, values)
+
+    monkeypatch.setattr(verify, "coboundary_witness", recording)
+    assert not failed_checks("coboundary")
+    rng, want = random.Random(20240), []
+    for _, system in verify._coboundary_cases():
+        n, k = system.period, system.num_stats
+        for _ in range(100):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n * k)]
+            values = []
+            for x in range(system.size):
+                total = Fraction(0)
+                for j in range(n):
+                    total += sum(c * g for c, g in zip(coeffs[j * k :], system.stats[x]))
+                    x = system.perm[x]
+                values.append(total)
+            f = list(values)
+            for orbit in orbits(system):
+                mean = sum(values[x] for x in orbit) / len(orbit)
+                for x in orbit:
+                    f[x] -= mean
+            want.append(tuple(f))
+    assert seen == want
