@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 for `extend-products` a system whose extension would be past it, an integer
 literal longer than sys.get_int_max_str_digits() digits, JSON nested deeper
 than the recursion limit, a document file that is not UTF-8, a result
-with an integer that long, which could not be printed, and a `lyness --seed`
-exponent too large for the floating-point orbit sum),
+with an integer that long, which could not be printed, a `lyness --seed`
+coordinate whose numerator or denominator has more digits than that, and a
+`lyness` exponent too large for the floating-point orbit sum of `--seed`),
 3 internal error (an unexpected exception, reported in one line on stderr),
 141 stdout closed by its reader before the output was written (128 + SIGPIPE,
 what a shell reports for `yes | head -1`; nothing is printed on stderr).
@@ -55,6 +56,12 @@ from .verify import BLOCK_NAMES, run_checks
 __all__ = ["main", "run"]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# a decimal literal with an exponent, in the grammar `Fraction` reads: the one
+# form whose integers are not bounded by the length of its digit runs
+_EXPONENT_RE = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<whole>\d*|\d+(?:_\d+)*)"
+    r"(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*"
+)
 
 # The most cells |X| * n * max(k, 1) of a presenting matrix a system may have.
 MAX_CELLS = 10**6
@@ -449,6 +456,43 @@ def _parse_exponents(raw: str) -> tuple[int, ...]:
     return tuple(data)
 
 
+def _seed_coordinate(text: str) -> Fraction:
+    """One coordinate of `--seed`, rejected if its numerator or denominator
+    has more than sys.get_int_max_str_digits() digits (no bound when that is 0).
+
+    A literal with an exponent is sized before its Fraction is built, whose
+    power of ten could otherwise take minutes to build and walk: its value
+    is N * 10**shift, N the integer of its digits, so when shift >= 0 the
+    numerator has exactly len(N) + shift digits, and when shift < 0 the
+    denominator is more than 10**(-shift - len(N)).  The integers of any
+    other literal are no longer than its text.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    match = _EXPONENT_RE.fullmatch(text)
+    if match:
+        exp = int(match["exp"])  # past the limit, its own ValueError
+        frac = (match["frac"] or "").replace("_", "")
+        digits = (match["whole"] + frac).replace("_", "").lstrip("0")
+        if not digits:
+            return Fraction(0)
+        shift = exp - len(frac)
+        if limit and (
+            len(digits) + shift > limit if shift >= 0 else -shift - len(digits) >= limit
+        ):
+            raise _seed_too_long(limit)
+    q = Fraction(text)
+    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
+        raise _seed_too_long(limit)
+    return q
+
+
+def _seed_too_long(limit: int) -> CliInputError:
+    return CliInputError(
+        "a --seed coordinate has a numerator or denominator with more than "
+        f"sys.get_int_max_str_digits() = {limit} digits"
+    )
+
+
 def _cmd_lyness(args: argparse.Namespace) -> int:
     vector = _parse_exponents(args.vector)
     payload: dict = {
@@ -462,7 +506,7 @@ def _cmd_lyness(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise CliInputError('--seed expects "x,y"')
         try:
-            seed = (Fraction(parts[0]), Fraction(parts[1]))
+            seed = (_seed_coordinate(parts[0]), _seed_coordinate(parts[1]))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliInputError(f"bad seed: {exc}") from exc
         try:

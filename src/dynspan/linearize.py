@@ -541,19 +541,32 @@ def coboundary_witness(
     """A function g with f = g - g o T, for a 0-mesic value vector f.
 
     Returns g = -h/n for the weighted sum h = 1*f + 2*(f o T) + ... +
-    n*(f o T^(n-1)).  Rejects inputs whose orbit sums are nonzero.  On an
-    orbit of length l, whose sum of f is 0, that is g = -(1/l) * sum over
-    s < l of (s+1)*f(T^s x) at its first element x, and g(T y) = g(y) - f(y)
-    along it, so each orbit is read once.  f is scaled once to integers over
-    the lcm of its denominators, so these are integer sums, and each g(y) is
-    one Fraction.
+    n*(f o T^(n-1)).  Rejects inputs whose orbit sums are nonzero.  f is
+    scaled once to integers over the lcm of its denominators, the integer
+    core `_integer_witness` gives g over n times that lcm, and each g(y) is
+    one Fraction built from it.
     """
     _require_valid(system)
     f = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     if len(f) != system.size:
         raise ValueError(f"value vector must have length {system.size}")
     den, ints = _scale_to_int(f)
-    g: list = [None] * system.size
+    scale = system.period * den
+    return tuple(Fraction(v, scale) for v in _integer_witness(system, ints, den))
+
+
+def _integer_witness(system: FiniteSystem, ints: Sequence[int], den: int) -> list[int]:
+    """The coboundary witness of f = ints / den, in integers over n * den:
+    w with n * ints[x] = w[x] - w[T x], so g = w / (n * den).
+
+    Reads one orbit at a time, and raises the ValueError of
+    `coboundary_witness` on the first orbit whose sum is not 0.  On an orbit
+    of length l, l*den*g is -sum over s < l of (s+1)*ints(T^s x) at its
+    first element x, the zero orbit sum making that -h/n; w is that times
+    n/l, and steps down by n * ints(y) from y to T y.
+    """
+    n = system.period
+    w = [0] * len(ints)
     for orbit in orbits(system):
         total = sum(ints[x] for x in orbit)
         if total:
@@ -561,13 +574,11 @@ def coboundary_witness(
                 f"not 0-mesic: orbit starting at {orbit[0]} has sum "
                 f"{Fraction(total, den)}"
             )
-        length = len(orbit)
-        # l*den*g, in integers, at each element of the orbit in turn
-        value = -sum(s * ints[x] for s, x in enumerate(orbit, 1))
+        value = -(n // len(orbit)) * sum(s * ints[x] for s, x in enumerate(orbit, 1))
         for x in orbit:
-            g[x] = Fraction(value, length * den)
-            value -= length * ints[x]
-    return tuple(g)
+            w[x] = value
+            value -= n * ints[x]
+    return w
 
 
 def extend_products(system: FiniteSystem) -> FiniteSystem:

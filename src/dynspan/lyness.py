@@ -8,6 +8,7 @@ order 5 and each 5th root of unity appears in its spectrum once.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -41,14 +42,13 @@ def lyness_matrix() -> ExactMatrix:
 
 
 def _check_domain(x: Fraction, y: Fraction) -> None:
-    for name, value in (
-        ("x", x),
-        ("y", y),
-        ("x+1", x + 1),
-        ("y+1", y + 1),
-        ("x+y+1", x + y + 1),
-    ):
-        if value == 0:
+    _check_factors((x, y, x + 1, y + 1, x + y + 1))
+
+
+def _check_factors(values) -> None:
+    """Raise on the first zero of x, y, x+1, y+1, x+y+1 (or their numerators)."""
+    for name, value in zip(("x", "y", "x+1", "y+1", "x+y+1"), values):
+        if not value:
             raise ValueError(f"point outside the domain: {name} = 0")
 
 
@@ -77,8 +77,13 @@ def lyness_pullback(v) -> ExpVector:
     )  # type: ignore[return-value]
 
 
+@functools.cache
 def lyness_orbit_sum_operator() -> ExactMatrix:
-    """I + M + M^2 + M^3 + M^4, the orbit-sum action on exponents."""
+    """I + M + M^2 + M^3 + M^4, the orbit-sum action on exponents.
+
+    Built once per process: an `ExactMatrix` is immutable, so every caller
+    can share it.
+    """
     m = lyness_matrix()
     total = ExactMatrix.identity(5)
     power = ExactMatrix.identity(5)
@@ -125,14 +130,54 @@ def lyness_numeric_orbit_sum(v, seed) -> float:
     a_1*log|P_1| + ... + a_5*log|P_5| in floating point, so its cost does
     not grow with the exponents.  An exponent too large for a float raises
     OverflowError, as does a sum past the float range.  Callers compare
-    against their own tolerance (the verification suite uses 1e-9).
+    against their own tolerance (the verification suite uses 1e-9).  The
+    orbit is walked in integers by `_orbit_log_sum`.
     """
     vec = _exp_vector(v)
-    products = [Fraction(1)] * 5
-    for x, y in lyness_orbit(*seed):
-        for i, f in enumerate((x, y, x + 1, y + 1, x + y + 1)):
-            products[i] *= f
-    terms = [a * _log_abs(p) for a, p in zip(vec, products)]
+    return _orbit_log_sum(vec, *_seed_terms(*seed))
+
+
+def _seed_terms(x, y) -> tuple[int, int, int, int]:
+    x, y = Fraction(x), Fraction(y)
+    return x.numerator, x.denominator, y.numerator, y.denominator
+
+
+def _orbit_log_sum(vec: ExpVector, xn: int, xd: int, yn: int, yd: int) -> float:
+    """`lyness_numeric_orbit_sum` of `vec` at the seed (xn/xd, yn/yd), xd and
+    yd nonzero, neither pair need be in lowest terms.
+
+    The domain is invariant under the map: the factors at (y, (y+1)/x) are
+    y, (y+1)/x, y+1, (x+y+1)/x and (x+1)(y+1)/x.  So only the seed's five
+    factors are checked, by their numerators, and raise the ValueError of
+    `lyness_map`.  The orbit is walked, (x, y) -> (y, (y+1)/x), on
+    unreduced integer pairs.  Each product P_i
+    with a_i != 0 is multiplied as an integer numerator and denominator, and
+    one Fraction is built of it at the end, the P_i of the Fraction orbit, so
+    the sum is the same float.  A zero exponent adds no term: `math.fsum`
+    drops zero terms.
+    """
+    points = []
+    for _ in range(5):
+        factors = (
+            (xn, xd),
+            (yn, yd),
+            (xn + xd, xd),
+            (yn + yd, yd),
+            (xn * yd + yn * xd + xd * yd, xd * yd),
+        )
+        if not points:
+            _check_factors(num for num, _ in factors)
+        points.append(factors)
+        xn, xd, yn, yd = yn, yd, factors[3][0] * xd, yd * xn
+    terms = []
+    for i, a in enumerate(vec):
+        if a:
+            num = den = 1
+            for factors in points:
+                f_num, f_den = factors[i]
+                num *= f_num
+                den *= f_den
+            terms.append(a * _log_abs(Fraction(num, den)))
     if not all(map(math.isfinite, terms)):
         raise OverflowError("numeric orbit sum is out of the float range")
     return math.fsum(terms)

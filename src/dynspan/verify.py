@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exact import CycNumber, ExactMatrix, _scale_to_int, _streaming_echelon
+from .exact import CycNumber, ExactMatrix, _streaming_echelon
 from .families import (
     chain_rowmotion,
     distinct_multiset_rotation,
@@ -29,6 +29,7 @@ from .families import (
 )
 from .linearize import (
     PresentingMatrix,
+    _integer_witness,
     _orbit_quotient,
     _orbit_selection,
     coboundary_witness,
@@ -40,10 +41,10 @@ from .linearize import (
     zeta_matrix,
 )
 from .lyness import (
+    _orbit_log_sum,
     lyness_homomesy_check,
     lyness_map,
     lyness_matrix,
-    lyness_numeric_orbit_sum,
     lyness_orbit,
     lyness_orbit_sum_operator,
 )
@@ -262,12 +263,15 @@ def _coboundary_cases():
 
 def _block_coboundary() -> list[CheckResult]:
     """f = g - g o T for 0-mesic f: 100 random f of V per system, each
-    witnessed by `coboundary_witness` and checked exactly.
+    witnessed by the integer core of `coboundary_witness` and checked exactly.
 
     Each coefficient is drawn as an integer pair (`_random_pair`), and the
-    pairs of a trial are scaled once to integer weights (`_integer_weights`);
-    Fractions of the coefficients are built only for the first trial's
-    check against the sum over the statistics.
+    pairs of a trial are scaled once to integer weights (`_integer_weights`).
+    Every trial runs in integers: f is an integer vector over one scale, and
+    `_integer_witness` gives w over n times it, so the check is
+    n * f(x) = w(x) - w(T x).  Fractions are built only on the first trial,
+    for its check against the sum over the statistics and its call of the
+    public `coboundary_witness`, which must return the core's w as Fractions.
     """
     out = []
     rng = random.Random(20240)
@@ -303,12 +307,12 @@ def _block_coboundary() -> list[CheckResult]:
                 for x in orbit:
                     f[x] -= mean
             scale = n * den
-            witness = coboundary_witness(system, [Fraction(v, scale) for v in f])
-            # f / scale = g - g o T, for g = w / wden
-            wden, w = _scale_to_int(witness)
-            if in_v and all(
-                f[x] * wden == (w[x] - w[perm[x]]) * scale for x in range(system.size)
-            ):
+            # f / scale = g - g o T, for g = w / (n * scale)
+            w = _integer_witness(system, f, scale)
+            if trial == 0:
+                public = coboundary_witness(system, [Fraction(v, scale) for v in f])
+                in_v = in_v and public == tuple(Fraction(v, n * scale) for v in w)
+            if in_v and all(n * f[x] == w[x] - w[perm[x]] for x in range(system.size)):
                 good += 1
         out.append(_check("coboundary", f"{name} roundtrips", "100/100", f"{good}/100"))
     return out
@@ -369,9 +373,12 @@ def _block_lyness() -> list[CheckResult]:
     """The period-5 monomial action of the Lyness map.
 
     The numeric check keeps the first 100 random seeds whose orbit stays in
-    the domain, each orbit computed once: a seed is kept when
-    `lyness_numeric_orbit_sum` does not raise the domain ValueError, and so
-    is its sum.
+    the domain, each orbit walked once: a seed is drawn as two integer pairs
+    and kept when `_orbit_log_sum`, the integer core of
+    `lyness_numeric_orbit_sum`, does not raise the domain ValueError, and so
+    is its sum.  The orbit-sum operator I + M + ... + M^4 is summed here from
+    the block's own M, and checked against the library's, which is built
+    once per process and read by `lyness_homomesy_check` too.
     """
     out = []
     m = lyness_matrix()
@@ -428,11 +435,11 @@ def _block_lyness() -> list[CheckResult]:
     rng = random.Random(55)
     sums = []
     while len(sums) < 100:
-        x = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-        y = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+        x = rng.randint(-20, 20), rng.randint(1, 10)
+        y = rng.randint(-20, 20), rng.randint(1, 10)
         try:
-            sums.append(lyness_numeric_orbit_sum(log_stat, (x, y)))
-        except ValueError:  # a seed whose orbit leaves the domain
+            sums.append(_orbit_log_sum(log_stat, *x, *y))
+        except ValueError:  # a seed outside the domain
             continue
     worst = max(map(abs, sums))
     out.append(

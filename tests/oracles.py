@@ -19,6 +19,14 @@ now runs them on homogeneous integer coordinates), and so is its random draw
 of a point (the library draws and sorts the values as integers over the lcm
 of their denominators).
 
+`coboundary_witness` is the library's former witness: f scaled to integers,
+one Fraction g per element built over l times the scale on an orbit of
+length l (the library returns integers over n times the scale, and builds
+its Fractions from those).  `lyness_numeric_orbit_sum` walks the Lyness
+orbit in reduced Fractions and multiplies the factor products as Fractions
+(the library walks unreduced integer pairs and builds one Fraction per
+product).
+
 `cyc_echelon` is the former Z[zeta] rank kernel of the library: it
 eliminates on integer coefficient vectors and clears each pivot with its
 adjugate, on the library's field helpers (the library now ranks over
@@ -620,3 +628,48 @@ def reference_report(doc):
             if nonzero else None,
         },
     }
+
+
+def coboundary_witness(perm, period, values):
+    """g with f = g - g o T for the 0-mesic f = values, or the ValueError of
+    the library on the first orbit whose sum is not 0."""
+    f = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in f))
+    ints = [v.numerator * (den // v.denominator) for v in f]
+    g = [None] * len(perm)
+    for orbit in _cycles(perm):
+        total = sum(ints[x] for x in orbit)
+        if total:
+            raise ValueError(
+                f"not 0-mesic: orbit starting at {orbit[0]} has sum "
+                f"{Fraction(total, den)}"
+            )
+        length = len(orbit)
+        value = -sum(s * ints[x] for s, x in enumerate(orbit, 1))
+        for x in orbit:
+            g[x] = Fraction(value, length * den)
+            value -= length * ints[x]
+    return tuple(g)
+
+
+def lyness_numeric_orbit_sum(vector, seed):
+    """Sum of a_i * log|P_i| over the 5-orbit through `seed`, each P_i the
+    product of one factor (x, y, x+1, y+1, x+y+1) over the orbit, the orbit
+    and the products taken in Fractions."""
+    x, y = Fraction(seed[0]), Fraction(seed[1])
+    products = [Fraction(1)] * 5
+    for step in range(5):
+        factors = (x, y, x + 1, y + 1, x + y + 1)
+        if step < 4:
+            for name, value in zip(("x", "y", "x+1", "y+1", "x+y+1"), factors):
+                if value == 0:
+                    raise ValueError(f"point outside the domain: {name} = 0")
+        products = [p * q for p, q in zip(products, factors)]
+        x, y = y, (y + 1) / x
+    terms = [
+        a * (math.log(abs(p.numerator)) - math.log(p.denominator))
+        for a, p in zip(vector, products)
+    ]
+    if not all(map(math.isfinite, terms)):
+        raise OverflowError("numeric orbit sum is out of the float range")
+    return math.fsum(terms)

@@ -7,6 +7,7 @@ import random
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ try:
 except ImportError:  # not on every platform
     fcntl = None
 
+from dynspan import cli
 from dynspan.cli import (
     MAX_CELLS,
     CliInputError,
@@ -542,6 +544,85 @@ class TestLynessCommand:
         code, _, err = run_cli(capsys, "lyness", "[1,0,0,0,0]", "--seed", "0,1")
         assert code == 2
         assert "domain" in err
+
+    @pytest.mark.parametrize(
+        "seed,factor",
+        [("0,1", "x"), ("1,0", "y"), ("-1,1", "x+1"), ("1,-1", "y+1"),
+         ("-1/2,-1/2", "x+y+1"), ("1,0e99999999999", "y")],
+    )
+    def test_each_factor_outside_the_domain_exit_2(self, capsys, seed, factor):
+        code, out, err = run_cli(capsys, "lyness", "[-2,0,1,0,0]", f"--seed={seed}")
+        assert (code, out) == (2, "")
+        assert err == f"error: point outside the domain: {factor} = 0\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer string limit"
+    )
+    @pytest.mark.parametrize(
+        "coordinate,fits",
+        [
+            ("1e{limit_less_1}", True),
+            ("1e{limit}", False),
+            ("1e-{limit_less_1}", True),
+            ("1e-{limit}", False),
+            ("25e-{limit}", True),  # 1 / (4 * 10**(limit - 1))
+            ("1.5e{limit_less_1}", True),  # 15 * 10**(limit - 2)
+            ("1.{threes_less_1}", True),
+            ("1.{threes}", False),
+            ("1e200000", False),
+            ("-1e-200000", False),
+            ("1e99999999999999999999", False),
+        ],
+    )
+    def test_seed_digits_either_side_of_the_limit(self, capsys, coordinate, fits):
+        # a coordinate whose numerator or denominator has more digits than the
+        # limit is rejected before its Fraction is built, however large its exponent
+        limit = sys.get_int_max_str_digits()
+        coordinate = coordinate.format(
+            limit=limit,
+            limit_less_1=limit - 1,
+            threes="3" * limit,
+            threes_less_1="3" * (limit - 1),
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "lyness", "[-2,0,1,0,0]", f"--seed=3/7,{coordinate}", "--output", "json"
+        )
+        assert time.perf_counter() - start < 2
+        if fits:
+            assert code == 0, err
+            assert abs(json.loads(out)["numeric_orbit_sum"]) < 1e-9
+        else:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: a --seed coordinate has a numerator or denominator with more "
+                f"than sys.get_int_max_str_digits() = {limit} digits\n"
+            )
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(["", "-", "+"]),
+        st.text("0123456789", max_size=6),
+        st.none() | st.text("0123456789", max_size=6),
+        st.integers(-15, 15),
+    )
+    def test_seed_coordinate_is_the_fraction_within_the_limit(self, sign, whole, frac, exp):
+        # under a limit of 8 digits: the Fraction of the literal when its
+        # numerator and denominator have at most 8 digits, else an input error
+        text = sign + whole + ("" if frac is None else "." + frac) + f"e{exp}"
+        try:
+            want = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._seed_coordinate(text)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "get_int_max_str_digits", lambda: 8, raising=False)
+            if max(abs(want.numerator), want.denominator) < 10**8:
+                assert cli._seed_coordinate(text) == want
+            else:
+                with pytest.raises(CliInputError, match="= 8 digits"):
+                    cli._seed_coordinate(text)
 
 
 class TestVerifyCommand:

@@ -41,6 +41,7 @@ from dynspan.linearize import (
 from dynspan.system import FiniteSystem, minimal_period, orbits, validate
 from dynspan.verify import _full_row_ranks
 from oracles import block_sums as oracle_block_sums
+from oracles import coboundary_witness as oracle_coboundary_witness
 from oracles import extend_products as oracle_extend_products
 from oracles import gauss_rank
 from oracles import homomesy_value as oracle_homomesy_value
@@ -621,6 +622,42 @@ def test_coboundary_witness_of_rational_zero_mesic_functions(system, data):
     witness = coboundary_witness(system, f)
     assert all(type(v) is Fraction for v in witness)
     assert all(f[x] == witness[x] - witness[system.perm[x]] for x in range(system.size))
+
+
+@settings(max_examples=200)
+@given(random_systems(), st.data())
+def test_coboundary_witness_matches_the_former_fraction_witness(system, data):
+    # f of integers and Fractions, centred on the orbits whose mean is not 0,
+    # and then sometimes moved off 0-mesic at one element: the public witness
+    # returns the former Fractions or raises the former error, and the integer
+    # core gives the same values over n times the scale of f
+    values = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    )
+    f = data.draw(st.lists(values, min_size=system.size, max_size=system.size))
+    for orbit in orbits(system):
+        mean = sum((f[x] for x in orbit), Fraction(0)) / len(orbit)
+        for x in orbit:
+            f[x] = f[x] - mean if mean else f[x]
+    if data.draw(st.booleans()):
+        x = data.draw(st.integers(0, system.size - 1))
+        f[x] += data.draw(st.fractions(-3, 3, max_denominator=6).filter(bool))
+    try:
+        want = oracle_coboundary_witness(system.perm, system.period, f)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            coboundary_witness(system, f)
+        assert str(info.value) == str(exc)
+        return
+    got = coboundary_witness(system, f)
+    assert got == want and all(type(v) is Fraction for v in got)
+    n = system.period
+    den = math.lcm(*(Fraction(v).denominator for v in f))
+    ints = [int(v * den) for v in f]
+    w = linearize._integer_witness(system, ints, den)
+    assert tuple(Fraction(v, n * den) for v in w) == want
+    assert all(n * ints[x] == w[x] - w[system.perm[x]] for x in range(system.size))
 
 
 def power_system(system: FiniteSystem, d: int) -> FiniteSystem:

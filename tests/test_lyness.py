@@ -3,7 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from dynspan import lyness
 from dynspan.exact import CycNumber, ExactMatrix
 from dynspan.lyness import (
     lyness_homomesy_check,
@@ -194,3 +198,68 @@ class TestOrbitSums:
     def test_bad_vector_length(self):
         with pytest.raises(ValueError):
             lyness_homomesy_check((1, 2, 3))
+
+
+def same_outcome(vector, seed):
+    """The numeric orbit sum and the Fraction oracle give the same float, bit
+    for bit, or raise the same error; returns the error message, or None."""
+    try:
+        want = oracles.lyness_numeric_orbit_sum(vector, seed)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as info:
+            lyness_numeric_orbit_sum(vector, seed)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    got = lyness_numeric_orbit_sum(vector, seed)
+    assert got.hex() == want.hex()
+    return None
+
+
+# seeds near the walls of the domain: every factor hits 0 on some orbit
+coordinates = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(-2), F(-1, 2), F(1, 2), F(-3, 2), F(2)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=10),
+)
+
+
+class TestIntegerOrbitWalk:
+    @settings(max_examples=500)
+    @given(st.tuples(*[st.integers(-6, 6)] * 5), coordinates, coordinates)
+    def test_matches_the_fraction_orbit_sum(self, vector, x, y):
+        same_outcome(vector, (x, y))
+
+    @pytest.mark.parametrize(
+        "seed,name",
+        [((0, 1), "x"), ((1, 0), "y"), ((-1, 1), "x+1"), ((1, -1), "y+1"),
+         ((F(-1, 2), F(-1, 2)), "x+y+1")],
+    )
+    def test_each_domain_message_at_the_seed(self, seed, name):
+        assert same_outcome((1, 0, 0, 0, 0), seed) == f"point outside the domain: {name} = 0"
+
+    def test_only_the_seed_can_leave_the_domain(self):
+        # the core checks the seed alone: on a grid of small seeds, each of the
+        # five factors is the first to vanish on some seed, and always at the
+        # seed, never at a later point of the orbit
+        messages = set()
+        values = sorted({F(p, q) for p in range(-4, 5) for q in (1, 2, 3)})
+        for x in values:
+            for y in values:
+                message = same_outcome((1, 2, 0, -1, 3), (x, y))
+                if message is None:
+                    lyness_orbit(x, y)  # every point in the domain
+                    continue
+                messages.add(message)
+                with pytest.raises(ValueError, match="domain"):
+                    lyness_map(x, y)
+        names = ("x", "y", "x+1", "y+1", "x+y+1")
+        assert messages == {f"point outside the domain: {n} = 0" for n in names}
+
+    def test_unreduced_integer_seed(self):
+        # the core reads pairs not in lowest terms, and negative denominators
+        want = oracles.lyness_numeric_orbit_sum((1, -2, 3, 0, 5), (F(3, 7), F(-2, 5)))
+        for terms in ((3, 7, -2, 5), (6, 14, -4, 10), (-3, -7, 2, -5)):
+            got = lyness._orbit_log_sum((1, -2, 3, 0, 5), *terms)
+            assert got.hex() == want.hex()
+
+    def test_orbit_sum_operator_is_built_once(self):
+        assert lyness_orbit_sum_operator() is lyness_orbit_sum_operator()

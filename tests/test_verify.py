@@ -5,6 +5,7 @@ failed check, not an exception."""
 import random
 from fractions import Fraction
 
+import oracles
 from dynspan import linearize, lyness, verify
 from dynspan.exact import ExactMatrix, _scale_to_int
 from dynspan.linearize import (
@@ -198,7 +199,8 @@ def test_a_selection_that_loses_an_orbit_fails_structural(monkeypatch):
 def two_pass_lyness_seeds(vector):
     """The lyness block's former loop: draw seeds from Random(55) until 100
     have an orbit in the domain, tested by computing it, then compute each
-    orbit again for its sum.  (seeds, sums, draws)."""
+    orbit again for its sum, here by the Fraction oracle.  (seeds, sums,
+    draws)."""
     rng = random.Random(55)
     seeds, draws = [], 0
     while len(seeds) < 100:
@@ -210,30 +212,55 @@ def two_pass_lyness_seeds(vector):
         except ValueError:
             continue
         seeds.append((x, y))
-    return seeds, [lyness.lyness_numeric_orbit_sum(vector, s) for s in seeds], draws
+    return seeds, [oracles.lyness_numeric_orbit_sum(vector, s) for s in seeds], draws
 
 
 def test_lyness_sums_the_seeds_of_the_two_pass_loop_once_each(monkeypatch):
+    # one walk of the integer core per draw: a seed whose walk does not
+    # raise is kept, with the sum of that walk, the oracle's float
     want_seeds, want_sums, draws = two_pass_lyness_seeds((-2, 0, 1, 0, 0))
     assert draws > 100  # some seeds leave the domain
-    kept, sums, orbits_run = [], [], []
-    real_sum, real_orbit = verify.lyness_numeric_orbit_sum, lyness.lyness_orbit
+    walks, kept, sums = [], [], []
+    real = verify._orbit_log_sum
 
-    def recording_sum(vector, seed):
-        total = real_sum(vector, seed)
+    def recording(vector, xn, xd, yn, yd):
+        seed = (Fraction(xn, xd), Fraction(yn, yd))
+        walks.append(seed)
+        total = real(vector, xn, xd, yn, yd)
         kept.append(seed)
         sums.append(total)
         return total
 
-    def counting_orbit(x, y):
-        orbits_run.append((x, y))
-        return real_orbit(x, y)
-
-    monkeypatch.setattr(verify, "lyness_numeric_orbit_sum", recording_sum)
-    monkeypatch.setattr(lyness, "lyness_orbit", counting_orbit)
+    monkeypatch.setattr(verify, "_orbit_log_sum", recording)
     assert not failed_checks("lyness")
     assert kept == want_seeds and sums == want_sums
-    assert len(orbits_run) == draws
+    assert len(walks) == draws
+
+
+def test_lyness_builds_the_orbit_sum_operator_once(monkeypatch):
+    # the block sums its own I + M + ... + M^4; the library's operator, read by
+    # the comparison and by lyness_homomesy_check, is built once per process
+    built, real = [], lyness.lyness_matrix
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(lyness, "lyness_matrix", counting)
+    lyness.lyness_orbit_sum_operator.cache_clear()
+    try:
+        for _ in range(2):
+            assert not failed_checks("lyness")
+    finally:
+        lyness.lyness_orbit_sum_operator.cache_clear()
+    assert len(built) == 1
+
+
+def test_a_wrong_orbit_sum_operator_fails_lyness(monkeypatch):
+    # the block's own sum is the independent side of the comparison
+    wrong = ExactMatrix.identity(5)
+    monkeypatch.setattr(verify, "lyness_orbit_sum_operator", lambda: wrong)
+    assert failed_checks("lyness") == ["orbit-sum operator matches matrix"]
 
 
 def test_coboundary_weights_are_a_multiple_of_the_fraction_scaling():
@@ -254,16 +281,16 @@ def test_coboundary_weights_are_a_multiple_of_the_fraction_scaling():
 
 
 def test_coboundary_witnesses_the_centred_fraction_combinations(monkeypatch):
-    # every trial hands coboundary_witness the function of the former block:
-    # sum c_{j,i} g_i o T^j, the c drawn as Fractions in the same order, less
-    # its orbit means, summed here in Fractions
-    seen, real = [], verify.coboundary_witness
+    # every trial hands the integer core, read as f / scale, the function of
+    # the former block: sum c_{j,i} g_i o T^j, the c drawn as Fractions in the
+    # same order, less its orbit means, summed here in Fractions
+    seen, real = [], verify._integer_witness
 
-    def recording(system, values):
-        seen.append(tuple(values))
-        return real(system, values)
+    def recording(system, f, scale):
+        seen.append(tuple(Fraction(v, scale) for v in f))
+        return real(system, f, scale)
 
-    monkeypatch.setattr(verify, "coboundary_witness", recording)
+    monkeypatch.setattr(verify, "_integer_witness", recording)
     assert not failed_checks("coboundary")
     rng, want = random.Random(20240), []
     for _, system in verify._coboundary_cases():
@@ -284,3 +311,43 @@ def test_coboundary_witnesses_the_centred_fraction_combinations(monkeypatch):
                     f[x] -= mean
             want.append(tuple(f))
     assert seen == want
+
+
+def test_coboundary_calls_the_public_witness_once_per_case(monkeypatch):
+    calls, real = [], verify.coboundary_witness
+
+    def counting(system, values):
+        calls.append(system)
+        return real(system, values)
+
+    monkeypatch.setattr(verify, "coboundary_witness", counting)
+    assert not failed_checks("coboundary")
+    assert calls == [system for _, system in verify._coboundary_cases()]
+
+
+def test_a_wrong_public_witness_fails_coboundary(monkeypatch):
+    # the first trial of each case compares the public witness with the core's
+    real = verify.coboundary_witness
+
+    def shifted(system, values):
+        return tuple(v + 1 for v in real(system, values))
+
+    monkeypatch.setattr(verify, "coboundary_witness", shifted)
+    results = run_checks("coboundary")
+    assert [r.got for r in results] == ["99/100"] * len(results)
+
+
+def test_a_wrong_integer_witness_fails_coboundary(monkeypatch):
+    # a witness off by one at one element of each orbit of length > 1
+    real = verify._integer_witness
+
+    def off(system, f, scale):
+        w = real(system, f, scale)
+        for orbit in orbits(system):
+            if len(orbit) > 1:
+                w[orbit[0]] += 1
+        return w
+
+    monkeypatch.setattr(verify, "_integer_witness", off)
+    results = run_checks("coboundary")
+    assert [r.got for r in results] == ["0/100"] * len(results)
