@@ -29,6 +29,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 
+from .exact import _int_product
 from .families import (
     chain_rowmotion,
     distinct_multiset_rotation,
@@ -498,7 +499,7 @@ def _cmd_lyness(args: argparse.Namespace) -> int:
     payload: dict = {
         "vector": list(vector),
         "pullback": list(lyness_pullback(vector)),
-        "orbit_sum": [int(v) for v in lyness_orbit_sum_operator().apply(vector)],
+        "orbit_sum": list(_int_product(lyness_orbit_sum_operator(), vector)),
         "zero_mesic": lyness_homomesy_check(vector),
     }
     if args.seed is not None:

@@ -19,7 +19,10 @@ under zeta).  With at most one nonzero row or one column, the rank is read
 off the store.  Results are deterministic across runs and never touch
 floating point.  The cofactor determinant
 expands the same integer rows, row i scaled by s_i, the lcm of its
-denominators, and divides by the product of the s_i once.
+denominators, and divides by the product of the s_i once.  Rank, column
+basis and determinant are all that a matrix offers: the fixed integer
+matrices of the paper's examples are tuples of integer rows, multiplied by
+`_int_product`.
 
 The rank of a rotation closure, the smallest subspace that contains some
 integer rows and is closed under rotating their entries by a fixed shift, has
@@ -184,32 +187,6 @@ def _cyc_mul_int(
     return prod[:phi]
 
 
-def _cyc_conjugate_int(
-    a: Sequence[int], t: int, order: int, phi: int, mod: _Terms
-) -> list[int]:
-    """Image of the coefficient vector under zeta -> zeta^t."""
-    raw = [0] * order
-    for i, ai in enumerate(a):
-        if ai:
-            raw[(i * t) % order] += ai
-    _cyc_reduce_int(raw, phi, mod)
-    return raw[:phi]
-
-
-def _cyc_adjoint_int(
-    a: Sequence[int], order: int, phi: int, mod: _Terms
-) -> tuple[list[int], int]:
-    """(adj, norm) with a * adj = norm, norm a nonzero rational integer."""
-    adj = [1] + [0] * (phi - 1)
-    for t in range(2, order):
-        if math.gcd(t, order) == 1:
-            adj = _cyc_mul_int(adj, _cyc_conjugate_int(a, t, order, phi, mod), phi, mod)
-    norm_poly = _cyc_mul_int(adj, a, phi, mod)
-    if any(norm_poly[1:]) or norm_poly[0] == 0:
-        raise ArithmeticError("conjugate product is not a nonzero integer")
-    return adj, norm_poly[0]
-
-
 def _cyc(order: int, num: Sequence[int], den: int) -> "CycNumber":
     """The element num/den of Q(zeta_order); den must be positive."""
     obj = object.__new__(CycNumber)
@@ -227,9 +204,8 @@ class CycNumber:
     fields (a rational element also equals and hashes like its Fraction),
     and an element is zero iff every entry of `num` is.  Products
     multiply the integer vectors and reduce them by the sparse terms of
-    Phi_order, and the inverse is adj/N: adj is the product of the
-    nontrivial conjugates and N = a * adj a nonzero integer.  Instances are
-    immutable.
+    Phi_order.  Elements add, subtract and multiply, with no division.
+    Instances are immutable.
     """
 
     __slots__ = ("order", "num", "den")
@@ -352,43 +328,6 @@ class CycNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycNumber":
-        """Multiplicative inverse: den * adj / N, exact since a * adj = N."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        phi, mod = _field(self.order)
-        adj, norm = _cyc_adjoint_int(self.num, self.order, phi, mod)
-        if norm < 0:
-            adj, norm = [-v for v in adj], -norm
-        return _cyc(self.order, [v * self.den for v in adj], norm)
-
-    def __truediv__(self, other: object) -> "CycNumber":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "CycNumber":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int) -> "CycNumber":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = CycNumber.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycNumber):
             return (
@@ -422,6 +361,15 @@ def _scale_to_int(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(scale, ints): the lcm of the row's denominators, and the row times it."""
     scale = math.lcm(*(v.denominator for v in row))
     return scale, [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _int_product(rows: Sequence[Sequence[int]], other: Sequence) -> tuple:
+    """The product of integer rows with a vector of numbers, or with integer
+    rows (a sequence of rows), as a tuple of numbers or of row tuples."""
+    if other and isinstance(other[0], Sequence):
+        columns = tuple(zip(*other))
+        return tuple(_int_product(columns, row) for row in rows)
+    return tuple(sum(map(mul, row, other)) for row in rows)
 
 
 def _rotation_closure_rank(
@@ -669,89 +617,9 @@ class ExactMatrix:
         matrix.__dict__["entries"] = entries
         return matrix
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls.from_rows(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
-
     @property
     def is_cyclotomic(self) -> bool:
         return self.cols > 0 and self._order is not None
-
-    def _zero_scalar(self) -> Scalar:
-        return CycNumber.zero(self._order) if self.is_cyclotomic else Fraction(0)
-
-    def _one_scalar(self) -> Scalar:
-        return CycNumber.one(self._order) if self.is_cyclotomic else Fraction(1)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other)
-        return ExactMatrix.from_rows(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other)
-        return ExactMatrix.from_rows(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def _check_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
-    def __mul__(self, other: object) -> "ExactMatrix":
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in matrix product")
-            cols = other.cols
-            out = []
-            for ra in self.entries:
-                row = []
-                for j in range(cols):
-                    acc = None
-                    for a, rb in zip(ra, other.entries):
-                        term = a * rb[j]
-                        acc = term if acc is None else acc + term
-                    row.append(acc if acc is not None else self._zero_scalar())
-                out.append(row)
-            return ExactMatrix.from_rows(out)
-        if isinstance(other, (int, Fraction, CycNumber)):
-            return ExactMatrix.from_rows([[v * other for v in r] for r in self.entries])
-        return NotImplemented
-
-    __rmul__ = __mul__  # both fields are commutative
-
-    def __pow__(self, exponent: int) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("matrix power needs a square matrix")
-        if exponent < 0:
-            raise ValueError("negative matrix powers are not supported")
-        one, zero = self._one_scalar(), self._zero_scalar()
-        out = ExactMatrix.from_rows(
-            [[one if i == j else zero for j in range(self.cols)] for i in range(self.rows)]
-        )
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    def apply(self, vector: Sequence[object]) -> tuple[Scalar, ...]:
-        """Matrix-vector product."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for r in self.entries:
-            acc = self._zero_scalar()
-            for a, v in zip(r, vector):
-                acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
 
     # -- elimination-backed queries ------------------------------------
 
@@ -804,7 +672,7 @@ class ExactMatrix:
         zero, one = 0, 1
         if self.is_cyclotomic:
             ent = [self._scalars(row) for row in ent]
-            zero, one = self._zero_scalar(), self._one_scalar()
+            zero, one = CycNumber.zero(self._order), CycNumber.one(self._order)
         memo: dict[int, Scalar | int] = {}
 
         def minor(mask: int) -> Scalar | int:

@@ -17,7 +17,6 @@ from .system import FiniteSystem
 
 __all__ = [
     "NeswEntries",
-    "chain_reflection",
     "chain_rowmotion",
     "distinct_multiset_rotation",
     "multiset_elements",
@@ -64,23 +63,6 @@ def multiset_rotation(n: int, k: int) -> FiniteSystem:
     elements = multiset_elements(n, k)
     image = {x: tuple(sorted((v + 1) % n for v in x)) for x in elements}
     return _entry_system(elements, image, n, n)
-
-
-def chain_reflection(n: int, k: int, i: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    """Reflect entry i (1-based) of a multiset, with boundaries 0 and n-1.
-
-    The new entry is x_{i-1} + x_{i+1} - x_i; it stays between its
-    neighbours, so the result is again a valid multiset.
-    """
-    if not 1 <= i <= k:
-        raise ValueError(f"reflection index must lie in 1..{k}")
-    if len(x) != k:
-        raise ValueError(f"expected a {k}-tuple")
-    left = x[i - 2] if i >= 2 else 0
-    right = x[i] if i <= k - 1 else n - 1
-    out = list(x)
-    out[i - 1] = left + right - x[i - 1]
-    return tuple(out)
 
 
 def _sweep(x: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -197,11 +179,14 @@ def nesw_det_closed_form(k: int, N: Scalar, E: Scalar, S: Scalar, W: Scalar) -> 
 
     For k = 2i:   (-1)^i * N * (N-S)^(i-1) * (W-E)^i
     for k = 2i+1: (-1)^i * N * (N-S)^i     * (W-E)^i
+
+    The powers are repeated products, so the form is exact over Q and over
+    Q(zeta_d) alike.
     """
     if k < 2:
         raise ValueError("need k >= 2")
     i, r = divmod(k, 2)
-    value = N * (N - S) ** (i - 1 if r == 0 else i) * (W - E) ** i
+    value = math.prod([N] + [N - S] * (i - 1 + r) + [W - E] * i)
     return -value if i % 2 else value
 
 
@@ -214,14 +199,17 @@ def nesw_recurrence_check(k: int, N: Scalar, E: Scalar, S: Scalar, W: Scalar) ->
     multiplies a determinant by (-1)^floor((k-1)/2), so the verified identity
     is
 
-        D_k(N,E,S,W) = (-1)^floor((k-1)/2) * (N*(E-W)/E) * D_{k-1}(E,S,W,N).
+        D_k(N,E,S,W) = (-1)^floor((k-1)/2) * (N*(E-W)/E) * D_{k-1}(E,S,W,N),
+
+    checked multiplied through by E, which is nonzero, so that it needs no
+    division and holds over Q and over Q(zeta_d) alike.
     """
     if k < 3:
         raise ValueError("need k >= 3")
     if not E:
         raise ValueError("need E != 0")
-    lhs = nesw_matrix(k, N, E, S, W).det_cofactor()
-    rhs = (N * (E - W) / E) * nesw_matrix(k - 1, E, S, W, N).det_cofactor()
+    lhs = E * nesw_matrix(k, N, E, S, W).det_cofactor()
+    rhs = N * (E - W) * nesw_matrix(k - 1, E, S, W, N).det_cofactor()
     if ((k - 1) // 2) % 2:
         rhs = -rhs
     return lhs == rhs

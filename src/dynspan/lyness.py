@@ -3,7 +3,9 @@
 Monomials x^a y^b (x+1)^c (y+1)^d (x+y+1)^e are tracked by their integer
 exponent vectors (a, b, c, d, e).  Composing a monomial with the map is the
 linear action of a 5x5 integer matrix on exponent columns; the matrix has
-order 5 and each 5th root of unity appears in its spectrum once.
+order 5 and each 5th root of unity appears in its spectrum once.  The
+matrix and its orbit sum I + M + ... + M^4 are tuples of integer rows, and
+act on exponent vectors by `exact._int_product`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import ExactMatrix
+from .exact import _int_product
 
 __all__ = [
     "lyness_homomesy_check",
@@ -22,10 +24,10 @@ __all__ = [
     "lyness_orbit",
     "lyness_orbit_sum_operator",
     "lyness_pullback",
-    "monomial_value",
 ]
 
 ExpVector = tuple[int, int, int, int, int]
+IntRows = tuple[tuple[int, ...], ...]
 
 _M_ROWS = (
     (0, -1, 0, -1, -1),
@@ -36,9 +38,10 @@ _M_ROWS = (
 )
 
 
-def lyness_matrix() -> ExactMatrix:
-    """Exponent action: monomial_v o T = monomial_{M v} (column convention)."""
-    return ExactMatrix.from_rows(_M_ROWS)
+def lyness_matrix() -> IntRows:
+    """Exponent action: monomial_v o T = monomial_{M v} (column convention),
+    as integer rows."""
+    return _M_ROWS
 
 
 def _check_domain(x: Fraction, y: Fraction) -> None:
@@ -60,37 +63,38 @@ def lyness_map(x, y) -> tuple[Fraction, Fraction]:
 
 
 def lyness_orbit(x, y) -> list[tuple[Fraction, Fraction]]:
-    """The 5 points of the orbit through (x, y)."""
-    pt = (Fraction(x), Fraction(y))
-    out = [pt]
+    """The 5 points of the orbit through (x, y).
+
+    The domain is invariant under the map (see `_orbit_log_sum`), so only
+    the seed is checked, with the ValueError of `lyness_map`.
+    """
+    x, y = Fraction(x), Fraction(y)
+    _check_domain(x, y)
+    out = [(x, y)]
     for _ in range(4):
-        pt = lyness_map(*pt)
-        out.append(pt)
+        x, y = y, (y + 1) / x
+        out.append((x, y))
     return out
 
 
 def lyness_pullback(v) -> ExpVector:
     """Exponent vector of monomial_v composed with the map."""
-    vec = _exp_vector(v)
-    return tuple(
-        sum(row[j] * vec[j] for j in range(5)) for row in _M_ROWS
-    )  # type: ignore[return-value]
+    return _int_product(_M_ROWS, _exp_vector(v))  # type: ignore[return-value]
 
 
 @functools.cache
-def lyness_orbit_sum_operator() -> ExactMatrix:
-    """I + M + M^2 + M^3 + M^4, the orbit-sum action on exponents.
+def lyness_orbit_sum_operator() -> IntRows:
+    """I + M + M^2 + M^3 + M^4, the orbit-sum action on exponents, as
+    integer rows.
 
-    Built once per process: an `ExactMatrix` is immutable, so every caller
-    can share it.
+    Built once per process: the rows are tuples, so every caller can share
+    them.
     """
     m = lyness_matrix()
-    total = ExactMatrix.identity(5)
-    power = ExactMatrix.identity(5)
+    powers = [tuple(tuple(int(i == j) for j in range(5)) for i in range(5))]
     for _ in range(4):
-        power = power * m
-        total = total + power
-    return total
+        powers.append(_int_product(powers[-1], m))
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*powers))
 
 
 def lyness_homomesy_check(v) -> bool:
@@ -98,8 +102,7 @@ def lyness_homomesy_check(v) -> bool:
 
     Equivalent to the exponent orbit-sum (I + M + ... + M^4) v being zero.
     """
-    vec = _exp_vector(v)
-    return all(s == 0 for s in lyness_orbit_sum_operator().apply(vec))
+    return not any(_int_product(lyness_orbit_sum_operator(), _exp_vector(v)))
 
 
 def _exp_vector(v) -> ExpVector:
@@ -107,14 +110,6 @@ def _exp_vector(v) -> ExpVector:
     if len(vec) != 5:
         raise ValueError("exponent vector must have 5 entries")
     return vec  # type: ignore[return-value]
-
-
-def monomial_value(v, x, y) -> Fraction:
-    """Exact value of x^a y^b (x+1)^c (y+1)^d (x+y+1)^e at a rational point."""
-    a, b, c, d, e = _exp_vector(v)
-    x, y = Fraction(x), Fraction(y)
-    _check_domain(x, y)
-    return x**a * y**b * (x + 1) ** c * (y + 1) ** d * (x + y + 1) ** e
 
 
 def _log_abs(q: Fraction) -> float:

@@ -10,7 +10,8 @@ Each map works on integers: a point p is scaled once, by the lcm L of its
 denominators, to homogeneous coordinates (L * p, L).  The transfer maps
 commute with scaling by L > 0, since max does; complementation becomes
 z -> L - z and the polytope test 0 <= x1 <= x2 <= x4 <= L, x1 <= x3 <= x4.
-A Fraction is built only for a returned coordinate.
+A Fraction is built only for a returned coordinate.  The 6x6 lifts are
+tuples of integer rows, multiplied by `exact._int_product`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
-from .exact import ExactMatrix, _scale_to_int
+from .exact import _int_product, _scale_to_int
 
 __all__ = [
     "delta_inv",
@@ -41,6 +41,7 @@ __all__ = [
 
 Point = tuple[Fraction, Fraction, Fraction, Fraction]
 Ints = Sequence[int]
+IntRows = tuple[tuple[int, ...], ...]
 
 
 def _homogeneous(p) -> tuple[list[int], int]:
@@ -134,54 +135,48 @@ def _returns(x: Ints, den: int, steps: int) -> bool:
     return list(q) == list(x)
 
 
-def lifted_nabla() -> ExactMatrix:
+def lifted_nabla() -> IntRows:
     """6x6 matrix pushing extended points through the down-transfer."""
-    return ExactMatrix.from_rows(
-        [
-            [1, 0, 0, 0, 0, 0],
-            [-1, 1, 0, 0, 0, 0],
-            [-1, 0, 1, 0, 0, 0],
-            [0, 0, 0, 1, -1, 0],
-            [-1, 0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 0, 1],
-        ]
+    return (
+        (1, 0, 0, 0, 0, 0),
+        (-1, 1, 0, 0, 0, 0),
+        (-1, 0, 1, 0, 0, 0),
+        (0, 0, 0, 1, -1, 0),
+        (-1, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 1),
     )
 
 
-def lifted_delta_inv() -> ExactMatrix:
+def lifted_delta_inv() -> IntRows:
     """6x6 matrix pushing extended points through the inverse up-transfer."""
-    return ExactMatrix.from_rows(
-        [
-            [1, 0, 0, 1, 1, 0],
-            [0, 1, 0, 1, 0, 0],
-            [0, 0, 1, 1, 0, 0],
-            [0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 1, 0],
-            [0, 0, 0, 0, 0, 1],
-        ]
+    return (
+        (1, 0, 0, 1, 1, 0),
+        (0, 1, 0, 1, 0, 0),
+        (0, 0, 1, 1, 0, 0),
+        (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1, 0),
+        (0, 0, 0, 0, 0, 1),
     )
 
 
-def lifted_theta() -> ExactMatrix:
+def lifted_theta() -> IntRows:
     """6x6 matrix pushing extended points through complementation.
 
     The fifth row uses max(1-s, 1-t) = 1 - s - t + max(s, t).
     """
-    return ExactMatrix.from_rows(
-        [
-            [-1, 0, 0, 0, 0, 1],
-            [0, -1, 0, 0, 0, 1],
-            [0, 0, -1, 0, 0, 1],
-            [0, 0, 0, -1, 0, 1],
-            [0, -1, -1, 0, 1, 1],
-            [0, 0, 0, 0, 0, 1],
-        ]
+    return (
+        (-1, 0, 0, 0, 0, 1),
+        (0, -1, 0, 0, 0, 1),
+        (0, 0, -1, 0, 0, 1),
+        (0, 0, 0, -1, 0, 1),
+        (0, -1, -1, 0, 1, 1),
+        (0, 0, 0, 0, 0, 1),
     )
 
 
-def rowmotion_lift() -> ExactMatrix:
+def rowmotion_lift() -> IntRows:
     """Composite lift: extend(rowmotion(p)) = rowmotion_lift() * extend(p)."""
-    return lifted_theta() * lifted_delta_inv() * lifted_nabla()
+    return _int_product(_int_product(lifted_theta(), lifted_delta_inv()), lifted_nabla())
 
 
 def polytope_vertices() -> list[Point]:
@@ -243,28 +238,18 @@ def lift_consistency_check(samples: int, seed: int = 0) -> bool:
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    n_mat = lifted_nabla()
-    d_mat = lifted_delta_inv()
-    h_mat = lifted_theta()
-    full = h_mat * d_mat * n_mat
-    # integer matrices: every row scale is 1
-    n_rows, d_rows, h_rows, full_rows = (
-        [row for _, row in m._integer_rows] for m in (n_mat, d_mat, h_mat, full)
-    )
-
-    def apply(rows: list[list[int]], v: Ints) -> tuple[int, ...]:
-        return tuple(sum(map(mul, row, v)) for row in rows)
-
+    n_rows, d_rows, h_rows = lifted_nabla(), lifted_delta_inv(), lifted_theta()
+    full_rows = rowmotion_lift()
     for _ in range(samples):
         x, den = _draw_point(rng)
         y = _nabla(x)
         z = _delta_inv(y)
         ex, ey, ez, ew = (_extend(v, den) for v in (x, y, z, _theta(z, den)))
         if (ey, ez, ew, ew) != (
-            apply(n_rows, ex),
-            apply(d_rows, ey),
-            apply(h_rows, ez),
-            apply(full_rows, ex),
+            _int_product(n_rows, ex),
+            _int_product(d_rows, ey),
+            _int_product(h_rows, ez),
+            _int_product(full_rows, ex),
         ):
             return False
     return True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exact import CycNumber, ExactMatrix, _streaming_echelon
+from .exact import CycNumber, ExactMatrix, _int_product, _streaming_echelon
 from .families import (
     chain_rowmotion,
     distinct_multiset_rotation,
@@ -76,6 +76,10 @@ class CheckResult:
 
 def _check(block: str, name: str, expected, got) -> CheckResult:
     return CheckResult(block, name, str(expected), str(got), expected == got)
+
+
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _random_pair(rng: random.Random) -> tuple[int, int]:
@@ -378,35 +382,36 @@ def _block_lyness() -> list[CheckResult]:
     `lyness_numeric_orbit_sum`, does not raise the domain ValueError, and so
     is its sum.  The orbit-sum operator I + M + ... + M^4 is summed here from
     the block's own M, and checked against the library's, which is built
-    once per process and read by `lyness_homomesy_check` too.
+    once per process and read by `lyness_homomesy_check` too.  Both are
+    integer rows; the orbit-sum checks compare tuples of Fractions, as the
+    pinned check list prints them.
     """
     out = []
     m = lyness_matrix()
-    identity = ExactMatrix.identity(5)
-    out.append(_check("lyness", "matrix order 5", True, m**5 == identity))
-    out.append(_check("lyness", "rank(M - I)", 4, (m - identity).rank()))
-    mults = []
-    for t in range(1, 5):
-        zeta = CycNumber.root(5, t)
-        rows = [
-            [m.entries[i][j] - (zeta if i == j else 0) for j in range(5)]
-            for i in range(5)
-        ]
-        mults.append(5 - ExactMatrix.from_rows(rows).rank())
-    out.append(_check("lyness", "primitive-root multiplicities", [1, 1, 1, 1], mults))
+    powers = [_identity_rows(5)]
+    for _ in range(5):
+        powers.append(_int_product(powers[-1], m))
+    out.append(_check("lyness", "matrix order 5", True, powers[5] == powers[0]))
+    # the ranks of M - zeta^t I for t = 0..4, over Q for t = 0
+    ranks = [
+        ExactMatrix.from_rows(
+            [[v - (root if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(m)]
+        ).rank()
+        for root in [1] + [CycNumber.root(5, t) for t in range(1, 5)]
+    ]
+    out.append(_check("lyness", "rank(M - I)", 4, ranks[0]))
+    out.append(
+        _check("lyness", "primitive-root multiplicities", [1, 1, 1, 1], [5 - r for r in ranks[1:]])
+    )
 
-    total = ExactMatrix.identity(5)
-    power = ExactMatrix.identity(5)
-    for _ in range(4):
-        power = power * m
-        total = total + power
+    total = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*powers[:5]))
     log_stat = (-2, 0, 1, 0, 0)
     out.append(
         _check(
             "lyness",
             "orbit sum of (-2,0,1,0,0)",
             (Fraction(0),) * 5,
-            total.apply(log_stat),
+            tuple(map(Fraction, _int_product(total, log_stat))),
         )
     )
     out.append(
@@ -446,17 +451,11 @@ def _block_lyness() -> list[CheckResult]:
         _check("lyness", "numeric orbit sums < 1e-9 (100 seeds)", True, worst < 1e-9)
     )
 
-    e1 = (1, 0, 0, 0, 0)
-    w = total.apply(e1)
-    out.append(
-        _check(
-            "lyness",
-            "orbit sum of e1",
-            tuple(Fraction(v) for v in (-1, -1, 1, 1, 1)),
-            w,
-        )
-    )
-    out.append(_check("lyness", "e1 orbit sum is invariant", tuple(w), m.apply(w)))
+    w = _int_product(total, (1, 0, 0, 0, 0))
+    want, got = (tuple(map(Fraction, v)) for v in ((-1, -1, 1, 1, 1), w))
+    out.append(_check("lyness", "orbit sum of e1", want, got))
+    image = tuple(map(Fraction, _int_product(m, w)))
+    out.append(_check("lyness", "e1 orbit sum is invariant", got, image))
     out.append(
         _check(
             "lyness",
@@ -474,16 +473,13 @@ def _block_lift() -> list[CheckResult]:
     The 1000 random points are drawn and iterated in homogeneous integer
     coordinates (`_draw_point`, `_returns`), the points of
     `random_polytope_point`; the vertices, and the composite lift at them,
-    go through the public maps.
+    go through the public maps.  The lifts are integer rows.
     """
     out = []
-    n_mat = lifted_nabla()
-    d_mat = lifted_delta_inv()
-    h_mat = lifted_theta()
-    full = h_mat * d_mat * n_mat
-    out.append(
-        _check("lift", "(H*D*N)^4 = I", True, full**4 == ExactMatrix.identity(6))
-    )
+    full = _int_product(_int_product(lifted_theta(), lifted_delta_inv()), lifted_nabla())
+    square = _int_product(full, full)
+    fourth_is_identity = _int_product(square, square) == _identity_rows(6)
+    out.append(_check("lift", "(H*D*N)^4 = I", True, fourth_is_identity))
     rng = random.Random(777)
     points = [_draw_point(rng) for _ in range(1000)]
     order_ok = all(_returns(x, den, 4) for x, den in points) and all(
@@ -502,7 +498,7 @@ def _block_lift() -> list[CheckResult]:
     )
     vertex_ok = True
     for p in polytope_vertices():
-        if extend_point(pl_rowmotion(p)) != full.apply(extend_point(p)):
+        if extend_point(pl_rowmotion(p)) != _int_product(full, extend_point(p)):
             vertex_ok = False
     out.append(_check("lift", "composite lift at vertices", True, vertex_ok))
     return out

@@ -29,8 +29,15 @@ product).
 
 `cyc_echelon` is the former Z[zeta] rank kernel of the library: it
 eliminates on integer coefficient vectors and clears each pivot with its
-adjugate, on the library's field helpers (the library now ranks over
-Q(zeta) by the closure of the flat coefficient rows under x -> x/zeta).
+adjugate, the product of its nontrivial conjugates, on the library's
+product and reduction helpers (the library now ranks over Q(zeta) by the
+closure of the flat coefficient rows under x -> x/zeta, and has no division
+in Q(zeta)).
+
+`monomial_value` evaluates a Lyness monomial in Fractions, and
+`chain_reflection` is one reflection of the chain sweep; the library keeps
+neither (it sums logarithms of integer orbit products, and applies the
+whole sweep at once).
 
 The weighted block sums of the cyclotomic route are summed term by term in
 `CycNumber` field arithmetic, which no report path uses (the library adds
@@ -55,7 +62,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from dynspan.exact import CycNumber, _cyc_adjoint_int, _cyc_mul_int, _field
+from dynspan.exact import CycNumber, _cyc_mul_int, _cyc_reduce_int, _field
 
 
 def perm_sign(perm) -> int:
@@ -147,6 +154,28 @@ def cyclotomic_product(a, b, modulus):
         for t, m in enumerate(modulus):
             prod[top - phi + t] -= lead * m
     return tuple(prod[:phi])
+
+
+def _cyc_conjugate_int(a, t, order, phi, mod):
+    """Image of the coefficient vector under zeta -> zeta^t."""
+    raw = [0] * order
+    for i, ai in enumerate(a):
+        if ai:
+            raw[(i * t) % order] += ai
+    _cyc_reduce_int(raw, phi, mod)
+    return raw[:phi]
+
+
+def _cyc_adjoint_int(a, order, phi, mod):
+    """(adj, norm) with a * adj = norm, norm a nonzero rational integer."""
+    adj = [1] + [0] * (phi - 1)
+    for t in range(2, order):
+        if math.gcd(t, order) == 1:
+            adj = _cyc_mul_int(adj, _cyc_conjugate_int(a, t, order, phi, mod), phi, mod)
+    norm_poly = _cyc_mul_int(adj, a, phi, mod)
+    if any(norm_poly[1:]) or norm_poly[0] == 0:
+        raise ArithmeticError("conjugate product is not a nonzero integer")
+    return adj, norm_poly[0]
 
 
 def cyc_echelon(rows, ncols, order):
@@ -673,3 +702,30 @@ def lyness_numeric_orbit_sum(vector, seed):
     if not all(map(math.isfinite, terms)):
         raise OverflowError("numeric orbit sum is out of the float range")
     return math.fsum(terms)
+
+
+def monomial_value(v, x, y):
+    """x^a y^b (x+1)^c (y+1)^d (x+y+1)^e at a rational point, in Fractions;
+    a point where a factor vanishes raises ValueError."""
+    x, y = Fraction(x), Fraction(y)
+    factors = (x, y, x + 1, y + 1, x + y + 1)
+    if len(v) != 5 or not all(factors):
+        raise ValueError("need 5 exponents and a point of the domain")
+    return math.prod((f**a for f, a in zip(factors, v)), start=Fraction(1))
+
+
+def chain_reflection(n, k, i, x):
+    """Reflect entry i (1-based) of a multiset, with boundaries 0 and n-1.
+
+    The new entry is x_{i-1} + x_{i+1} - x_i; it stays between its
+    neighbours, so the result is again a valid multiset.
+    """
+    if not 1 <= i <= k:
+        raise ValueError(f"reflection index must lie in 1..{k}")
+    if len(x) != k:
+        raise ValueError(f"expected a {k}-tuple")
+    left = x[i - 2] if i >= 2 else 0
+    right = x[i] if i <= k - 1 else n - 1
+    out = list(x)
+    out[i - 1] = left + right - x[i - 1]
+    return tuple(out)

@@ -634,12 +634,11 @@ class TestVerifyCommand:
 
     def test_perturbed_matrix_is_caught(self, capsys, monkeypatch):
         from dynspan import verify
-        from dynspan.exact import ExactMatrix
         from dynspan.lyness import lyness_matrix
 
-        rows = [list(r) for r in lyness_matrix().entries]
+        rows = [list(r) for r in lyness_matrix()]
         rows[0][0] += 1
-        corrupted = ExactMatrix.from_rows(rows)
+        corrupted = tuple(map(tuple, rows))
         monkeypatch.setattr(verify, "lyness_matrix", lambda: corrupted)
         code, out, _ = run_cli(capsys, "verify-paper", "--only", "lyness")
         assert code == 1

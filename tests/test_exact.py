@@ -14,6 +14,7 @@ from dynspan.exact import (
     _cyc_reduce_int,
     _field,
     _gauss_jordan_closure,
+    _int_product,
     _rotation_closure_rank,
     _streaming_echelon,
     _times_zeta_inverse,
@@ -23,6 +24,7 @@ from dynspan.exact import (
     mobius,
 )
 from oracles import (
+    _matmul,
     brute_rank,
     cyc_echelon,
     cyclotomic_product,
@@ -43,9 +45,12 @@ ROTATION_4x6 = [
 ]
 
 
+IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 class TestRank:
     def test_identity(self):
-        assert ExactMatrix.identity(3).rank() == 3
+        assert ExactMatrix.from_rows(IDENTITY_3).rank() == 3
 
     def test_rotation_value_matrix(self):
         assert ExactMatrix.from_rows(ROTATION_4x6).rank() == 4
@@ -70,7 +75,7 @@ class TestRank:
 
 class TestColumnBasis:
     def test_identity(self):
-        assert ExactMatrix.identity(3).column_basis() == [0, 1, 2]
+        assert ExactMatrix.from_rows(IDENTITY_3).column_basis() == [0, 1, 2]
 
     def test_block_sum_matrix(self):
         m = ExactMatrix.from_rows([[1, 1, 1], [0, 1, 2], [0, 1, 2], [1, 1, 1]])
@@ -162,20 +167,6 @@ small_fractions = st.fractions(
 
 
 @st.composite
-def cyc_numbers(draw, max_order=12, nonzero=False):
-    order = draw(st.integers(1, max_order))
-    coeffs = draw(
-        st.lists(
-            small_fractions, min_size=euler_phi(order), max_size=euler_phi(order)
-        )
-    )
-    value = CycNumber(order, tuple(coeffs))
-    if nonzero and not value:
-        value = value + CycNumber.one(order)
-    return value
-
-
-@st.composite
 def cyc_triples(draw, max_order=12):
     order = draw(st.integers(1, max_order))
     phi = euler_phi(order)
@@ -206,20 +197,12 @@ class TestCycNumber:
         # equal values built two ways compare and hash equal
         for left, right in (((a + b) - b, a), ((a * b) * c, a * (b * c))):
             assert left == right and hash(left) == hash(right)
-        if b:
-            assert (a * b) / b == a and hash((a * b) / b) == hash(a)
         product = cyclotomic_product(a.coeffs, b.coeffs, cyclotomic_polynomial(a.order))
         assert (a * b).coeffs == product
 
-    @given(cyc_numbers(nonzero=True))
-    def test_inverse(self, a):
-        assert a * a.inverse() == CycNumber.one(a.order)
-        assert a / a == 1
-
     @given(st.integers(1, 16))
     def test_root_has_multiplicative_order_dividing_d(self, d):
-        zeta = CycNumber.root(d)
-        assert zeta**d == CycNumber.one(d)
+        assert math.prod([CycNumber.root(d)] * d) == CycNumber.one(d)
 
     @given(st.integers(2, 16))
     def test_root_sum_vanishes(self, d):
@@ -230,10 +213,9 @@ class TestCycNumber:
 
     @given(st.integers(1, 16))
     def test_root_satisfies_its_minimal_polynomial(self, d):
-        zeta = CycNumber.root(d)
         value = CycNumber.zero(d)
         for i, c in enumerate(cyclotomic_polynomial(d)):
-            value = value + zeta**i * c
+            value = value + CycNumber.root(d, i) * c
         assert not value
 
     def test_rational_comparison_and_coercion(self):
@@ -270,10 +252,6 @@ class TestCycNumber:
         with pytest.raises(ValueError):
             CycNumber(4, (Fraction(1),))
 
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(ZeroDivisionError):
-            CycNumber.zero(5).inverse()
-
 
 int_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -284,33 +262,6 @@ int_matrices = st.integers(1, 4).flatmap(
         )
     )
 )
-
-
-@st.composite
-def apply_cases(draw):
-    """A rational matrix, some of its rows zero, and an int or Fraction vector."""
-    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entry = st.one_of(
-        st.integers(-9, 9),
-        st.fractions(min_value=-9, max_value=9, max_denominator=10**6),
-    )
-    rows = [
-        [0] * ncols
-        if draw(st.booleans()) and draw(st.booleans())
-        else draw(st.lists(entry, min_size=ncols, max_size=ncols))
-        for _ in range(nrows)
-    ]
-    scalar = draw(
-        st.sampled_from(
-            [
-                st.integers(-(10**6), 10**6),
-                st.fractions(max_denominator=10**6),
-                st.one_of(st.integers(-9, 9), st.fractions(max_denominator=10**6)),
-            ]
-        )
-    )
-    vector = draw(st.lists(scalar, min_size=ncols, max_size=ncols))
-    return rows, vector
 
 
 class TestEliminationProperties:
@@ -411,40 +362,28 @@ class TestDeterminant:
         assert det == perm_det(m.entries)
 
 
-class TestMatrixAlgebra:
+class TestIntegerProduct:
     def test_product_and_power(self):
-        a = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        assert a * a == ExactMatrix.identity(2)
-        assert a**2 == ExactMatrix.identity(2)
-        assert a**5 == a
+        a = ((0, 1), (1, 0))
+        assert _int_product(a, a) == ((1, 0), (0, 1))
+        assert _int_product(_int_product(a, a), a) == a
 
-    def test_apply(self):
-        a = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        assert a.apply((1, 1)) == (3, 7)
+    def test_vector(self):
+        assert _int_product(((1, 2), (3, 4)), (1, 1)) == (3, 7)
 
-    @given(apply_cases())
-    @example(([[Fraction(1, 2)], [0]], [1]))
-    @example(([[Fraction(1, 999983), Fraction(2, 999979)]], [Fraction(1, 3), 5]))
-    def test_apply_matches_fraction_products(self, case):
-        rows, vector = case
-        want = tuple(
-            sum((Fraction(a) * Fraction(v) for a, v in zip(row, vector)), Fraction(0))
-            for row in rows
-        )
-        got = ExactMatrix.from_rows(rows).apply(vector)
-        assert got == want
-        assert all(type(v) is Fraction for v in got)
+    @given(int_matrices, st.data())
+    def test_matches_fraction_products(self, rows, data):
+        # rows times a random integer matrix of 3 columns, and times its first column
+        row = st.lists(st.integers(-9, 9), min_size=3, max_size=3)
+        other = data.draw(st.lists(row, min_size=len(rows[0]), max_size=len(rows[0])))
+        want = _matmul(rows, other)
+        got = _int_product(rows, other)
+        assert got == tuple(map(tuple, want))
+        assert all(type(v) is int for r in got for v in r)
+        assert _int_product(rows, [r[0] for r in other]) == tuple(r[0] for r in want)
 
-    def test_apply_keeps_other_scalars(self):
-        a = ExactMatrix.from_rows([[Fraction(1, 2), 2]])
-        z = CycNumber.root(3)
-        assert a.apply((z, 1)) == (z / 2 + 2,)
-        assert type(a.apply((z, 1))[0]) is CycNumber
-        assert a.apply((0.5, 1)) == (2.25,)
-        assert type(a.apply((0.5, 1))[0]) is float
-        cyclotomic = ExactMatrix.from_rows([[z, 1]])
-        assert cyclotomic.apply((Fraction(1, 2), 3)) == (z / 2 + 3,)
 
+class TestMatrixAlgebra:
     def test_cyclotomic_rank(self):
         z = CycNumber.root(8)
         dependent = ExactMatrix.from_rows([[z, 1], [z * z, z]])
@@ -621,7 +560,7 @@ def wide_cyc_matrices(draw):
 @example((36, [[CycNumber.root(36)] * 2, [CycNumber.root(36, 2)] * 2, [2**65, 2**65]]))
 # the ranks read off the store, with no elimination: a single row, a single
 # column, all-zero rows, and one nonzero row among zero rows
-@example((9, [[CycNumber.root(9), 2, CycNumber.root(9, 4) / 3]]))
+@example((9, [[CycNumber.root(9), 2, CycNumber.root(9, 4) * Fraction(1, 3)]]))
 @example((9, [[CycNumber.root(9)], [0], [CycNumber.root(9, 5) * 2**65]]))
 @example((9, [[CycNumber.zero(9)] * 3] * 2))
 @example((9, [[0, 0], [CycNumber.root(9, 2), Fraction(1, 3)], [0, 0]]))
@@ -698,7 +637,9 @@ def test_cyclotomic_closure_maps_each_basis_row():
     # over Q(zeta_9), phi = 6: row 0 joins divided by its content 2, and row 1
     # is reduced against it before it joins
     z = CycNumber.root(9)
-    m = ExactMatrix.from_rows([[2 * z, 2, 0], [z, 1 + z**4, z**2], [z**3, 0, 1]])
+    m = ExactMatrix.from_rows(
+        [[2 * z, 2, 0], [z, 1 + CycNumber.root(9, 4), z * z], [z * z * z, 0, 1]]
+    )
     phi, mod = _field(9)
     step, given_rows = _recording(_times_zeta_inverse(phi, mod))
     width = m.cols * phi

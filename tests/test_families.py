@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dynspan.exact import CycNumber
 from dynspan.families import (
-    chain_reflection,
     chain_rowmotion,
     distinct_multiset_rotation,
     multiset_elements,
@@ -22,7 +21,7 @@ from dynspan.families import (
 )
 from dynspan.linearize import spectrum, zero_mesic_dimension
 from dynspan.system import minimal_period, orbits, validate
-from oracles import perm_det
+from oracles import chain_reflection, perm_det
 
 
 def image_label(system, label: str) -> str:
@@ -223,6 +222,18 @@ class TestNeswMatrix:
                 for k in (2, 3, 4):
                     det = nesw_det_closed_form(k, *ent)
                     assert det != CycNumber.zero(ent.N.order)
+
+    def test_closed_form_and_recurrence_over_cyclotomic_entries(self):
+        # the ring-only forms, over Q(zeta_d), against the cofactor expansion;
+        # E = 0 only at n = 2, which the recurrence rejects
+        for n in range(2, 8):
+            for j in range(1, n):
+                ent = nesw_entries(n, j)
+                for k in range(2, 6):
+                    det = nesw_matrix(k, *ent).det_cofactor()
+                    assert nesw_det_closed_form(k, *ent) == det, (n, j, k)
+                    if k >= 3 and ent.E:
+                        assert nesw_recurrence_check(k, *ent), (n, j, k)
 
 
 class TestNeswRecurrence:

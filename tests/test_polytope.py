@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 
 import dynspan.polytope
-from dynspan.exact import ExactMatrix
+from dynspan.exact import _int_product
 from dynspan.polytope import (
     _draw_point,
     _returns,
@@ -98,15 +98,19 @@ class TestLifts:
         p = (F(1, 4), F(1, 2), F(1, 3), F(3, 4))
         ext = extend_point(p)
         assert ext == (F(1, 4), F(1, 2), F(1, 3), F(3, 4), F(1, 2), 1)
-        lifted = lifted_nabla().apply(ext)
+        lifted = _int_product(lifted_nabla(), ext)
         assert lifted == (F(1, 4), F(1, 4), F(1, 12), F(1, 4), F(1, 4), 1)
         assert lifted == extend_point(nabla(p))
 
     def test_theta_lift_at_origin(self):
-        assert lifted_theta().apply((0, 0, 0, 0, 0, 1)) == (1, 1, 1, 1, 1, 1)
+        assert _int_product(lifted_theta(), (0, 0, 0, 0, 0, 1)) == (1, 1, 1, 1, 1, 1)
 
     def test_composite_lift_has_order_4(self):
-        assert rowmotion_lift() ** 4 == ExactMatrix.identity(6)
+        lift = rowmotion_lift()
+        square = _int_product(lift, lift)
+        identity = tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+        assert square != identity
+        assert _int_product(square, square) == identity
 
     def test_factor_lifts_match_maps_pointwise(self):
         rng = random.Random(14)
@@ -115,14 +119,14 @@ class TestLifts:
             p = random_polytope_point(rng)
             y = nabla(p)
             z = delta_inv(y)
-            assert extend_point(y) == n_mat.apply(extend_point(p))
-            assert extend_point(z) == d_mat.apply(extend_point(y))
-            assert extend_point(theta(z)) == h_mat.apply(extend_point(z))
+            assert extend_point(y) == _int_product(n_mat, extend_point(p))
+            assert extend_point(z) == _int_product(d_mat, extend_point(y))
+            assert extend_point(theta(z)) == _int_product(h_mat, extend_point(z))
 
     def test_tie_point_boundary_case(self):
         # equal middle coordinates hit both max() branches at once
         p = (F(1, 5), F(2, 5), F(2, 5), F(4, 5))
-        assert extend_point(pl_rowmotion(p)) == rowmotion_lift().apply(extend_point(p))
+        assert extend_point(pl_rowmotion(p)) == _int_product(rowmotion_lift(), extend_point(p))
         q = p
         for _ in range(4):
             q = pl_rowmotion(q)
