@@ -2,15 +2,16 @@
 
 Systems travel as JSON documents with keys "period", "perm", "stats" and
 optional "labels" / "stat_names".  Rationals serialize as plain integers
-when integral and as "p/q" strings otherwise, so nothing ever rounds.
+when integral and as "p/q" strings otherwise, so nothing ever rounds.  A
+document cell and a `lyness --seed` coordinate are read alike: an integer
+or "p/q", in ASCII digits.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (including a system past the size budget, |X| * n * max(k, 1) > MAX_CELLS,
 for `extend-products` a system whose extension would be past it, an integer
-literal longer than sys.get_int_max_str_digits() digits, JSON nested deeper
-than the recursion limit, a document file that is not UTF-8, a result
-with an integer that long, which could not be printed, a `lyness --seed`
-coordinate whose numerator or denominator has more digits than that, and a
-`lyness` exponent too large for the floating-point orbit sum of `--seed`),
+literal or "p/q" integer longer than sys.get_int_max_str_digits() digits,
+JSON nested deeper than the recursion limit, a document file that is not
+UTF-8, a result with an integer that long, which could not be printed, and
+a `lyness` exponent too large for the floating-point orbit sum of `--seed`),
 3 internal error (an unexpected exception, reported in one line on stderr),
 141 stdout closed by its reader before the output was written (128 + SIGPIPE,
 what a shell reports for `yes | head -1`; nothing is printed on stderr).
@@ -56,13 +57,8 @@ from .verify import BLOCK_NAMES, run_checks
 
 __all__ = ["main", "run"]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-# a decimal literal with an exponent, in the grammar `Fraction` reads: the one
-# form whose integers are not bounded by the length of its digit runs
-_EXPONENT_RE = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?P<whole>\d*|\d+(?:_\d+)*)"
-    r"(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*"
-)
+# the one grammar of every rational read from text: ASCII digits, whole string
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 # The most cells |X| * n * max(k, 1) of a presenting matrix a system may have.
 MAX_CELLS = 10**6
@@ -97,14 +93,15 @@ def _rational_to_json(q: Fraction) -> int | str:
         raise _too_long() from exc
 
 
-def _rational_from_json(value: object) -> Fraction:
-    """The rational a JSON value stands for; errors name no location."""
+def _parse_rational(value: object) -> Fraction:
+    """The rational of a document cell or a `--seed` coordinate, an integer or
+    a "p/q" string; errors name no location."""
     if isinstance(value, bool):
         raise CliInputError("booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if not _RATIONAL_RE.fullmatch(value):
             raise CliInputError(f'{value!r} does not match the rational pattern "p/q"')
         # the pattern is checked, so the two integers are read directly
         num, _, den = value.partition("/")
@@ -154,7 +151,7 @@ def _parse_stats(
         values: dict[int | str, Fraction] = {}
         try:
             for v in set(chain.from_iterable(rows)):
-                values[v] = _rational_from_json(v)
+                values[v] = _parse_rational(v)
         except CliInputError:
             pass
         else:
@@ -171,7 +168,7 @@ def _parse_stats(
             if key not in error:
                 error[key] = None
                 try:
-                    _rational_from_json(v)
+                    _parse_rational(v)
                 except CliInputError as exc:
                     error[key] = str(exc)
             if error[key] is not None:
@@ -457,43 +454,6 @@ def _parse_exponents(raw: str) -> tuple[int, ...]:
     return tuple(data)
 
 
-def _seed_coordinate(text: str) -> Fraction:
-    """One coordinate of `--seed`, rejected if its numerator or denominator
-    has more than sys.get_int_max_str_digits() digits (no bound when that is 0).
-
-    A literal with an exponent is sized before its Fraction is built, whose
-    power of ten could otherwise take minutes to build and walk: its value
-    is N * 10**shift, N the integer of its digits, so when shift >= 0 the
-    numerator has exactly len(N) + shift digits, and when shift < 0 the
-    denominator is more than 10**(-shift - len(N)).  The integers of any
-    other literal are no longer than its text.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    match = _EXPONENT_RE.fullmatch(text)
-    if match:
-        exp = int(match["exp"])  # past the limit, its own ValueError
-        frac = (match["frac"] or "").replace("_", "")
-        digits = (match["whole"] + frac).replace("_", "").lstrip("0")
-        if not digits:
-            return Fraction(0)
-        shift = exp - len(frac)
-        if limit and (
-            len(digits) + shift > limit if shift >= 0 else -shift - len(digits) >= limit
-        ):
-            raise _seed_too_long(limit)
-    q = Fraction(text)
-    if limit and max(abs(q.numerator), q.denominator) >= 10**limit:
-        raise _seed_too_long(limit)
-    return q
-
-
-def _seed_too_long(limit: int) -> CliInputError:
-    return CliInputError(
-        "a --seed coordinate has a numerator or denominator with more than "
-        f"sys.get_int_max_str_digits() = {limit} digits"
-    )
-
-
 def _cmd_lyness(args: argparse.Namespace) -> int:
     vector = _parse_exponents(args.vector)
     payload: dict = {
@@ -507,9 +467,9 @@ def _cmd_lyness(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise CliInputError('--seed expects "x,y"')
         try:
-            seed = (_seed_coordinate(parts[0]), _seed_coordinate(parts[1]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliInputError(f"bad seed: {exc}") from exc
+            seed = (_parse_rational(parts[0]), _parse_rational(parts[1]))
+        except CliInputError as exc:
+            raise CliInputError(f"--seed: {exc}") from exc
         try:
             payload["numeric_orbit_sum"] = lyness_numeric_orbit_sum(vector, seed)
         except ValueError as exc:
@@ -556,20 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_builtin.add_argument("--k", type=int, default=None)
     p_builtin.set_defaults(func=_cmd_builtin)
 
-    def add_input_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
-        p.add_argument(
-            "input",
-            nargs="?",
-            default="-",
-            help="system document path, or - for stdin (default)",
-        )
+    def add_input_flags(
+        p: argparse.ArgumentParser, with_method: bool = True, with_output: bool = True
+    ) -> None:
+        help_text = "system document path, or - for stdin (default)"
+        p.add_argument("input", nargs="?", default="-", help=help_text)
         if with_method:
-            p.add_argument(
-                "--method",
-                choices=["galois", "cyclotomic", "both"],
-                default="both",
-            )
-        p.add_argument("--output", choices=["json", "table"], default="table")
+            p.add_argument("--method", choices=["galois", "cyclotomic", "both"], default="both")
+        if with_output:
+            p.add_argument("--output", choices=["json", "table"], default="table")
 
     p_analyze = sub.add_parser("analyze", help="full analysis report")
     add_input_flags(p_analyze)
@@ -588,16 +543,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.set_defaults(func=_cmd_homomesies)
 
     p_ext = sub.add_parser(
-        "extend-products", help="emit the degree-2 product extension"
+        "extend-products", help="emit the degree-2 product extension as JSON"
     )
-    add_input_flags(p_ext, with_method=False)
+    add_input_flags(p_ext, with_method=False, with_output=False)
     p_ext.set_defaults(func=_cmd_extend_products)
 
     p_lyness = sub.add_parser(
         "lyness", help="exponent-vector action of the period-5 map"
     )
     p_lyness.add_argument("vector", help="JSON array of 5 integers")
-    p_lyness.add_argument("--seed", help='rational point "x,y"; x < 0 needs --seed=-2,3')
+    p_lyness.add_argument(
+        "--seed", help='rational point "x,y", each an integer or p/q; x < 0 needs --seed=-2,3'
+    )
     p_lyness.add_argument("--output", choices=["json", "table"], default="table")
     p_lyness.set_defaults(func=_cmd_lyness)
 

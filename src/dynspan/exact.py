@@ -581,12 +581,6 @@ class ExactMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExactMatrix is immutable")
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExactMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]]) -> "ExactMatrix":
         """The matrix of these scalars, its store built once, row i scaled by

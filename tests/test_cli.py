@@ -170,6 +170,15 @@ class TestAnalyze:
         assert code == 2
         assert "pattern" in err
 
+    @pytest.mark.parametrize("cell", ["1\n", "\u0661/2", "2/\u0663", " 1", "+1", "1_0"])
+    def test_cell_is_the_whole_string_in_ascii_digits(self, cell):
+        # the pattern must match all of the cell: "$" alone also matches before a
+        # final newline, and int() would read a non-ASCII digit
+        doc = {"period": 1, "perm": [0], "stats": [[cell]]}
+        with pytest.raises(CliInputError) as info:
+            document_to_system(doc)
+        assert str(info.value) == f'stats[0][0]: {cell!r} does not match the rational pattern "p/q"'
+
     def test_repeated_values_share_a_fraction_but_not_a_verdict(self):
         # a boolean after an equal integer, and a bad value seen twice, are
         # each rejected at their own location
@@ -257,7 +266,7 @@ class TestAnalyze:
         def never(value):
             raise AssertionError("a cell was parsed before the size budget")
 
-        monkeypatch.setattr("dynspan.cli._rational_from_json", never)
+        monkeypatch.setattr("dynspan.cli._parse_rational", never)
         doc["stats"] = [["1/2"]] * size
         with pytest.raises(CliInputError, match="too large"):
             document_to_system(doc)
@@ -423,6 +432,15 @@ class TestSubReports:
         report = run_json(capsys, "analyze", str(ext_path), "--output", "json")
         assert report["dim_V"] == sum(e["multiplicity"] for e in report["spectrum"])
 
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_extend_products_has_no_output_flag(self, capsys, tmp_path, output):
+        # it always prints a system document, which is JSON
+        path = write_builtin(capsys, tmp_path, "multiset", "--n", "3", "--k", "2")
+        with pytest.raises(SystemExit) as exc:
+            main(["extend-products", str(path), "--output", output])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_extend_products_rejects_an_extension_past_the_budget(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -548,7 +566,7 @@ class TestLynessCommand:
     @pytest.mark.parametrize(
         "seed,factor",
         [("0,1", "x"), ("1,0", "y"), ("-1,1", "x+1"), ("1,-1", "y+1"),
-         ("-1/2,-1/2", "x+y+1"), ("1,0e99999999999", "y")],
+         ("-1/2,-1/2", "x+y+1"), ("1,-0/3", "y")],
     )
     def test_each_factor_outside_the_domain_exit_2(self, capsys, seed, factor):
         code, out, err = run_cli(capsys, "lyness", "[-2,0,1,0,0]", f"--seed={seed}")
@@ -561,13 +579,14 @@ class TestLynessCommand:
     @pytest.mark.parametrize(
         "coordinate,fits",
         [
-            ("1e{limit_less_1}", True),
+            ("{ones}/7", True),
+            ("{ones}1/7", False),
+            ("-1/{ones}", True),
+            ("-1/{ones}1", False),
+            # a decimal or exponent form is no "p/q": the pattern rejects it before
+            # any integer is built, however large its exponent
             ("1e{limit}", False),
-            ("1e-{limit_less_1}", True),
             ("1e-{limit}", False),
-            ("25e-{limit}", True),  # 1 / (4 * 10**(limit - 1))
-            ("1.5e{limit_less_1}", True),  # 15 * 10**(limit - 2)
-            ("1.{threes_less_1}", True),
             ("1.{threes}", False),
             ("1e200000", False),
             ("-1e-200000", False),
@@ -575,15 +594,10 @@ class TestLynessCommand:
         ],
     )
     def test_seed_digits_either_side_of_the_limit(self, capsys, coordinate, fits):
-        # a coordinate whose numerator or denominator has more digits than the
-        # limit is rejected before its Fraction is built, however large its exponent
+        # a coordinate reads like a document cell: int() bounds each of its two
+        # integers by the limit, so a coordinate past it is rejected at once
         limit = sys.get_int_max_str_digits()
-        coordinate = coordinate.format(
-            limit=limit,
-            limit_less_1=limit - 1,
-            threes="3" * limit,
-            threes_less_1="3" * (limit - 1),
-        )
+        coordinate = coordinate.format(limit=limit, ones="1" * limit, threes="3" * limit)
         start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "lyness", "[-2,0,1,0,0]", f"--seed=3/7,{coordinate}", "--output", "json"
@@ -594,35 +608,19 @@ class TestLynessCommand:
             assert abs(json.loads(out)["numeric_orbit_sum"]) < 1e-9
         else:
             assert (code, out) == (2, "")
-            assert err == (
-                "error: a --seed coordinate has a numerator or denominator with more "
-                f"than sys.get_int_max_str_digits() = {limit} digits\n"
-            )
+            assert err.startswith("error: --seed: ") and err.count("\n") == 1
+            assert ("limit" if "/" in coordinate else "pattern") in err
 
-    @settings(max_examples=300)
-    @given(
-        st.sampled_from(["", "-", "+"]),
-        st.text("0123456789", max_size=6),
-        st.none() | st.text("0123456789", max_size=6),
-        st.integers(-15, 15),
+    @pytest.mark.parametrize(
+        "coordinate", ["0.5", "1e200000", "1_0", "+1", " 1", "1 ", "1\n", "\u0661", "1/0"]
     )
-    def test_seed_coordinate_is_the_fraction_within_the_limit(self, sign, whole, frac, exp):
-        # under a limit of 8 digits: the Fraction of the literal when its
-        # numerator and denominator have at most 8 digits, else an input error
-        text = sign + whole + ("" if frac is None else "." + frac) + f"e{exp}"
-        try:
-            want = Fraction(text)
-        except ValueError:
-            with pytest.raises(ValueError):
-                cli._seed_coordinate(text)
-            return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sys, "get_int_max_str_digits", lambda: 8, raising=False)
-            if max(abs(want.numerator), want.denominator) < 10**8:
-                assert cli._seed_coordinate(text) == want
-            else:
-                with pytest.raises(CliInputError, match="= 8 digits"):
-                    cli._seed_coordinate(text)
+    def test_seed_outside_the_cell_grammar_exit_2(self, capsys, coordinate):
+        # the cell errors with --seed in front
+        code, out, err = run_cli(capsys, "lyness", "[1,0,0,0,0]", f"--seed=1,{coordinate}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f'error: --seed: {coordinate!r} does not match the rational pattern "p/q"\n'
+        )
 
 
 class TestVerifyCommand:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynspan import exact, linearize
-from dynspan.cli import analysis_report, document_to_system, system_to_document
+from dynspan.cli import MAX_CELLS, analysis_report, document_to_system, system_to_document
 from dynspan.exact import CycNumber, ExactMatrix, divisors
 from dynspan.families import (
     chain_rowmotion,
@@ -1597,3 +1597,49 @@ def test_report_matches_reference_on_larger_planted_spectra(planted):
 )
 def test_report_matches_reference_on_builtins(system):
     assert_report_matches_reference(system_to_document(system))
+
+
+# -- the paper's closed forms at the size budget --------------------------------
+
+
+def closed_form(family: str, n: int, k: int) -> tuple[int, ...]:
+    """The paper's spectrum: multiset(n, k), n >= 3, has m_1 = floor(k/2) + 1
+    and every other multiplicity k; chain(n, k) has every multiplicity 1 over
+    its period k + 1."""
+    if family == "multiset":
+        return (k // 2 + 1,) + (k,) * (n - 1)
+    return (1,) * (k + 1)
+
+
+def assert_closed_form(system: FiniteSystem, want: tuple[int, ...]) -> None:
+    # the cyclotomic route runs first, on a fresh system: on a tall one
+    # `_orbit_selection` runs the top closure itself to name the orbits
+    assert spectrum(system, "cyclotomic").mults == want
+    assert spectrum(system, "galois").mults == want
+    basis = invariant_basis(system)
+    assert len(basis) == want[0]
+    for f in basis:
+        assert tuple(map(f.__getitem__, system.perm)) == f
+    assert zero_mesic_dimension(system) == sum(want) - want[0]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(2, 11))
+@pytest.mark.parametrize("family", ["multiset", "chain"])
+def test_closed_forms_of_every_family_within_the_budget(family, k):
+    # every n >= 3 with |X| * n * k <= MAX_CELLS, |X| = C(n + k - 1, k)
+    build = multiset_rotation if family == "multiset" else chain_rowmotion
+    n = 3
+    while math.comb(n + k - 1, k) * n * k <= MAX_CELLS:
+        assert_closed_form(build(n, k), closed_form(family, n, k))
+        n += 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "family,n,k,seed", [("multiset", 9, 8, 1), ("multiset", 12, 6, 2), ("chain", 8, 6, 3)]
+)
+def test_closed_forms_of_relabelled_large_families(family, n, k, seed):
+    # the orbit selection depends on the order of the orbits
+    build = multiset_rotation if family == "multiset" else chain_rowmotion
+    assert_closed_form(relabelled(build(n, k), seed), closed_form(family, n, k))
