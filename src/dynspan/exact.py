@@ -24,21 +24,22 @@ basis and determinant are all that a matrix offers: the fixed integer
 matrices of the paper's examples are tuples of integer rows, multiplied by
 `_int_product`.
 
-The rank of a rotation closure, the smallest subspace that contains some
-integer rows and is closed under rotating their entries by a fixed shift, has
-two exact kernels, chosen by the shape of the input.  Both read the given
-rows in order, each row that joins followed by the rotation of what it adds
-while those join, so both name the same given rows as generating the
-closure: each outside the closure of those before it.  With rows at least
+The rank of a closure, the smallest subspace that contains some integer
+rows and is closed under a linear step of finite order, such as rotating
+their entries by a fixed shift, has two exact kernels, chosen by the shape
+of the input.  Both read the given rows in order, each row that joins
+followed by the image of what it adds while those join, so both name the
+same given rows as generating the closure: each outside the closure of
+those before it.  With rows at least
 3/4 of the columns, a fraction-free Gauss-Jordan basis tests each row with
 one dot product per column that has no pivot: every entry of the basis is a
 minor of the rows that joined it, so the sizes stay under the Hadamard
 bound, and every division in an update is exact by Sylvester's identity.
-With fewer rows, most rows come from rotations and join the basis, and the
+With fewer rows, most rows come from images and join the basis, and the
 streaming echelon reduces each against it.  There a row that joins at pivot
-c is followed by the left rotation of its basis row, whose pivot, if c is at
-least the shift, moves to c - shift, so it is reduced only against the
-pivots from there on; over Q(zeta) the image under 1/zeta begins one column
+c is followed by the image of its basis row; under the left rotation its
+pivot, if c is at least the shift, moves to c - shift, so it is reduced only
+against the pivots from there on; over Q(zeta) the image under 1/zeta begins one column
 earlier, or, from the start of an entry, no earlier than that.  Both stop
 reading rows once every column has a pivot.
 """
@@ -63,6 +64,7 @@ __all__ = [
 
 Scalar = Union[Fraction, "CycNumber"]
 _Terms = tuple[tuple[int, int], ...]  # the nonzero (t, c_t) of sum c_t x^t
+_Step = Callable[[Sequence[int]], Sequence[int]] | None  # a closure's map; None: identity
 
 
 def divisors(n: int) -> list[int]:
@@ -376,40 +378,43 @@ def _rotation_closure_rank(
     rows: Sequence[Sequence[int]], shift: int
 ) -> tuple[int, list[int]]:
     """(dim, generators) of the smallest rotation-invariant subspace that
-    contains `rows`, the rotation taking r to r[shift:] + r[:shift].
+    contains `rows`, the rotation taking r to r[shift:] + r[:shift]: the
+    `_closure_rank` of that linear map.  A matrix whose row at T(x) is its
+    row at x rotated has that closure for its row space, so one row per
+    T-orbit gives its rank.  A shift by a multiple of the width, as in every
+    closure of f(1), is the identity: no row is followed by its image."""
+    width = len(rows[0]) if rows else 0
+    rotate = (lambda r: r[shift:] + r[:shift]) if width and shift % width else None
+    return _closure_rank(rows, rotate)
 
-    Each given row that raises the rank is followed by the rotations of the
+
+def _closure_rank(rows: Sequence[Sequence[int]], step: _Step) -> tuple[int, list[int]]:
+    """(dim, generators) of the smallest subspace that contains `rows` and
+    is closed under the linear map `step`, of finite order.  Each given row that raises the rank is followed by the images of the
     vectors it adds while they join (see the module notes), so a given row
     joins exactly when it lies outside the closure of the rows before it,
-    and both kernels name the same generators, with none to spare.  A matrix
-    whose row at T(x) is its row at x rotated has that closure for its row
-    space, so one row per T-orbit gives its rank.
+    and both kernels name the same generators, with none to spare.
 
     With rows at least 3/4 of the width, most rows lie in the span, and
     `_gauss_jordan_closure` tests each with one dot product per free column;
-    with fewer, most rows come from rotations and raise the rank, and
-    `_streaming_echelon` reduces each against its basis.  On the closures of
-    one pass (seed 1) of each analysis workload of `perfbench`, timed under
-    both kernels (best of 5, 2-vCPU VM), Gauss-Jordan took 2.3 ms in all
-    against 2.7 ms for the streaming echelon with 7/8 <= rows/width < 1,
-    2.3 against 2.0 ms from 3/4 to 7/8, 14.6 against 10.9 ms from 1/2 to
-    3/4, and 155 against 66 ms below 1/2: a rule at 7/8 would save 0.3 ms
-    over three passes, which no pass shows, so the rule stays at 3/4.
+    with fewer, most rows come from images and raise the rank, and
+    `_streaming_echelon` reduces each against its basis.  Timed on the
+    rotation closures of one pass (seed 1) of each analysis workload of
+    `perfbench` (best of 5, 2-vCPU VM), Gauss-Jordan against the streaming
+    echelon took 2.3 against 2.7 ms with 7/8 <= rows/width < 1, 2.3 against
+    2.0 ms from 3/4 to 7/8, 14.6 against 10.9 ms from 1/2 to 3/4, and 155
+    against 66 ms below: a rule at 7/8 would save 0.3 ms over three passes,
+    which no pass shows, so the rule stays at 3/4.
     """
     width = len(rows[0]) if rows else 0
     if 4 * len(rows) >= 3 * width:
-        return _gauss_jordan_closure(rows, shift)
-    # a shift by a multiple of the width, as in every closure of f(1), is
-    # the identity: no row is followed by its image
-    step = (lambda r: r[shift:] + r[:shift]) if shift % width else None
+        return _gauss_jordan_closure(rows, step)
     basis, generators = _streaming_echelon(rows, width, step)
     return len(basis), generators
 
 
 def _streaming_echelon(
-    rows: Iterable[Sequence[int]],
-    width: int,
-    step: Callable[[Sequence[int]], Sequence[int]] | None = None,
+    rows: Iterable[Sequence[int]], width: int, step: _Step = None
 ) -> tuple[dict[int, Sequence[int]], list[int]]:
     """Fraction-free echelon basis of integer rows, {pivot: tail}, and the
     indices of the given rows that joined it.
@@ -492,12 +497,10 @@ def _times_zeta_inverse(phi: int, mod: _Terms) -> Callable[[Sequence[int]], list
     return step
 
 
-def _gauss_jordan_closure(
-    rows: Sequence[Sequence[int]], shift: int
-) -> tuple[int, list[int]]:
-    """`_rotation_closure_rank` by fraction-free Gauss-Jordan elimination.
-    While a row joins the basis its rotation r[shift:] + r[:shift] is read
-    next, as in `_streaming_echelon`, unless the rotation is the identity.
+def _gauss_jordan_closure(rows: Sequence[Sequence[int]], step: _Step) -> tuple[int, list[int]]:
+    """`_closure_rank` by fraction-free Gauss-Jordan elimination.  While a
+    row joins the basis its image under `step` is read next, as in
+    `_streaming_echelon`, unless `step` is None, the identity.
 
     The basis is kept in fraction-free reduced echelon form (Bareiss, in its
     Gauss-Jordan form): at its pivot columns p_i the basis rows B_i are D
@@ -515,8 +518,6 @@ def _gauss_jordan_closure(
     det = 1
     # columns[j] is column free[j] of the basis; free lists the non-pivots
     free = list(range(len(rows[0]) if rows else 0))
-    # a shift by a multiple of the width is the identity: no image is read
-    rotates = bool(free) and shift % len(free) != 0
     columns: list[list[int]] = [[] for _ in free]
     for i, row in enumerate(rows):
         image, joined = row, False
@@ -537,9 +538,9 @@ def _gauss_jordan_closure(
                 column.append(r)
             det = new_det
             joined = True
-            if not rotates:
+            if step is None:
                 break
-            image = image[shift:] + image[:shift]
+            image = step(image)
         if joined:
             generators.append(i)
         if not free:

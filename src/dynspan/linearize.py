@@ -37,7 +37,10 @@ smallest rotation-invariant subspace that contains one row per T-orbit, and
 `_rotation_closure_rank` finds its dimension from those rows alone, in
 integers, by one of two kernels chosen by shape (see `exact`).  The weighted
 block sums of the cyclotomic route need no closure: their row at T(x) is a
-root of unity times their row at x.
+root of unity times their row at x.  On few long orbits the galois closures
+split in two by the Chinese remainder theorem, along x^e - 1 =
+(x^(e/p) - 1) * Psi: f(e) = f(e/p) plus the rank of a narrower closure mod
+Psi, still in integers and with no cyclotomic polynomial (`_split_closure`).
 
 Each rank of a report is the rank of a linear image of the orbit-start rows
 that respects the rotation, so it depends only on their rotation closure, not
@@ -73,7 +76,9 @@ from operator import mul
 
 from .exact import (
     ExactMatrix,
+    _closure_rank,
     _cyc_reduce_int,
+    _factorize,
     _field,
     _rotation_closure_rank,
     _scale_to_int,
@@ -225,19 +230,86 @@ def _top_closure(quotient: PresentingMatrix) -> tuple[PresentingMatrix, int]:
     f(m) = dim V, memoised as `system._memo["selection"]`: their starts,
     their `_sums` (the quotient's rows and m-block sums at them, or its own
     if every orbit is kept), and f(m).  If no row joins, every row is zero,
-    and the first orbit gives the rank 0 of every matrix."""
+    and the first orbit gives the rank 0 of every matrix.  f(m), and where
+    the closure splits each f on its chain (`_split_closure`), starts
+    `system._memo["galois"]`."""
     system = quotient.system
     kept = system._memo.get("selection")
     if kept is None:
-        m, n = minimal_period(system), quotient.n
-        rank, index = _rotation_closure_rank(quotient.block_sums(m), quotient.k)
+        m, n, k = minimal_period(system), quotient.n, quotient.k
+        rows = quotient.block_sums(m)
+        if _splits(m, k, len(rows)):
+            f, index = _split_closure(rows, m, k)
+        else:
+            rank, index = _rotation_closure_rank(rows, k)
+            f = {m: rank}
+        system._memo["galois"] = f
         index = index or [0]
         starts, sums = quotient.elements, quotient._sums
         if len(index) < len(starts):
             starts = tuple(starts[i] for i in index)
             sums = {d: [quotient.block_sums(d)[i] for i in index] for d in (n, m)}
-        kept = system._memo["selection"] = (starts, sums, rank)
+        kept = system._memo["selection"] = (starts, sums, f[m])
     return PresentingMatrix(system, *kept[:2]), kept[2]
+
+
+def _splits(m: int, k: int, count: int) -> bool:
+    """Whether the galois closures of a system of minimal period m, with k
+    statistics and `count` orbits, run through `_split_closure`.  The split
+    wins where most work is images that join, and loses on low-rank closures
+    of many orbits: on every shape it doubled the galois table of chain(5,5),
+    and a rule that split chain(3..5,5) raised `verify-paper` `req_p50_ms`
+    in `perfbench` by 10 %.  This rule measured neutral; it splits 47 of the
+    120 `random-rational` systems of a pass, 5 of 108 on `ladder-small`."""
+    return m * k >= 16 and m >= 2 * k and count <= m
+
+
+def _split_closure(
+    rows: Sequence[Sequence[int]], e: int, k: int
+) -> tuple[dict[int, int], list[int]]:
+    """f(d), the rank of the rotation closure of the block sums of `rows`
+    at d, for d on the chain e -> e/p -> ... -> 1 (p the least prime factor),
+    and the rows that `_rotation_closure_rank(rows, k)` names.  Read as k
+    polynomials mod x^e - 1, rotation by k entries is times 1/x, and the
+    closure is the submodule that the rows generate.  x^e - 1 = (x^q - 1)*Psi
+    with q = e/p, coprime factors over Q, so by the Chinese remainder theorem
+    f(e) = f(q) + h(e): the closure of the block sums at q and the closure
+    mod Psi (`_psi_closure`).  A row lies outside the closure of the rows
+    before it exactly when it does in some component, so the components'
+    generators together are the whole closure's."""
+    if e == 1:
+        rank, named = _closure_rank(rows, None)
+        return {1: rank}, named
+    p = min(_factorize(e))
+    w = e // p * k
+    h, named = _psi_closure(rows, p, w, k)
+    # the block sums at q are the sums of the p segments of w entries
+    f, below = _split_closure([[sum(row[c::w]) for c in range(w)] for row in rows], e // p, k)
+    f[e] = f[e // p] + h
+    return f, sorted({*named, *below})
+
+
+def _psi_closure(
+    rows: Sequence[Sequence[int]], p: int, w: int, k: int
+) -> tuple[int, list[int]]:
+    """The rank h(e) and generators of the closure under 1/x of `rows`, of
+    width e*k = p*w, mod Psi = 1 + x^q + ... + x^((p-1)q), q = w/k.  As
+    x^((p-1)q) = -(1 + ... + x^((p-2)q)) mod Psi, a row reduces to its first
+    p - 1 segments of w entries, each minus the last.  There 1/x rotates left
+    by k entries, and the block leaving position 0 becomes x^(e-1), which is
+    minus it at block q-1 of every segment: for p = 2 the negacyclic shift.
+    At e = 2 the step is -1, whose closure is the span."""
+    cut = (p - 1) * w
+    reduced = [[a - b for a, b in zip(row[:cut], row[cut:] * (p - 1))] for row in rows]
+
+    def step(row: Sequence[int]) -> list[int]:
+        head, out = row[:k], [*row[k:], *[0] * k]
+        if any(head):
+            for b in range(w - k, cut, w):
+                out[b : b + k] = [v - h for v, h in zip(out[b : b + k], head)]
+        return out
+
+    return _closure_rank(reduced, step if cut > k else None)
 
 
 def invariant_matrix(pm: PresentingMatrix) -> ExactMatrix:
@@ -344,7 +416,7 @@ class Spectrum:
 
 
 def _galois_table(system: FiniteSystem) -> dict[int, int]:
-    """The memoised f(d) = dim of the T^d-invariant subspace of V, for d | n.
+    """f(d) = dim of the T^d-invariant subspace of V, for d | n.
 
     The system must be valid.  f(d) is the rank of the T^d-invariant matrix
     (`PresentingMatrix.block_sums`, width d*k), whose row at T(x) is its row
@@ -353,21 +425,24 @@ def _galois_table(system: FiniteSystem) -> dict[int, int]:
     rows alone.  U^m = I on V for the minimal period m, so closures run only
     for e | m, and f(d) = f(gcd(d, m)).  f(n) = f(m) is dim V, whose closure
     reads every orbit row and names the selected orbits (`_top_closure`);
-    each closure for e < m reads only their rows.
+    each closure for e < m reads only their rows, once, into f on the
+    divisors of m in `system._memo["galois"]`.  Where closures split, each e
+    off the top chain is f(e/p) plus one closure mod Psi (`_psi_closure`).
     """
-    table = system._memo.get("galois")
-    if table is None:
-        quotient = _orbit_quotient(PresentingMatrix(system, ()))
-        selection, dim_v = _top_closure(quotient)
-        m, k = minimal_period(system), quotient.k
-        closure = {
-            e: _rotation_closure_rank(selection.block_sums(e), k)[0]
-            for e in divisors(m)[:-1]
-        }
-        closure[m] = dim_v
-        table = {d: closure[math.gcd(d, m)] for d in divisors(system.period)}
-        system._memo["galois"] = table
-    return table
+    quotient = _orbit_quotient(PresentingMatrix(system, ()))
+    selection = _top_closure(quotient)[0]
+    f = system._memo["galois"]
+    m, k = minimal_period(system), quotient.k
+    split = _splits(m, k, len(quotient.elements))
+    for e in divisors(m):
+        if e not in f:
+            rows = selection.block_sums(e)
+            if split:
+                p = min(_factorize(e))
+                f[e] = f[e // p] + _psi_closure(rows, p, e // p * k, k)[0]
+            else:
+                f[e] = _rotation_closure_rank(rows, k)[0]
+    return {d: f[math.gcd(d, m)] for d in divisors(system.period)}
 
 
 def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
@@ -382,7 +457,9 @@ def spectrum(system: FiniteSystem, method: str = "galois") -> Spectrum:
     so under `--method both` a selection that lost a row shows as sum
     phi(d)*r_d < dim V.  "galois" works entirely over Q: it recovers the
     common multiplicity m_e of the primitive e-th roots from the table f of
-    `_galois_table` by Moebius inversion of sum_{e | d} phi(e) m_e = f(d).
+    `_galois_table` by Moebius inversion of sum_{e | d} phi(e) m_e = f(d);
+    on few long orbits each f(e) is f(e/p) plus one closure mod
+    Psi = (x^e - 1)/(x^(e/p) - 1), which reads no Phi_d (`_split_closure`).
     "cyclotomic" ranks, for each d | n, the weighted block sum of exponent
     n/d over Q(zeta_d), as the closure of its flat coefficient rows under
     x -> x/zeta (`ExactMatrix.rank`), and gives that rank to every exponent

@@ -115,13 +115,17 @@ def gauss_rank(rows) -> int:
 
 def rotation_closure_rank(rows, shift) -> int:
     """dim of the smallest rotation-invariant span of the rows: the rank of
-    every rotation r[j*shift:] + r[:j*shift] of every row."""
+    every rotation r[j*shift:] + r[:j*shift] of every row, each distinct one
+    ranked once."""
     width = len(rows[0]) if rows else 0
     if not width:
         return 0
-    return gauss_rank(
-        [r[j * shift :] + r[: j * shift] for r in rows for j in range(width // shift)]
-    )
+    rotations = {
+        tuple(r[j * shift :]) + tuple(r[: j * shift])
+        for r in rows
+        for j in range(width // shift)
+    }
+    return gauss_rank(list(rotations))
 
 
 def brute_rank(rows) -> int:

@@ -680,6 +680,12 @@ def closure_inputs(draw):
     return rows, shift
 
 
+def rotation(shift, width):
+    """The closure step of a rotation by `shift` entries, None where that is
+    the identity, as `_rotation_closure_rank` passes it to either kernel."""
+    return (lambda r: r[shift:] + r[:shift]) if width and shift % width else None
+
+
 @settings(max_examples=80)
 @given(closure_inputs())
 @example(([[], [], []], 0))  # width 0, as for k = 0
@@ -718,7 +724,7 @@ def test_gauss_jordan_closure_names_the_greedy_generators(case):
     # a given row generates exactly when it lies outside the rotation closure
     # of the given rows before it, and the rank is that of every rotation
     rows, shift = [list(r) for r in case[0]], case[1]
-    rank, generators = _gauss_jordan_closure(rows, shift)
+    rank, generators = _gauss_jordan_closure(rows, rotation(shift, len(rows[0])))
     closures = [rotation_closure_rank(rows[:i], shift) for i in range(len(rows) + 1)]
     assert generators == [i for i in range(len(rows)) if closures[i + 1] > closures[i]]
     kept = [rows[i] for i in generators]
@@ -741,7 +747,7 @@ def test_both_closure_kernels_name_the_same_generators(case):
     rows, shift = [list(r) for r in case[0]], case[1]
     rotate = lambda r: r[shift:] + r[:shift]
     basis, generators = _streaming_echelon(rows, len(rows[0]), rotate)
-    assert _gauss_jordan_closure(rows, shift) == (len(basis), generators)
+    assert _gauss_jordan_closure(rows, rotation(shift, len(rows[0]))) == (len(basis), generators)
     assert _rotation_closure_rank(rows, shift) == (len(basis), generators)
     assert len(basis) == rotation_closure_rank(rows, shift)
     assert rows == [list(r) for r in case[0]]
@@ -784,7 +790,7 @@ def test_an_identity_rotation_reads_each_row_once(nrows, width, monkeypatch):
     prefix = [gauss_rank(values[: i + 1]) for i in range(nrows)]
     assert rank == rotation_closure_rank(values, width) == prefix[-1]
     assert generators == [i for i in range(nrows) if prefix[i] > (prefix[i - 1] if i else 0)]
-    assert _gauss_jordan_closure(values, width) == (rank, generators)
+    assert _gauss_jordan_closure(values, None) == (rank, generators)
 
 
 def _q_block(nrows, ncols):

@@ -6,9 +6,10 @@ import random
 import weakref
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynspan import exact, linearize
@@ -1348,6 +1349,138 @@ def test_a_selection_that_loses_an_orbit_fails_the_report(system):
     for method in ("galois", "cyclotomic"):
         assert json.dumps(analysis_report(mutant(), method)) != expected, method
     assert json.dumps(analysis_report(document_to_system(doc), "both")) == expected
+
+
+# -- the split of the galois closures along x^e - 1 = (x^(e/p) - 1) * Psi ------
+
+
+def rotate(row, shift):
+    return row[shift:] + row[:shift]
+
+
+@st.composite
+def split_inputs(draw):
+    """(rows, e, k): rows of width e*k, e with several prime factors, drawn
+    from a seed.  Each row repeats a block at a divisor of e, and with
+    `killed` every row r becomes r - (r rotated by j blocks), which drops the
+    components where x^j = 1, so a tall input, whose rows are at least 3/4
+    of the width (the Gauss-Jordan side), still closes below full rank."""
+    e = draw(st.sampled_from([4, 6, 8, 9, 10, 12, 16, 18, 30]))
+    tall = draw(st.booleans())
+    # the oracle ranks every rotation of every row: tall inputs stay narrow
+    k = draw(st.integers(1, 1 if tall and e > 18 else 2))
+    width = e * k
+    count = draw(st.integers(-(-3 * width // 4), width + 2) if tall else st.integers(1, 4))
+    killed = draw(st.sampled_from([None] + divisors(e)[:-1]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(count):
+        d = rng.choice(divisors(e))
+        row = [rng.randint(-3, 3) for _ in range(d * k)] * (e // d)
+        if killed is not None:
+            row = [a - b for a, b in zip(row, rotate(row, killed * k))]
+        rows.append(row)
+    rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))]
+    return rows, e, k
+
+
+@settings(max_examples=40)
+@given(split_inputs())
+@example(([[1, 0, 0, 0]], 4, 1))  # the rotations of one row span all
+@example(([[1, 1, 1, 1], [1, -1, 1, -1], [2, 0, 2, 0]], 4, 1))  # f(1), f(2), then nothing
+@example(([[1, 2, 1, 2, 1, 2]] * 5, 6, 1))  # tall, every row 2-periodic
+@example(([[0] * 18] * 14, 9, 2))  # tall and zero
+def test_the_split_names_the_generators_of_the_whole_closure(case):
+    # the component closures mod x^q - 1 and mod Psi, chained down to f(1),
+    # give the rank of the closure at e and at each divisor on the chain, and
+    # their generators together are those the whole closure names
+    rows, e, k = case
+    f, generators = linearize._split_closure(rows, e, k)
+    assert (f[e], generators) == exact._rotation_closure_rank(rows, k)
+    assert f[e] == rotation_closure_rank(rows, k)
+    for d in f:
+        sums = [[int(v) for v in row] for row in oracle_block_sums(rows, e, k, d)]
+        assert f[d] == exact._rotation_closure_rank(sums, k)[0]
+    assert 1 in f and all(e % d == 0 for d in f)
+
+
+def split_and_whole(doc) -> tuple[FiniteSystem, FiniteSystem]:
+    """The system of `doc` analysed by the galois route twice: through the
+    split, which must be the route its shape takes, and with the split off."""
+    system, whole = document_to_system(doc), document_to_system(doc)
+    m, k = minimal_period(system), system.num_stats
+    assert linearize._splits(m, k, len(orbits(system)))
+    with mock.patch.object(linearize, "_split_closure", wraps=linearize._split_closure) as spy:
+        spectrum(system, "galois")
+    # the top closure walks the chain down from m, one call per step
+    assert spy.call_args_list[0].args[1:] == (m, k)
+    with mock.patch.object(linearize, "_splits", return_value=False):
+        spectrum(whole, "galois")
+    return system, whole
+
+
+def assert_same_selection(system: FiniteSystem, whole: FiniteSystem) -> None:
+    assert _galois_table(system) == _galois_table(whole)
+    assert system._memo["selection"][0] == whole._memo["selection"][0]
+    assert system._memo["selection"][2] == whole._memo["selection"][2]
+
+
+# periods with several prime factors, each system routed through the split
+@settings(max_examples=40)
+@given(planted_spectra(periods=(12, 16, 18, 20, 24, 30)))
+@example(
+    (
+        list(range(1, 18)) + [0],
+        18,
+        [(v, 2 * v) for v in range(18)],
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    )
+)
+def test_planted_spectra_through_the_split(planted):
+    perm, period, stats, mults = planted
+    doc = system_to_document(FiniteSystem(perm=tuple(perm), period=period, stats=tuple(stats)))
+    system = document_to_system(doc)
+    assume(linearize._splits(minimal_period(system), system.num_stats, len(orbits(system))))
+    system, whole = split_and_whole(doc)
+    assert spectrum(system, "galois").mults == mults
+    assert_same_selection(system, whole)
+
+
+# a zero-sum 16-cycle and a fixed point beside it: the fixed point's row is
+# constant, so it adds to the closure mod x - 1 alone, f(1), and the selection
+# must keep it for the cyclotomic rank at d = 1 and the invariant basis
+INVARIANT_ONLY = FiniteSystem(
+    perm=tuple((i + 1) % 16 for i in range(16)) + (16,),
+    period=16,
+    stats=tuple((v,) for v in (3, -1, 4, -1, -5, 9, -2, 6, -5, 3, -5, 8, -9, 7, -9, -3, 5)),
+)
+
+
+def test_an_orbit_that_adds_only_to_the_invariant_part_is_selected():
+    # a selection without the fixed point would give the cyclotomic route
+    # mult(1) = 0 and the invariant basis no vector
+    doc = system_to_document(INVARIANT_ONLY)
+    assert_report_matches_reference(doc)
+    system, whole = split_and_whole(doc)
+    assert system._memo["selection"][0] == (0, 16)
+    assert_same_selection(system, whole)
+
+
+# one 300-cycle with k = 1, two 250-cycles with k = 2 and three 150-cycles
+# with k = 3: each galois closure about as wide as its rank
+@pytest.mark.slow
+@pytest.mark.parametrize("length, count, k", [(300, 1, 1), (250, 2, 2), (150, 3, 3)])
+def test_galois_spectrum_of_long_orbits(length, count, k):
+    def fresh() -> FiniteSystem:
+        rng = random.Random(length)
+        perm = tuple(i // length * length + (i + 1) % length for i in range(length * count))
+        stats = tuple(tuple(rng.randint(-9, 9) for _ in range(k)) for _ in perm)
+        return FiniteSystem(perm=perm, period=length, stats=stats)
+
+    assert linearize._splits(length, k, count)
+    galois = spectrum(fresh(), "galois")
+    assert galois == spectrum(fresh(), "cyclotomic")
+    assert galois.dimension == length * count
 
 
 def counting_rows(monkeypatch) -> list[int]:
