@@ -30,18 +30,20 @@ their entries by a fixed shift, has two exact kernels, chosen by the shape
 of the input.  Both read the given rows in order, each row that joins
 followed by the image of what it adds while those join, so both name the
 same given rows as generating the closure: each outside the closure of
-those before it.  With rows at least
-3/4 of the columns, a fraction-free Gauss-Jordan basis tests each row with
-one dot product per column that has no pivot: every entry of the basis is a
-minor of the rows that joined it, so the sizes stay under the Hadamard
-bound, and every division in an update is exact by Sylvester's identity.
-With fewer rows, most rows come from images and join the basis, and the
-streaming echelon reduces each against it.  There a row that joins at pivot
-c is followed by the image of its basis row; under the left rotation its
-pivot, if c is at least the shift, moves to c - shift, so it is reduced only
-against the pivots from there on; over Q(zeta) the image under 1/zeta begins one column
-earlier, or, from the start of an entry, no earlier than that.  Both stop
-reading rows once every column has a pivot.
+those before it.  With rows at least 3/4 of the columns, a fraction-free
+Gauss-Jordan basis tests each row with one dot product per column that has
+no pivot: every entry of the basis is a minor of the rows that joined it,
+so the sizes stay under the Hadamard bound, and every division in an
+update is exact by Sylvester's identity.  On a tall tail those products
+are packed into one annihilator, an integer per column, whose dot product
+with a row is 0 exactly when the row lies in the span.  With fewer rows,
+most rows come from images and join the basis, and the streaming echelon
+reduces each against it.  There a row that joins at pivot c is followed by
+the image of its basis row; under the left rotation its pivot, if c is at
+least the shift, moves to c - shift, so it is reduced only against the
+pivots from there on; over Q(zeta) the image under 1/zeta begins one
+column earlier, or, from the start of an entry, no earlier than that.
+Both stop reading rows once every column has a pivot.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import lshift, mul
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
@@ -390,21 +392,22 @@ def _rotation_closure_rank(
 
 def _closure_rank(rows: Sequence[Sequence[int]], step: _Step) -> tuple[int, list[int]]:
     """(dim, generators) of the smallest subspace that contains `rows` and
-    is closed under the linear map `step`, of finite order.  Each given row that raises the rank is followed by the images of the
-    vectors it adds while they join (see the module notes), so a given row
-    joins exactly when it lies outside the closure of the rows before it,
-    and both kernels name the same generators, with none to spare.
+    is closed under the linear map `step`, of finite order.  Each given row
+    that raises the rank is followed by the images of the vectors it adds
+    while they join (see the module notes), so a given row joins exactly
+    when it lies outside the closure of the rows before it, and both kernels
+    name the same generators, with none to spare.
 
     With rows at least 3/4 of the width, most rows lie in the span, and
-    `_gauss_jordan_closure` tests each with one dot product per free column;
-    with fewer, most rows come from images and raise the rank, and
-    `_streaming_echelon` reduces each against its basis.  Timed on the
-    rotation closures of one pass (seed 1) of each analysis workload of
+    `_gauss_jordan_closure` tests each with its packed annihilator or one
+    dot product per free column; with fewer, most rows come from images and
+    raise the rank, and `_streaming_echelon` reduces each against its basis.
+    Timed on every closure of one pass (seed 1) of each analysis workload of
     `perfbench` (best of 5, 2-vCPU VM), Gauss-Jordan against the streaming
-    echelon took 2.3 against 2.7 ms with 7/8 <= rows/width < 1, 2.3 against
-    2.0 ms from 3/4 to 7/8, 14.6 against 10.9 ms from 1/2 to 3/4, and 155
-    against 66 ms below: a rule at 7/8 would save 0.3 ms over three passes,
-    which no pass shows, so the rule stays at 3/4.
+    echelon took 19.7 against 31.0 ms with rows >= width, 5.2 against 5.5 ms
+    from 7/8 to 1, 4.6 against 4.3 ms from 3/4 to 7/8, 22.2 against 19.0 ms
+    from 1/2 to 3/4, and 127 against 51 ms below: a rule at 7/8 would save
+    0.3 ms over three passes, which no pass shows, so it stays at 3/4.
     """
     width = len(rows[0]) if rows else 0
     if 4 * len(rows) >= 3 * width:
@@ -512,14 +515,34 @@ def _gauss_jordan_closure(rows: Sequence[Sequence[int]], step: _Step) -> tuple[i
     of the next pivot f0, and D' = r[f0]; each old row b becomes
     (D'*b - b[f0]*r) / D, which is exact by Sylvester's identity, as its
     entries are again minors.  No row is read once every column has a pivot.
+
+    A given row is first tested against the packed annihilator `a`, if one
+    is kept (Kronecker substitution): a[f_j] = D * 2^(b*j) at the j-th free
+    column and a[p_i] = -sum_j B_i[f_j] * 2^(b*j), so that v.a = sum_j
+    2^(b*j) * res_j(v), res_j the residual at f_j.  No |res_j| of a row
+    with every |entry| at most `cap` exceeds R = cap*(|D| + max_j sum_i
+    |B_i[f_j]|), and 2^b > R, so for such a row v.a = 0 exactly when every
+    res_j is 0: at the top nonzero res_J the digits below sum to at most
+    R*(2^(b*J) - 1)/(2^b - 1) < 2^(b*J) <= |2^(b*J) * res_J|.  A row in the
+    span then costs one dot product of the width and its min and max; any
+    other row is reduced as above.  A join drops `a`; it is built, with cap
+    2^8 times the row's largest |entry|, when a given row is found in the
+    span while at least 4 columns are free and more rows are left than the
+    width: at most one per free column can join, so more than the rank of
+    them lie in the span, which repays a build of about two residuals.
     """
     generators: list[int] = []
     pivots: list[int] = []
     det = 1
     # columns[j] is column free[j] of the basis; free lists the non-pivots
-    free = list(range(len(rows[0]) if rows else 0))
+    width = len(rows[0]) if rows else 0
+    free = list(range(width))
     columns: list[list[int]] = [[] for _ in free]
+    packed: list[int] | None = None
     for i, row in enumerate(rows):
+        if packed is not None and not sum(map(mul, row, packed)):
+            if -cap <= min(row) and max(row) <= cap:
+                continue
         image, joined = row, False
         while free:
             head = [image[p] for p in pivots]
@@ -543,8 +566,18 @@ def _gauss_jordan_closure(rows: Sequence[Sequence[int]], step: _Step) -> tuple[i
             image = step(image)
         if joined:
             generators.append(i)
-        if not free:
-            break
+            packed = None
+            if not free:
+                break
+        elif len(rows) - i - 1 > width and len(free) >= 4:
+            cap = max(max(row), -min(row), 1) << 8
+            b = (cap * (abs(det) + max(sum(map(abs, c)) for c in columns))).bit_length()
+            shifts = range(0, b * len(free), b)
+            packed = [0] * width
+            for f, s in zip(free, shifts):
+                packed[f] = det << s
+            for p, entries in zip(pivots, zip(*columns)):
+                packed[p] = -sum(map(lshift, entries, shifts))
     return len(pivots), generators
 
 

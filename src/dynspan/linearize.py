@@ -535,18 +535,20 @@ def homomesy_value(
     `coeffs` has length k*n and is indexed like the presenting-matrix columns.
     Returns None when the orbit averages differ.  T^j permutes each orbit, so
     g_i o T^j has the orbit averages of g_i, and the combination averages
-    sum_i a_i * g_i on each orbit, with a_i = sum_j coeffs[j*k + i].  That
-    is summed on the integer statistics, with the weights a_i scaled once to
-    integers over a common denominator, and each orbit sum times n/|O| is
-    divided by it, L and n once (`_orbit_averages`).
+    sum_i a_i * g_i on each orbit, with a_i = sum_j coeffs[j*k + i].  The
+    coefficients are scaled once to integers over the lcm of their
+    denominators, the weights a_i summed as integers on the integer
+    statistics, and each orbit sum times n/|O| is divided by that lcm, L and
+    n once (`_orbit_averages`).
     """
     pm = presenting_matrix(system)
     n, k = pm.n, pm.k
     if len(coeffs) != n * k:
         raise ValueError(f"need {n * k} coefficients, got {len(coeffs)}")
-    coeffs = [Fraction(c) for c in coeffs]
     lcm, ints = system.grid
-    den, weights = _scale_to_int([sum(coeffs[i::k]) for i in range(k)])
+    coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+    den, scaled = _scale_to_int(coeffs)
+    weights = [sum(scaled[i::k]) for i in range(k)]
     values = [sum(map(mul, row, weights)) for row in ints]
     sums = [n // len(c) * sum(map(values.__getitem__, c)) for c in orbits(system)]
     return _orbit_averages(sums, n * den * lcm)[1]

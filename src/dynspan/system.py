@@ -30,8 +30,9 @@ class FiniteSystem:
 
     `_memo` holds what is derived from the system alone and would otherwise
     be rebuilt on every call.  This module fills "orbits" (the T-orbits, by
-    `orbits`, and so by `validate` too), "violations" (the tuple of contract
-    violations, by `validate`) and "stats" (the view).  `linearize` fills
+    `orbits`, and so by `validate` too), "minimal_period" (the lcm of their
+    sizes, likewise), "violations" (the tuple of contract violations, by
+    `validate`) and "stats" (the view).  `linearize` fills
     "quotient" (the `_sums` that every `_orbit_quotient` instance shares:
     its integer rows at the first element of each T-orbit and each T^d block
     sum of them, read by both spectrum routes, the invariant basis, the
@@ -198,5 +199,8 @@ def orbits(system: FiniteSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def minimal_period(system: FiniteSystem) -> int:
-    """The least m >= 1 with T^m = identity (lcm of the orbit sizes)."""
-    return math.lcm(*(len(c) for c in orbits(system)))
+    """The least m >= 1 with T^m = identity (lcm of the orbit sizes); memoised."""
+    m = system._memo.get("minimal_period")
+    if m is None:
+        m = system._memo["minimal_period"] = math.lcm(*(len(c) for c in orbits(system)))
+    return m

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynspan import exact
+from dynspan import exact, linearize
 from dynspan.exact import (
     CycNumber,
     ExactMatrix,
@@ -791,6 +791,140 @@ def test_an_identity_rotation_reads_each_row_once(nrows, width, monkeypatch):
     assert rank == rotation_closure_rank(values, width) == prefix[-1]
     assert generators == [i for i in range(nrows) if prefix[i] > (prefix[i - 1] if i else 0)]
     assert _gauss_jordan_closure(values, None) == (rank, generators)
+
+
+def _psi_step(rows, m, k):
+    """The rows and the step that `_psi_closure` hands to `_closure_rank` for
+    the closure at m mod Psi, p the least prime factor of m, and the width
+    w = m/p * k of the block sums at m/p."""
+    p = min(exact._factorize(m))
+    w = m // p * k
+    seen, real = [], linearize._closure_rank
+    linearize._closure_rank = lambda reduced, step: seen.append((reduced, step)) or real(reduced, step)
+    try:
+        linearize._psi_closure(rows, p, w, k)
+    finally:
+        linearize._closure_rank = real
+    return *seen[0], w
+
+
+@st.composite
+def tall_closures(draw):
+    """(rows, generators, m, k, kind): rows of width m*k, m <= 8, k <= 4, to
+    close under no step, the rotation by k or the step mod Psi.  Up to three
+    generator rows, entries up to 10**30, each a block of e*k entries
+    repeated so that the closure has rank at most e*k, are spread among more
+    than twice the width of rows in the span of the rows before them: sums
+    of small multiples of their rotations by multiples of k, or of the rows
+    themselves under no step.  So most rows lie in the span, and the
+    Gauss-Jordan kernel packs its annihilator."""
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["none", "rotation"] + (["psi"] if m > 1 else [])))
+    e = draw(st.sampled_from(divisors(m)))
+    entries = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    block = st.lists(entries, min_size=e * k, max_size=e * k)
+    generators = [b * (m // e) for b in draw(st.lists(block, min_size=1, max_size=3))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    width = m * k
+    shifts = [0] if kind == "none" else range(0, width, k)
+    rows, waiting = [generators[0]], generators[1:]
+    for _ in range(2 * width + rng.randint(2, 8)):
+        if waiting and rng.random() < 0.1:
+            rows.append(waiting.pop())
+            continue
+        row = [0] * width
+        for _ in range(rng.randint(1, 3)):
+            source, shift, c = rng.choice(rows), rng.choice(shifts), rng.randint(-3, 3)
+            row = [a + c * b for a, b in zip(row, source[shift:] + source[:shift])]
+        rows.append(row)
+    return rows + waiting, generators, m, k, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_closures())
+def test_the_packed_test_keeps_the_gauss_jordan_closure_exact(case):
+    # on tall inputs dense with rows in the span, the Gauss-Jordan kernel,
+    # which tests most of them with its packed annihilator, gives the rank and
+    # names the generators that the streaming echelon does, and the rank is
+    # that of every rotation of the generator rows, the only rows outside
+    # the span of those before them; mod Psi, by the Chinese remainder
+    # theorem, that of the whole closure less that of the block sums at m/p
+    rows, generators, m, k, kind = case
+    width = m * k
+    if kind == "none":
+        step, expected = None, rotation_closure_rank(generators, width)
+    elif kind == "rotation":
+        step, expected = rotation(k, width), rotation_closure_rank(generators, k)
+    else:
+        rows, step, w = _psi_step(rows, m, k)
+        sums = [[sum(row[c::w]) for c in range(w)] for row in generators]
+        expected = rotation_closure_rank(generators, k) - rotation_closure_rank(sums, k)
+    rank, named = _gauss_jordan_closure(rows, step)
+    basis, streamed = _streaming_echelon(rows, len(rows[0]), step)
+    assert (rank, named) == (len(basis), streamed)
+    assert rank == expected
+
+
+def _planted(basis, trigger, planted):
+    """The given rows: a basis row, a multiple of it found in the span, which
+    packs the annihilator, more rows in the span than the width, and last
+    the planted row."""
+    return [basis, trigger] + [basis] * (len(basis) + 1) + [planted]
+
+
+@pytest.mark.parametrize("c", range(60))
+@pytest.mark.parametrize(
+    "basis, planted",
+    [
+        # D = 1 and no other entry: the residuals of the planted row are 2^c
+        # and -1, which cancel in the packed sum exactly at width b = c
+        ([1, 0, 0, 0, 0, 0], lambda c: [0, 2**c, -1, 0, 0, 0]),
+        # the entry 3 beside the pivot: residuals 2^c + 3 * 2^c = 2^(c+2) and
+        # -1, larger than every entry of the row, so a bound that leaves out
+        # the basis entries packs too narrow
+        ([1, 3, 0, 0, 0, 0], lambda c: [-(2**c), 2**c, -1, 0, 0, 0]),
+    ],
+)
+def test_a_planted_row_whose_residuals_cancel_below_the_bound_joins(basis, planted, c):
+    # each width b from 0 up to past the bound is the one at which some
+    # planted row's residuals cancel: the kernel's b, above the bound, is
+    # none of them, so the planted row joins
+    rows = _planted(basis, [2**40 * v for v in basis], planted(c))
+    assert _gauss_jordan_closure(rows, None) == (2, [0, len(rows) - 1])
+
+
+@pytest.mark.parametrize(
+    "basis, planted",
+    [
+        # D = 2, the entry 1: the residual of (1, 1) is 2*1 - 1*1 = 1, and
+        # without D at the free column the packed sum would be 1 - 1 = 0
+        ([2, 1, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0]),
+        # D = 1, the entry 1: the residual of (1, -1) is -1 - 1 = -2, and with
+        # the pivot entry's sign flipped the packed sum would be 1 - 1 = 0
+        ([1, 1, 0, 0, 0, 0], [1, -1, 0, 0, 0, 0]),
+    ],
+)
+def test_a_planted_row_outside_the_span_joins(basis, planted):
+    rows = _planted(basis, [2 * v for v in basis], planted)
+    assert _gauss_jordan_closure(rows, None) == (2, [0, len(rows) - 1])
+    assert gauss_rank(rows) == 2
+
+
+def test_a_row_in_the_span_costs_one_packed_dot_product(monkeypatch):
+    # element products, width 8, no step: a residual costs free * rank of
+    # them, a packed test 8.  Row 0 joins (rank 0: no product); row 1, in
+    # the span, costs 7 * 1 and packs; row 2 fails the packed test (8), is
+    # reduced (7 * 1) and joins, which drops the annihilator; row 3 is
+    # reduced (6 * 2) and joins; row 4, in the span, costs 5 * 3 and packs
+    # again; the 9 rows after it cost 8 each
+    e = [[int(i == j) for j in range(8)] for i in range(8)]
+    mixed = [[a + 2 * b - c for a, b, c in zip(*e[:3])], [5 * a for a in e[1]], e[2]]
+    rows = [e[0], [2 * v for v in e[0]], e[1], e[2], [a + b for a, b in zip(e[0], e[1])]]
+    rows += mixed * 3
+    count = []
+    monkeypatch.setattr(exact, "mul", lambda a, b: count.append(1) or a * b)
+    assert _gauss_jordan_closure(rows, None) == (3, [0, 2, 3])
+    assert len(count) == 7 + (8 + 7) + 12 + 15 + 9 * 8
 
 
 def _q_block(nrows, ncols):

@@ -369,7 +369,7 @@ class TestHomomesyValue:
         # orbit sums of the integer statistics, not presenting rows
         system = chain_rowmotion(3, 3)
         assert homomesy_value(system, unit_coeffs(system, 1)) == 1
-        assert set(system._memo) == {"orbits", "violations"}
+        assert set(system._memo) == {"orbits", "minimal_period", "violations"}
 
 
 class TestStatisticReport:
@@ -803,6 +803,26 @@ def test_rotation_closure_ranks_match_full_row_ranks(system):
     assert report["zero_mesic_dimension"] == zero_mesic
 
 
+def test_a_tall_top_closure_tests_rows_in_the_span_with_one_dot_product(monkeypatch):
+    # chain(8,6) relabelled: 246 orbit rows of width 42, whose closure has
+    # rank 7, so nearly every row lies in the span.  A residual at each of the
+    # 35 free columns costs 35 * 7 element products a row, 61,061 over the
+    # closure; the packed test of a row costs 42, after at most rank + 2
+    # rows reduced in full
+    system = relabelled(chain_rowmotion(8, 6), 4)
+    m, k = minimal_period(system), system.num_stats
+    rows = _orbit_quotient(presenting_matrix(system)).block_sums(m)
+    count = []
+    monkeypatch.setattr(exact, "mul", lambda a, b: count.append(1) or a * b)
+    rank, generators = exact._rotation_closure_rank(rows, k)
+    monkeypatch.undo()
+    width = len(rows[0])
+    assert (len(rows), width, rank) == (246, 42, 7)
+    assert len(count) <= len(rows) * width + (rank + 2) * (width - rank) * rank
+    basis, streamed = exact._streaming_echelon(rows, width, lambda r: r[k:] + r[:k])
+    assert (rank, generators) == (len(basis), streamed)
+
+
 # the period times 2, 3 or 4: every row of M - M' repeats after m blocks, so
 # the 0-mesic closure reads only its first m*k entries
 @settings(max_examples=40)
@@ -1082,7 +1102,7 @@ def test_homomesy_value_matches_fraction_oracle(case):
     got = homomesy_value(system, coeffs)
     assert got == oracle_homomesy_value(system.perm, system.period, system.stats, coeffs)
     assert got is None or type(got) is Fraction
-    assert set(system._memo) <= {"orbits", "violations", "stats"}
+    assert set(system._memo) <= {"orbits", "minimal_period", "violations", "stats"}
 
 
 # k = 0; period 1; fixed points under a non-minimal period, whose shifts all
@@ -1523,7 +1543,7 @@ class TestMemo:
             built.clear()
             system = multiset_rotation(n, k)
             analysis_report(system, "both")
-            keys = {"orbits", "quotient", "galois", "violations", "selection"}
+            keys = {"orbits", "minimal_period", "quotient", "galois", "violations", "selection"}
             assert set(system._memo) == keys
             assert (len(orbits(system)) > n * k) == tall
             assert built == [len(orbits(system))]
